@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -39,7 +40,7 @@ from .lpdecode import (
 )
 from .pcw import generating_function
 from .polytope import lp_pseudocodewords
-from .qcimprove import ImproveTarget, improve_representation
+from .qcimprove import ImproveTarget, evaluate_lp_performance, improve_representation
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -213,12 +214,10 @@ def cmd_decode(args) -> int:
         _emit(_json(obj), args.out, f"status {res.status}")
         return EXIT_OK
 
-    zero = BinaryVector(H.cols, 0)
     if args.orbit_n0:
-        errors = [
-            bsc_sample(zero, args.crossover, args.seed ^ t)
-            for t in range(args.trials)
-        ]
+        zero = BinaryVector(H.cols, 0)
+        rng = random.Random(args.seed)
+        errors = [bsc_sample(zero, args.crossover, rng) for _ in range(args.trials)]
         rep = shift_equivariance_experiment(H, args.orbit_n0, errors, args.crossover)
         base = [r.statuses[0] for r in rep.orbits]
         obj = {
@@ -250,43 +249,32 @@ def cmd_decode(args) -> int:
         )
         return EXIT_OK
 
-    failures = fractional = ties = ml_mismatch = 0
-    for t in range(args.trials):
-        e = bsc_sample(zero, args.crossover, args.seed ^ t)
-        gamma = llr_bsc(e, args.crossover)
-        res = lp_decode(H, gamma, cfg.row_weight_cap)
-        if not (res.status == "codeword" and all(x == 0 for x in res.optimum)):
-            failures += 1
-        if res.status == "fractional":
-            fractional += 1
-        elif res.status == "tie":
-            ties += 1
-        if args.ml and res.status == "codeword":
-            if ml_decode(H, gamma) != res.as_binary():
-                ml_mismatch += 1
+    est = evaluate_lp_performance(
+        H, args.crossover, args.trials, args.seed, cfg.row_weight_cap, ml=args.ml
+    )
     obj = {
         "schema": ser.SCHEMA,
         "type": "decode-trials",
         "seed": args.seed,
         "p": args.crossover,
         "trials": args.trials,
-        "failures": failures,
-        "fractional_count": fractional,
-        "tie_count": ties,
+        "failures": est.failures,
+        "fractional_count": est.fractional,
+        "tie_count": est.ties,
         "config": asdict(cfg),
     }
     if args.ml:
-        obj["ml_mismatches"] = ml_mismatch
+        obj["ml_mismatches"] = est.ml_mismatches
     if cfg.format == "csv":
         csv = (
             f"# config: {json.dumps(asdict(cfg))}\n"
             "seed,p,trials,failures,fer,fractional_count,tie_count\n"
-            f"{args.seed},{args.crossover},{args.trials},{failures},"
-            f"{failures / args.trials:.12g},{fractional},{ties}\n"
+            f"{args.seed},{args.crossover},{args.trials},{est.failures},"
+            f"{est.fer:.12g},{est.fractional},{est.ties}\n"
         )
-        _emit(csv, args.out, f"fer {failures / args.trials:.4g}")
+        _emit(csv, args.out, f"fer {est.fer:.4g}")
         return EXIT_OK
-    _emit(_json(obj), args.out, f"fer {failures / args.trials:.4g}")
+    _emit(_json(obj), args.out, f"fer {est.fer:.4g}")
     return EXIT_OK
 
 

@@ -9,10 +9,16 @@ the optimizer itself never sees a float.  A decode reports status
 optimal face, and "tie" when that face contains more than one vertex; the
 tie test is geometric, so it is invariant under coordinate rotations of a
 quasi-cyclic instance.
+
+The inequality system of the relaxed polytope is compiled once per
+(H, row_weight_cap) into integer rows and held in a small bounded cache,
+so repeated decodes on one matrix (a Monte Carlo run, a shift orbit) only
+swap the objective row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -44,9 +50,9 @@ def llr_bsc(w: BinaryVector, p: float) -> list[float]:
 def rationalize_llr(
     gamma: LlrVector, max_denominator: int = LLR_DENOMINATOR_CAP
 ) -> tuple[Fraction, ...]:
-    return tuple(
-        Fraction(x).limit_denominator(max_denominator) for x in gamma
-    )
+    # BSC LLRs take two values, so approximate each distinct value once.
+    exact = {x: Fraction(x).limit_denominator(max_denominator) for x in set(gamma)}
+    return tuple(exact[x] for x in gamma)
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,19 @@ class DecodeResult:
         return BinaryVector.from_bits(int(x) for x in self.optimum)
 
 
+@functools.lru_cache(maxsize=8)
+def _compiled_system(
+    H: BinaryMatrix, row_weight_cap: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Integer rows and bounds of the relaxed polytope of H.
+
+    The row order is exactly that of build_relaxed_polytope: Bland's rule
+    follows it, so it fixes the pivot path and the vertex returned in a tie.
+    """
+    P = build_relaxed_polytope(H, row_weight_cap)
+    return tuple(a for a, _ in P.inequalities), tuple(b for _, b in P.inequalities)
+
+
 def lp_decode(
     H: BinaryMatrix, gamma: LlrVector, row_weight_cap: int = ROW_WEIGHT_CAP
 ) -> DecodeResult:
@@ -75,9 +94,7 @@ def lp_decode(
     if len(gamma) != H.cols:
         raise ValueError(f"LLR length {len(gamma)} != cols {H.cols}")
     gr = rationalize_llr(gamma)
-    P = build_relaxed_polytope(H, row_weight_cap)
-    A = [a for a, _ in P.inequalities]
-    b = [bb for _, bb in P.inequalities]
+    A, b = _compiled_system(H, row_weight_cap)
     res = solve_min(A, b, gr)
     y = res.x
     integral = all(v.denominator == 1 for v in y)
@@ -108,11 +125,16 @@ def ml_decode(H: BinaryMatrix, gamma: LlrVector) -> BinaryVector:
     return best
 
 
-def bsc_sample(c: BinaryVector, p: float, seed: int) -> BinaryVector:
-    """Flip each bit independently with probability p (deterministic per seed)."""
+def bsc_sample(c: BinaryVector, p: float, seed: int | random.Random) -> BinaryVector:
+    """Flip each bit independently with probability p.
+
+    seed is an int (a fresh stream, deterministic per seed) or a
+    random.Random to draw from; a Monte Carlo run draws all its trials from
+    one random.Random(seed), so runs with different seeds are independent.
+    """
     if not 0 < p < 1:
         raise ValueError("crossover probability must be in (0, 1)")
-    rng = random.Random(seed)
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     bits = c.bits
     for i in range(c.n):
         if rng.random() < p:

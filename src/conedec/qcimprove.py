@@ -10,6 +10,7 @@ until a target is met or the budget runs out.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .gf2 import (
@@ -19,8 +20,8 @@ from .gf2 import (
     enumerate_dual_words,
     row_space_contains,
 )
-from .lpdecode import bsc_sample, llr_bsc, lp_decode
-from .polytope import VERTEX_DIM_CAP, lp_pseudocodewords
+from .lpdecode import bsc_sample, llr_bsc, lp_decode, ml_decode
+from .polytope import ROW_WEIGHT_CAP, VERTEX_DIM_CAP, lp_pseudocodewords
 
 
 def shift_orbit(c: BinaryVector, n0: int) -> list[BinaryVector]:
@@ -63,7 +64,9 @@ class PerformanceEstimate:
     """Monte Carlo decoder quality over all-zero transmission.
 
     A trial succeeds only when the decode status is "codeword" and the
-    output is the zero word; ties count as failures.
+    output is the zero word; ties count as failures.  ml_mismatches counts
+    "codeword" outputs that differ from the ML word, and is None when the
+    run was not cross-checked.
     """
 
     p: float
@@ -72,6 +75,7 @@ class PerformanceEstimate:
     failures: int
     fractional: int
     ties: int
+    ml_mismatches: int | None = None
 
     @property
     def fer(self) -> float:
@@ -83,15 +87,26 @@ class PerformanceEstimate:
 
 
 def evaluate_lp_performance(
-    H: BinaryMatrix, p: float, trials: int, seed: int
+    H: BinaryMatrix,
+    p: float,
+    trials: int,
+    seed: int,
+    row_weight_cap: int = ROW_WEIGHT_CAP,
+    ml: bool = False,
 ) -> PerformanceEstimate:
+    """LP-decode `trials` BSC(p) corruptions of the zero word.
+
+    All error patterns come from one random.Random(seed) stream.  With ml,
+    every "codeword" output is cross-checked against ml_decode.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
+    rng = random.Random(seed)
     zero = BinaryVector(H.cols, 0)
-    failures = fractional = ties = 0
-    for t in range(trials):
-        e = bsc_sample(zero, p, seed ^ t)
-        res = lp_decode(H, llr_bsc(e, p))
+    failures = fractional = ties = mismatches = 0
+    for _ in range(trials):
+        gamma = llr_bsc(bsc_sample(zero, p, rng), p)
+        res = lp_decode(H, gamma, row_weight_cap)
         ok = res.status == "codeword" and all(x == 0 for x in res.optimum)
         if not ok:
             failures += 1
@@ -99,9 +114,12 @@ def evaluate_lp_performance(
             fractional += 1
         elif res.status == "tie":
             ties += 1
+        if ml and res.status == "codeword" and ml_decode(H, gamma) != res.as_binary():
+            mismatches += 1
     return PerformanceEstimate(
         p=p, trials=trials, seed=seed, failures=failures,
         fractional=fractional, ties=ties,
+        ml_mismatches=mismatches if ml else None,
     )
 
 

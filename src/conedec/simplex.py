@@ -18,10 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Sequence
 
 from .errors import NumericalFailure
+
+MAX_PIVOTS = 100000
 
 
 def _scale_row(row: Sequence, rhs) -> tuple[list[int], int]:
@@ -33,6 +36,14 @@ def _scale_row(row: Sequence, rhs) -> tuple[list[int], int]:
     return ints[:-1], ints[-1]
 
 
+def _scaled_rows(A: Sequence[Sequence], b: Sequence):
+    """(integer row, integer bound) pairs; a system that is all Python ints
+    already skips the Fraction round trip."""
+    if set(map(type, chain(b, chain.from_iterable(A)))) <= {int}:
+        return zip(map(list, A), b)
+    return map(_scale_row, A, b)
+
+
 @dataclass(frozen=True)
 class SimplexResult:
     objective: Fraction
@@ -42,31 +53,25 @@ class SimplexResult:
 
 class ExactSimplex:
     def __init__(self, A: Sequence[Sequence], b: Sequence, c: Sequence):
-        self.n = len(c)
-        self.m = len(A)
-        rows = []
-        for a_row, beta in zip(A, b):
-            if len(a_row) != self.n:
+        self.n = n = len(c)
+        self.m = m = len(A)
+        # Tableau columns: n structural, m slacks, rhs.  Last row = objective.
+        self.T: list[list[int]] = []
+        zeros = [0] * m
+        for i, (row, rhs) in enumerate(_scaled_rows(A, b)):
+            if len(row) != n:
                 raise ValueError("constraint row has wrong length")
-            ints, rhs = _scale_row(a_row, beta)
             if rhs < 0:
                 raise ValueError("slack basis start requires b >= 0")
-            rows.append((ints, rhs))
-        # Tableau columns: n structural, m slacks, rhs.  Last row = objective.
-        ncols = self.n + self.m + 1
-        self.T: list[list[int]] = []
-        for i, (ints, rhs) in enumerate(rows):
-            row = ints + [0] * self.m + [rhs]
-            row[self.n + i] = 1
+            row += zeros
+            row.append(rhs)
+            row[n + i] = 1
             self.T.append(row)
-        cfr = [Fraction(x) for x in c]
-        clcm = 1
-        for x in cfr:
-            clcm = clcm * x.denominator // gcd(clcm, x.denominator)
-        self.T.append([int(x * clcm) for x in cfr] + [0] * (self.m + 1))
-        self.c = tuple(cfr)
+        [(obj, _)] = _scaled_rows([c], [0])
+        self.T.append(obj + [0] * (m + 1))
+        self.c = tuple(Fraction(x) for x in c)
         self.d = 1
-        self.basis = [self.n + i for i in range(self.m)]
+        self.basis = [n + i for i in range(m)]
 
     def _pivot(self, r: int, s: int) -> None:
         T = self.T
@@ -88,18 +93,27 @@ class ExactSimplex:
         self.d = piv
         self.basis[r] = s
 
-    def solve(self, max_pivots: int = 100000) -> SimplexResult:
+    def _run(self, max_pivots: int, stop_below_zero: bool = False) -> bool:
+        """Bland's-rule pivots until no reduced cost is negative.
+
+        Returns True at an optimal basis and False on an unbounded improving
+        ray; with stop_below_zero, also False as soon as the objective value
+        drops below zero.
+        """
         T = self.T
         m, n = self.m, self.n
-        obj = T[m]
+        basis = self.basis
         for _ in range(max_pivots):
+            obj = T[m]
+            if stop_below_zero and obj[-1] > 0:  # obj[-1] is -d * (c . x)
+                return False
             s = -1
             for j in range(n + m):
                 if obj[j] < 0:
                     s = j
                     break
             if s < 0:
-                break
+                return True
             r = -1
             for i in range(m):
                 t = T[i][s]
@@ -109,14 +123,16 @@ class ExactSimplex:
                     r = i
                     continue
                 cmp = T[i][-1] * T[r][s] - T[r][-1] * t
-                if cmp < 0 or (cmp == 0 and self.basis[i] < self.basis[r]):
+                if cmp < 0 or (cmp == 0 and basis[i] < basis[r]):
                     r = i
             if r < 0:
-                raise NumericalFailure("LP is unbounded; expected a boxed region")
+                return False
             self._pivot(r, s)
-            obj = T[m]
-        else:
-            raise NumericalFailure("pivot limit hit")
+        raise NumericalFailure("pivot limit hit")
+
+    def solve(self, max_pivots: int = MAX_PIVOTS) -> SimplexResult:
+        if not self._run(max_pivots):
+            raise NumericalFailure("LP is unbounded; expected a boxed region")
         x = self._solution()
         return SimplexResult(
             objective=sum(ci * xi for ci, xi in zip(self.c, x)),
@@ -153,39 +169,12 @@ class ExactSimplex:
             return True
         A = [[T[i][j] for j in zero_cols] for i in range(self.m)]
         b = [T[i][-1] for i in range(self.m)]
-        aux = ExactSimplex(A, b, [-1] * len(zero_cols))
-        return not aux._has_negative_optimum()
-
-    def _has_negative_optimum(self, max_pivots: int = 100000) -> bool:
-        """Run to optimality but stop as soon as the objective dips below 0."""
-        T = self.T
-        m, n = self.m, self.n
-        for _ in range(max_pivots):
-            if T[m][-1] > 0:  # objective row carries -d * (c . x)
-                return True
-            obj = T[m]
-            s = -1
-            for j in range(n + m):
-                if obj[j] < 0:
-                    s = j
-                    break
-            if s < 0:
-                return T[m][-1] > 0
-            r = -1
-            for i in range(m):
-                t = T[i][s]
-                if t <= 0:
-                    continue
-                if r < 0:
-                    r = i
-                    continue
-                cmp = T[i][-1] * T[r][s] - T[r][-1] * t
-                if cmp < 0 or (cmp == 0 and self.basis[i] < self.basis[r]):
-                    r = i
-            if r < 0:
-                return True  # unbounded improving ray: face has more points
-            self._pivot(r, s)
-        raise NumericalFailure("pivot limit hit")
+        # The auxiliary LP starts at u = 0 with objective 0; the face has a
+        # second point iff some pivot drives -sum(u) below zero or along an
+        # unbounded ray.
+        return ExactSimplex(A, b, [-1] * len(zero_cols))._run(
+            MAX_PIVOTS, stop_below_zero=True
+        )
 
 
 def solve_min(A: Sequence[Sequence], b: Sequence, c: Sequence) -> SimplexResult:

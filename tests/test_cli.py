@@ -189,6 +189,23 @@ class TestDecode:
         assert len(obj["per_orbit"]) == 10
         assert all(len(rec["statuses"]) == 7 for rec in obj["per_orbit"])
 
+    def test_orbit_seeds_draw_independent_errors(self, tmp_path, capsys):
+        # Seeding trial t with seed ^ t gave seeds 0 and 7 the same eight
+        # error patterns in another order.
+        H = hamming_matrix(3, cyclic=True)
+        p = tmp_path / "h3.txt"
+        p.write_text(format_dense(H))
+        errors = []
+        for seed in ("0", "7"):
+            code, out = run(
+                capsys,
+                "decode", str(p), "--random", "--orbit-n0", "7",
+                "--crossover", "0.3", "--trials", "8", "--seed", seed,
+            )
+            assert code == 0
+            errors.append(sorted(r["error"] for r in json.loads(out)["per_orbit"]))
+        assert errors[0] != errors[1]
+
     def test_orbit_requires_quasi_cyclic(self, hamming_path, capsys):
         code, _ = run(
             capsys,

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,10 @@ from conedec import (
     ml_decode,
     shift_equivariance_experiment,
 )
+from conedec.constructions import hamming_matrix, steane_matrix
+from conedec.errors import BoundExceeded
 from conedec.lpdecode import rationalize_llr
+from conedec.simplex import solve_min
 
 
 def vertex_costs(H, gamma):
@@ -139,6 +143,67 @@ class TestMlDecode:
             res = lp_decode(H, gamma)
             if res.status == "codeword":
                 assert res.as_binary() == ml_decode(H, gamma)
+
+
+def reference_decode(H, gamma, row_weight_cap=20):
+    """Decode without the compiled system: build the polytope afresh and
+    solve it from Fraction rows, as lp_decode did before compilation."""
+    P = build_relaxed_polytope(H, row_weight_cap)
+    res = solve_min(
+        [[Fraction(x) for x in a] for a, _ in P.inequalities],
+        [Fraction(b) for _, b in P.inequalities],
+        rationalize_llr(gamma),
+    )
+    integral = all(v.denominator == 1 for v in res.x)
+    status = "tie" if not res.unique else "codeword" if integral else "fractional"
+    return status, res.x, res.objective
+
+
+def decode_triple(H, gamma, row_weight_cap=20):
+    res = lp_decode(H, gamma, row_weight_cap)
+    return res.status, res.optimum, res.objective
+
+
+class TestCompiledSystem:
+    def test_matches_reference_on_seeded_corpus(self, hamming7, hamming7_full):
+        rng = random.Random(20261017)
+        codes = [(hamming7, 40), (hamming7_full, 40), (steane_matrix(3), 40),
+                 (hamming_matrix(4), 4)]
+        statuses = set()
+        for H, count in codes:
+            for t in range(count):
+                if t % 2:  # Gaussian LLRs: fractional optima are unique there
+                    gamma = [rng.gauss(1.0, 1.2) for _ in range(H.cols)]
+                else:  # BSC LLRs have equal magnitudes and so often tie
+                    p = rng.choice((0.05, 0.1, 0.2))
+                    e = BinaryVector(H.cols, 0)
+                    while e.weight() == 0:
+                        e = bsc_sample(e, p, rng)
+                    gamma = llr_bsc(e, p)
+                got = decode_triple(H, gamma)
+                assert got == reference_decode(H, gamma)
+                statuses.add(got[0])
+        assert statuses == {"codeword", "fractional", "tie"}
+
+    def test_alternating_matrices_of_one_shape(self):
+        H1, H2 = hamming_matrix(3), hamming_matrix(3, cyclic=True)
+        assert H1 != H2 and (H1.rows, H1.cols) == (H2.rows, H2.cols)
+        rng = random.Random(3)
+        differ = 0
+        for _ in range(20):
+            gamma = llr_bsc(BinaryVector(7, rng.getrandbits(7)), 0.1)
+            r1, r2 = decode_triple(H1, gamma), decode_triple(H2, gamma)
+            assert r1 == reference_decode(H1, gamma)
+            assert r2 == reference_decode(H2, gamma)
+            differ += r1 != r2
+        assert differ > 0
+
+    def test_smaller_cap_still_raises(self, hamming7):
+        gamma = llr_bsc(BinaryVector(7, 0), 0.1)
+        assert lp_decode(hamming7, gamma).status == "codeword"
+        with pytest.raises(BoundExceeded):
+            lp_decode(hamming7, gamma, row_weight_cap=3)
+        assert lp_decode(hamming7, gamma, row_weight_cap=4).status == "codeword"
 
 
 class TestBscSample:

@@ -1,6 +1,8 @@
 import pytest
 
+from conedec import qcimprove
 from conedec import (
+    BinaryMatrix,
     BinaryVector,
     add_qc_shifts,
     build_relaxed_polytope,
@@ -60,6 +62,32 @@ class TestEvaluateLpPerformance:
         a = evaluate_lp_performance(hamming7, 0.1, 100, seed=5)
         b = evaluate_lp_performance(hamming7, 0.1, 100, seed=5)
         assert a == b
+
+    def test_seeds_draw_independent_patterns(self, monkeypatch):
+        # Seeding trial t with seed ^ t made seeds 0 and 7 share 96 of
+        # their first 100 patterns.  At p = 0.4 on 24 bits, two independent
+        # runs of 100 trials share a pattern with probability below 1e-2.
+        decode = qcimprove.lp_decode
+        drawn = []
+
+        def record(H, gamma, row_weight_cap):
+            drawn.append(tuple(g < 0 for g in gamma))
+            return decode(H, [1.0] * H.cols, row_weight_cap)
+
+        H = BinaryMatrix(1, 24, [1])
+        monkeypatch.setattr(qcimprove, "lp_decode", record)
+        runs = []
+        for seed in (0, 7):
+            drawn.clear()
+            evaluate_lp_performance(H, 0.4, 100, seed=seed)
+            runs.append(set(drawn))
+        assert len(runs[0]) == len(runs[1]) == 100
+        assert not runs[0] & runs[1]
+
+    def test_ml_cross_check(self, hamming7):
+        est = evaluate_lp_performance(hamming7, 0.1, 100, seed=3, ml=True)
+        assert est.ml_mismatches == 0
+        assert evaluate_lp_performance(hamming7, 0.1, 10, seed=3).ml_mismatches is None
 
 
 class TestImproveRepresentation:
