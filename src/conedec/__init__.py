@@ -7,8 +7,8 @@ from .cone import (
     augment_column_lift,
     blockrow_embed,
     build_fundamental_cone,
-    cone_contains,
     extreme_rays,
+    in_cone,
     intersect_cones,
     product_cone,
     repeated_block_membership,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import constructions as cons
 from . import serialize as ser
-from .cone import build_fundamental_cone, extreme_rays
+from .cone import RAY_DIM_CAP, build_fundamental_cone, extreme_rays
 from .errors import BoundExceeded, NumericalFailure
 from .gf2 import (
     BinaryMatrix,
@@ -39,7 +39,7 @@ from .lpdecode import (
     shift_equivariance_experiment,
 )
 from .pcw import generating_function
-from .polytope import lp_pseudocodewords
+from .polytope import ROW_WEIGHT_CAP, VERTEX_DIM_CAP, lp_pseudocodewords
 from .qcimprove import ImproveTarget, evaluate_lp_performance, improve_representation
 
 EXIT_OK = 0
@@ -70,10 +70,10 @@ def _config(args, command: str) -> RunConfig:
     return RunConfig(
         command=command,
         seed=getattr(args, "seed", 0),
-        bound_rays=getattr(args, "bound_rays", 20),
-        bound_vertices=getattr(args, "bound_vertices", 16),
+        bound_rays=getattr(args, "bound_rays", RAY_DIM_CAP),
+        bound_vertices=getattr(args, "bound_vertices", VERTEX_DIM_CAP),
         box_bound=getattr(args, "box_B", 0),
-        row_weight_cap=getattr(args, "row_weight_cap", 20),
+        row_weight_cap=getattr(args, "row_weight_cap", ROW_WEIGHT_CAP),
         format=getattr(args, "format", "json"),
     )
 
@@ -193,6 +193,8 @@ def cmd_decode(args) -> int:
     H = read_matrix(args.matrix, args.in_format)
     if (args.word is None) == (not args.random):
         raise ValueError("give exactly one of --word or --random")
+    if cfg.format == "csv" and (args.word is not None or args.orbit_n0):
+        raise ValueError("--format csv is only available for --random without --orbit-n0")
     if args.word is not None:
         w = BinaryVector.from_string(args.word)
         if w.n != H.cols:
@@ -306,6 +308,7 @@ def cmd_improve(args) -> int:
         seed=args.seed,
         trials=args.trials,
         max_dim=cfg.bound_vertices,
+        row_weight_cap=cfg.row_weight_cap,
     )
     obj = {
         "schema": ser.SCHEMA,
@@ -342,13 +345,14 @@ def cmd_improve(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this file (summary to stdout)")
-    p.add_argument("--format", default="json", choices=["json", "csv"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--in-format", default="auto", choices=["auto", "dense", "alist"],
                    dest="in_format")
-    p.add_argument("--bound-rays", type=int, default=20, dest="bound_rays")
-    p.add_argument("--bound-vertices", type=int, default=16, dest="bound_vertices")
-    p.add_argument("--row-weight-cap", type=int, default=20, dest="row_weight_cap")
+    p.add_argument("--bound-rays", type=int, default=RAY_DIM_CAP, dest="bound_rays")
+    p.add_argument("--bound-vertices", type=int, default=VERTEX_DIM_CAP,
+                   dest="bound_vertices")
+    p.add_argument("--row-weight-cap", type=int, default=ROW_WEIGHT_CAP,
+                   dest="row_weight_cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vertices", help="relaxed polytope vertex census")
     p.add_argument("matrix")
     _add_common(p)
+    p.add_argument("--format", default="json", choices=["json", "csv"])
     p.set_defaults(func=cmd_vertices)
 
     p = sub.add_parser("decode", help="LP decode a word or run seeded trials")
@@ -385,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orbit-n0", type=int, dest="orbit_n0",
                    help="with --random: decode whole shift orbits and report per-orbit")
     _add_common(p)
+    p.add_argument("--format", default="json", choices=["json", "csv"])
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("genfun", help="truncated pseudocodeword generating function")

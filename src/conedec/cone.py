@@ -6,6 +6,8 @@ with Row_j(H) . v >= 2 h_ji v_i for every row j and coordinate i.  Only
 the support positions of each row contribute inequalities (h_ji = 0 makes
 the condition a consequence of nonnegativity), so the system is
   { Row_j(H) - 2 e_i : j in [r], i in Supp(Row_j) }  ∪  { e_i : i in [n] }.
+Membership of a vector in the cone of H is read from H itself (in_cone);
+the dense system is built only where its rows are the output.
 
 All arithmetic here is exact; there is no floating-point path.
 """
@@ -80,8 +82,25 @@ def build_fundamental_cone(H: BinaryMatrix) -> ConeSystem:
     return ConeSystem.from_rows(n, rows)
 
 
-def cone_contains(K: ConeSystem, v: Sequence) -> bool:
-    return K.contains(v)
+def in_cone(H: BinaryMatrix, v: Sequence) -> bool:
+    """Membership in the fundamental cone of H, read from the rows of H.
+
+    Equivalent to build_fundamental_cone(H).contains(v) without building the
+    system: v >= 0 and, on every row, the support sum is at least twice the
+    largest support entry.  A weight-0 row imposes nothing; a weight-1 row
+    forces its entry to 0.  The cone is closed under positive scaling, so v
+    is first scaled to a primitive integer vector.
+    """
+    vv = dd.integerize(v)
+    if len(vv) != H.cols:
+        raise ValueError(f"length {len(vv)} != dim {H.cols}")
+    if any(x < 0 for x in vv):
+        return False
+    for j in range(H.rows):
+        sup = [vv[i] for i in H.row_support(j)]
+        if sum(sup) < 2 * max(sup, default=0):
+            return False
+    return True
 
 
 def extreme_rays(K: ConeSystem, max_dim: int = RAY_DIM_CAP) -> RayList:
@@ -135,31 +154,28 @@ def blockrow_embed(
         raise ValueError("need one vector per block")
     if not Hs:
         raise ValueError("need at least one block")
-    r = Hs[0].rows
-    if any(h.rows != r for h in Hs):
+    if any(h.rows != Hs[0].rows for h in Hs):
         raise ValueError("blocks must share a row count")
     parts = []
     for k, (v, h) in enumerate(zip(vs, Hs)):
         vv = as_fraction_vector(v)
-        if not build_fundamental_cone(h).contains(vv):
+        if not in_cone(h, vv):
             raise ValueError(f"block {k}: vector is not in its own cone")
         parts.append(vv)
     w = tuple(x for part in parts for x in part)
-    joined = BinaryMatrix(
-        r,
-        sum(h.cols for h in Hs),
-        [_concat_bits([h.row_bits[j] for h in Hs], [h.cols for h in Hs]) for j in range(r)],
-    )
-    return w, build_fundamental_cone(joined).contains(w)
+    return w, in_cone(_side_by_side(Hs), w)
 
 
-def _concat_bits(bits: Sequence[int], widths: Sequence[int]) -> int:
-    out = 0
-    shift = 0
-    for b, w in zip(bits, widths):
-        out |= b << shift
-        shift += w
-    return out
+def _side_by_side(Hs: Sequence[BinaryMatrix]) -> BinaryMatrix:
+    """The block row [H_1 ... H_t] of matrices sharing a row count."""
+    rows = []
+    for j in range(Hs[0].rows):
+        bits = shift = 0
+        for h in Hs:
+            bits |= h.row_bits[j] << shift
+            shift += h.cols
+        rows.append(bits)
+    return BinaryMatrix(Hs[0].rows, sum(h.cols for h in Hs), rows)
 
 
 def repeated_block_membership(
@@ -179,8 +195,7 @@ def repeated_block_membership(
         raise ValueError("v has wrong length")
     if t < 1 or len(ww) != t * n:
         raise ValueError("w must have length t * cols(H)")
-    K = build_fundamental_cone(H)
-    if not K.contains(vv):
+    if not in_cone(H, vv):
         raise ValueError("v is not in the cone of H")
     if any(x < 0 for x in ww):
         return False
@@ -188,23 +203,9 @@ def repeated_block_membership(
         col = [ww[k * n + i] for k in range(t)]
         if any(c > vv[i] for c in col) or vv[i] > sum(col):
             return False
-    _, member = blockrow_embed_repeat(H, ww, t)
-    if not member:
+    if not in_cone(_side_by_side([H] * t), ww):
         raise AssertionError("sandwich condition held but direct membership failed")
     return True
-
-
-def blockrow_embed_repeat(
-    H: BinaryMatrix, w: Sequence, t: int
-) -> tuple[tuple[Fraction, ...], bool]:
-    """Membership of w against the cone of t side-by-side copies of H."""
-    ww = as_fraction_vector(w)
-    joined = BinaryMatrix(
-        H.rows,
-        t * H.cols,
-        [_concat_bits([b] * t, [H.cols] * t) for b in H.row_bits],
-    )
-    return ww, build_fundamental_cone(joined).contains(ww)
 
 
 def augment_column_lift(H1: BinaryMatrix, s, v: Sequence, w) -> bool:
@@ -224,7 +225,7 @@ def augment_column_lift(H1: BinaryMatrix, s, v: Sequence, w) -> bool:
     vv = as_fraction_vector(v)
     if len(vv) != H1.cols:
         raise ValueError("v has wrong length")
-    if not build_fundamental_cone(H1).contains(vv):
+    if not in_cone(H1, vv):
         raise ValueError("v is not in the cone of H1")
     row_dots = [
         sum(vv[i] for i in H1.row_support(j)) for j in range(H1.rows)
@@ -239,11 +240,7 @@ def augment_column_lift(H1: BinaryMatrix, s, v: Sequence, w) -> bool:
         if any(wf > row_dots[j] for j in s.support()):
             return False
         lifted = tuple(vv) + (wf,)
-        H = BinaryMatrix(
-            H1.rows,
-            H1.cols + 1,
-            [b | (s[j] << H1.cols) for j, b in enumerate(H1.row_bits)],
-        )
+        extra = BinaryMatrix(H1.rows, 1, list(s))
     else:
         sigma = list(s)
         if sorted(sigma) != list(range(H1.rows)):
@@ -256,11 +253,7 @@ def augment_column_lift(H1: BinaryMatrix, s, v: Sequence, w) -> bool:
         if any(wf[sigma[j]] > row_dots[j] for j in range(H1.rows)):
             return False
         lifted = tuple(vv) + tuple(wf)
-        H = BinaryMatrix(
-            H1.rows,
-            H1.cols + H1.rows,
-            [b | (1 << (H1.cols + sigma[j])) for j, b in enumerate(H1.row_bits)],
-        )
-    if not build_fundamental_cone(H).contains(lifted):
+        extra = BinaryMatrix(H1.rows, H1.rows, [1 << x for x in sigma])
+    if not in_cone(_side_by_side([H1, extra]), lifted):
         raise AssertionError("slack condition held but direct membership failed")
     return True

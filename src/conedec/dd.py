@@ -82,10 +82,9 @@ def extreme_rays_int(
                     masks[i] |= bit
             continue
         pos = [i for i, d in enumerate(dots) if d > 0]
-        new_rays = [rays[i] for i in pos] + [rays[i] for i in dots_zero(dots)]
-        new_masks = [masks[i] for i in pos] + [
-            masks[i] | bit for i in dots_zero(dots)
-        ]
+        zero = [i for i, d in enumerate(dots) if d == 0]
+        new_rays = [rays[i] for i in pos] + [rays[i] for i in zero]
+        new_masks = [masks[i] for i in pos] + [masks[i] | bit for i in zero]
         need = dim - 2
         nrays = len(rays)
         for ip in pos:
@@ -112,7 +111,3 @@ def extreme_rays_int(
     # Combination rays from distinct adjacent pairs are distinct, but dedup
     # defensively before returning a canonical order.
     return sorted(set(rays))
-
-
-def dots_zero(dots: list[int]) -> list[int]:
-    return [i for i, d in enumerate(dots) if d == 0]

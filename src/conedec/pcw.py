@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .cone import build_fundamental_cone
+from .cone import in_cone
 from .errors import BoundExceeded
 from .gf2 import BinaryMatrix, mat_vec_mod2
 
@@ -42,7 +42,7 @@ def is_gc_pseudocodeword(H: BinaryMatrix, p: Sequence[int]) -> bool:
     p = [int(x) for x in p]
     if any(mat_vec_mod2(H, p)):
         return False
-    return build_fundamental_cone(H).contains(p)
+    return in_cone(H, p)
 
 
 def enumerate_pseudocodewords(

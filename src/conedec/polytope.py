@@ -103,18 +103,8 @@ def enumerate_vertices(P: PolytopeSystem, max_dim: int = VERTEX_DIM_CAP) -> Vert
         raise BoundExceeded(f"dimension {n} exceeds vertex enumeration cap {max_dim}")
     # Homogenize: a . x <= b becomes b t - a . x >= 0 on (x, t) with t >= 0.
     # The lower box rows -x_i <= 0 turn into the unit rows the double
-    # description seed needs; verify they are all present.
-    lower = set()
-    hrows: list[tuple[int, ...]] = [(0,) * n + (1,)]  # t >= 0
-    for a, b in P.inequalities:
-        if b == 0 and sum(1 for x in a if x) == 1:
-            i = next(i for i, x in enumerate(a) if x)
-            if a[i] < 0:
-                lower.add(i)
-        hrows.append(tuple(-x for x in a) + (b,))
-    if len(lower) != n:
-        missing = sorted(set(range(n)) - lower)
-        raise ValueError(f"system lacks lower box rows x_i >= 0 for {missing}")
+    # description seed needs; extreme_rays_int raises ValueError without them.
+    hrows = [(0,) * n + (1,)] + [tuple(-x for x in a) + (b,) for a, b in P.inequalities]
     rays = dd.extreme_rays_int(n + 1, hrows)
     verts = []
     for r in rays:

@@ -164,6 +164,7 @@ def improve_representation(
     seed: int = 0,
     trials: int = 1000,
     max_dim: int = VERTEX_DIM_CAP,
+    row_weight_cap: int = ROW_WEIGHT_CAP,
 ) -> ImprovementReport:
     """Adjoin dual-word shift orbits until the target is met.
 
@@ -177,11 +178,11 @@ def improve_representation(
 
     def measure(mat: BinaryMatrix):
         if target.max_noncw_vertices is not None:
-            census = lp_pseudocodewords(mat, max_dim=max_dim)
+            census = lp_pseudocodewords(mat, max_dim, row_weight_cap)
             noncw = len(census.non_codeword)
             met = noncw <= target.max_noncw_vertices
             return met, len(census.vertex_set), noncw, None
-        est = evaluate_lp_performance(mat, target.p, trials, seed)
+        est = evaluate_lp_performance(mat, target.p, trials, seed, row_weight_cap)
         return est.fer <= target.max_fer, None, None, est.fer
 
     current = H

@@ -19,7 +19,6 @@ from conedec import (
     bsc_sample,
     build_fundamental_cone,
     build_relaxed_polytope,
-    cone_contains,
     cyclic_shift,
     enumerate_codewords,
     enumerate_pseudocodewords,
@@ -112,8 +111,8 @@ def test_steane_pseudocodeword_count():
 def test_membership_anchors():
     with criterion("cone membership anchors", 5):
         K = build_fundamental_cone(hamming7())
-        assert cone_contains(K, MEMBER)
-        assert not cone_contains(K, NONMEMBER)
+        assert K.contains(MEMBER)
+        assert not K.contains(NONMEMBER)
 
 
 def test_redundant_row_endpoint():
@@ -232,8 +231,8 @@ def test_composition_property_suites():
         # in the augmented cone though its prefix is outside the base cone.
         aug = BinaryMatrix(3, 8, [b | (s << 7) for b, s in zip(H.row_bits, (0, 1, 0))])
         witness = (2, 0, 0, 2, 1, 0, 1, 2)
-        assert cone_contains(build_fundamental_cone(aug), witness)
-        assert not cone_contains(K, witness[:7])
+        assert build_fundamental_cone(aug).contains(witness)
+        assert not K.contains(witness[:7])
 
         # Box enumeration equals the naive lattice check everywhere.
         for _ in range(25):

@@ -104,6 +104,13 @@ class TestCone:
         code, _ = run(capsys, "cone", str(p))
         assert code == 2
 
+    def test_format_not_accepted(self, hamming_path, capsys):
+        # Only vertices and decode have a CSV view.
+        for argv in (("cone",), ("genfun", "--box-B", "0"), ("improve", "--n0", "1")):
+            with pytest.raises(SystemExit) as exc:
+                main([argv[0], hamming_path, *argv[1:], "--format", "csv"])
+            assert exc.value.code == 2
+
 
 class TestVertices:
     def test_hamming_96(self, hamming_path, capsys):
@@ -213,6 +220,18 @@ class TestDecode:
         )
         assert code == 2
 
+    def test_csv_rejected_for_word(self, hamming_path, capsys):
+        code, _ = run(capsys, "decode", hamming_path, "--word", "0000000", "--format", "csv")
+        assert code == 2
+
+    def test_csv_rejected_for_orbits(self, hamming_path, capsys):
+        code, _ = run(
+            capsys,
+            "decode", hamming_path, "--random", "--orbit-n0", "7", "--trials", "2",
+            "--format", "csv",
+        )
+        assert code == 2
+
     def test_csv_summary(self, hamming_path, capsys):
         code, out = run(
             capsys,
@@ -272,6 +291,15 @@ class TestImprove:
         obj = json.loads(out)
         assert obj["met_target"] is False
         assert obj["iterations"] == []
+
+    def test_row_weight_cap_exit(self, hamming_path, capsys):
+        # The 3x7 rows have weight 4, above the cap.
+        code, _ = run(
+            capsys,
+            "improve", hamming_path, "--n0", "1", "--target-noncw", "0",
+            "--budget", "0", "--row-weight-cap", "2",
+        )
+        assert code == 3
 
     def test_deterministic(self, hamming_path, capsys):
         args = (

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conedec import (
     BinaryMatrix,
@@ -9,9 +11,9 @@ from conedec import (
     augment_column_lift,
     blockrow_embed,
     build_fundamental_cone,
-    cone_contains,
     enumerate_codewords,
     extreme_rays,
+    in_cone,
     intersect_cones,
     product_cone,
     repeated_block_membership,
@@ -52,32 +54,45 @@ class TestBuildFundamentalCone:
 
     def test_two_coordinate_pencil(self):
         K = build_fundamental_cone(BinaryMatrix.from_rows([[1, 1]]))
-        assert cone_contains(K, (1, 1))
-        assert cone_contains(K, (Fraction(3, 2), Fraction(3, 2)))
-        assert not cone_contains(K, (1, 2))
-        assert not cone_contains(K, (2, 1))
+        assert K.contains((1, 1))
+        assert K.contains((Fraction(3, 2), Fraction(3, 2)))
+        assert not K.contains((1, 2))
+        assert not K.contains((2, 1))
 
     def test_zero_matrix_is_orthant(self):
         K = build_fundamental_cone(BinaryMatrix(1, 4, [0]))
         assert len(K.inequalities) == 4
-        assert cone_contains(K, (5, 0, 1, 7))
-        assert not cone_contains(K, (1, -1, 0, 0))
+        assert K.contains((5, 0, 1, 7))
+        assert not K.contains((1, -1, 0, 0))
 
 
 class TestConeContains:
     def test_member_anchor(self, hamming7):
-        assert cone_contains(build_fundamental_cone(hamming7), MEMBER)
+        assert build_fundamental_cone(hamming7).contains(MEMBER)
 
     def test_nonmember_anchor(self, hamming7):
         # Row 2 dots to 3 against the doubled coordinate demand of 4.
-        assert not cone_contains(build_fundamental_cone(hamming7), NONMEMBER)
+        assert not build_fundamental_cone(hamming7).contains(NONMEMBER)
 
     def test_apex(self, hamming7):
-        assert cone_contains(build_fundamental_cone(hamming7), (0,) * 7)
+        assert build_fundamental_cone(hamming7).contains((0,) * 7)
 
     def test_dimension_mismatch(self, hamming7):
         with pytest.raises(ValueError):
-            cone_contains(build_fundamental_cone(hamming7), (0,) * 6)
+            build_fundamental_cone(hamming7).contains((0,) * 6)
+
+    def test_in_cone_length_mismatch(self, hamming7):
+        with pytest.raises(ValueError):
+            in_cone(hamming7, (0,) * 6)
+        with pytest.raises(ValueError):
+            in_cone(hamming7, BinaryVector(8, 0))
+
+    def test_in_cone_degenerate_rows(self):
+        # Row 0 is empty and imposes nothing; row 1 has weight 1 and forces
+        # v_1 = 0.
+        H = BinaryMatrix(2, 3, [0, 0b010])
+        assert in_cone(H, (5, 0, 1))
+        assert not in_cone(H, (5, Fraction(1, 3), 1))
 
     def test_matches_direct_check_on_random_input(self):
         rng = random.Random(42)
@@ -86,6 +101,7 @@ class TestConeContains:
             K = build_fundamental_cone(H)
             v = random_rational_vector(rng, H.cols, allow_negative=True)
             assert K.contains(v) == direct_cone_check(H, v)
+            assert in_cone(H, v) == direct_cone_check(H, v)
 
     def test_every_codeword_is_a_member(self):
         rng = random.Random(13)
@@ -94,6 +110,37 @@ class TestConeContains:
             K = build_fundamental_cone(H)
             for c in enumerate_codewords(H):
                 assert K.contains(c.to_tuple())
+
+
+@st.composite
+def matrices_and_vectors(draw):
+    """Random H with empty, weight-1 and repeated rows, and a vector of its
+    length: rationals with negative entries, or a BinaryVector."""
+    n = draw(st.integers(1, 8))
+    row = st.one_of(
+        st.just(0),
+        st.integers(0, n - 1).map(lambda i: 1 << i),
+        st.integers(0, (1 << n) - 1),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    entry = st.one_of(
+        st.integers(-1, 3), st.fractions(min_value=-2, max_value=6, max_denominator=4)
+    )
+    v = draw(
+        st.one_of(
+            st.lists(entry, min_size=n, max_size=n).map(tuple),
+            st.integers(0, (1 << n) - 1).map(lambda b: BinaryVector(n, b)),
+        )
+    )
+    return BinaryMatrix(len(rows), n, rows), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_and_vectors())
+def test_in_cone_matches_dense_system(Hv):
+    H, v = Hv
+    assert in_cone(H, v) == build_fundamental_cone(H).contains(v) == direct_cone_check(H, v)
 
 
 class TestExtremeRays:
@@ -314,5 +361,5 @@ class TestAugmentColumnLift:
         )
         K_aug = build_fundamental_cone(aug)
         witness = (2, 0, 0, 2, 1, 0, 1, 2)
-        assert cone_contains(K_aug, witness)
-        assert not cone_contains(build_fundamental_cone(hamming7), witness[:7])
+        assert K_aug.contains(witness)
+        assert not build_fundamental_cone(hamming7).contains(witness[:7])

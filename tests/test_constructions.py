@@ -6,7 +6,6 @@ import pytest
 from conedec import (
     BinaryMatrix,
     build_fundamental_cone,
-    cone_contains,
     cyclic_shift,
     enumerate_codewords,
     enumerate_pseudocodewords,
@@ -176,8 +175,8 @@ class TestNormalizerCone:
 
     def test_empty_support_generator(self):
         K = normalizer_cone(["II"])
-        assert cone_contains(K, (3, 1, 4, 1))
-        assert not cone_contains(K, (1, -1, 0, 0))
+        assert K.contains((3, 1, 4, 1))
+        assert not K.contains((1, -1, 0, 0))
 
 
 class TestCirculantPermutation:
@@ -330,8 +329,8 @@ class TestQcCssContainment:
         P = circulant_permutation(7, 3)
         K = build_fundamental_cone(P)
         assert extreme_rays(K).rays == ()
-        assert cone_contains(K, (0,) * 7)
-        assert not cone_contains(K, (1,) + (0,) * 6)
+        assert K.contains((0,) * 7)
+        assert not K.contains((1,) + (0,) * 6)
 
     def test_hagiwara_concatenation_containment(self):
         G = hagiwara_css_label_matrix()

@@ -6,6 +6,7 @@ import pytest
 
 from conedec import (
     BinaryMatrix,
+    PolytopeSystem,
     build_fundamental_cone,
     build_relaxed_polytope,
     codeword_polytope,
@@ -111,6 +112,12 @@ class TestEnumerateVertices:
     def test_dimension_cap(self, hamming7):
         with pytest.raises(BoundExceeded):
             enumerate_vertices(build_relaxed_polytope(hamming7), max_dim=5)
+
+    def test_missing_lower_box_row(self):
+        # x_0 >= 0 is absent, so double description has no seed ray for x_0.
+        P = PolytopeSystem(2, (((1, 0), 1), ((0, 1), 1), ((0, -1), 0)))
+        with pytest.raises(ValueError):
+            enumerate_vertices(P)
 
     def test_tiny_brute_force_oracle(self):
         # For a 2-variable system, vertices are checkable by hand:
