@@ -16,7 +16,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import constructions as cons
@@ -48,34 +47,23 @@ EXIT_BOUND = 3
 EXIT_NUMERICAL = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    seed: int
-    bound_rays: int
-    bound_vertices: int
-    box_bound: int
-    row_weight_cap: int
-    format: str
-
-    def __post_init__(self):
-        for name in ("bound_rays", "bound_vertices", "row_weight_cap"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.box_bound < 0:
-            raise ValueError("box_bound must be >= 0")
+# Options that land in a command's JSON config, in output order; a command's
+# config holds the ones it registers.
+_CONFIG_DESTS = (
+    "seed", "bound_rays", "bound_vertices", "box_bound", "row_weight_cap", "format",
+)
 
 
-def _config(args, command: str) -> RunConfig:
-    return RunConfig(
-        command=command,
-        seed=getattr(args, "seed", 0),
-        bound_rays=getattr(args, "bound_rays", RAY_DIM_CAP),
-        bound_vertices=getattr(args, "bound_vertices", VERTEX_DIM_CAP),
-        box_bound=getattr(args, "box_B", 0),
-        row_weight_cap=getattr(args, "row_weight_cap", ROW_WEIGHT_CAP),
-        format=getattr(args, "format", "json"),
-    )
+def _config(args, command: str) -> dict:
+    """The command and the value of every option it reads, validated."""
+    cfg = {"command": command}
+    cfg.update((d, getattr(args, d)) for d in _CONFIG_DESTS if hasattr(args, d))
+    for name in ("bound_rays", "bound_vertices", "row_weight_cap"):
+        if cfg.get(name, 1) < 1:
+            raise ValueError(f"{name} must be positive")
+    if cfg.get("box_bound", 0) < 0:
+        raise ValueError("box_bound must be >= 0")
+    return cfg
 
 
 def read_matrix(path: str, in_format: str = "auto") -> BinaryMatrix:
@@ -152,11 +140,11 @@ def cmd_cone(args) -> int:
     cfg = _config(args, "cone")
     H = read_matrix(args.matrix, args.in_format)
     K = build_fundamental_cone(H)
-    rays = extreme_rays(K, max_dim=cfg.bound_rays)
+    rays = extreme_rays(K, max_dim=args.bound_rays)
     obj = ser.cone_to_obj(K)
     obj.update(ser.rays_to_obj(rays))
     obj["type"] = "cone-census"
-    obj["config"] = asdict(cfg)
+    obj["config"] = cfg
     _emit(
         _json(obj),
         args.out,
@@ -169,17 +157,17 @@ def cmd_vertices(args) -> int:
     cfg = _config(args, "vertices")
     H = read_matrix(args.matrix, args.in_format)
     census = lp_pseudocodewords(
-        H, max_dim=cfg.bound_vertices, row_weight_cap=cfg.row_weight_cap
+        H, max_dim=args.bound_vertices, row_weight_cap=args.row_weight_cap
     )
     vs = census.vertex_set
-    if cfg.format == "csv":
-        csv = f"# config: {json.dumps(asdict(cfg))}\n" + ser.vertices_to_csv(vs)
+    if args.format == "csv":
+        csv = f"# config: {json.dumps(cfg)}\n" + ser.vertices_to_csv(vs)
         _emit(csv, args.out, f"{len(vs)} vertices")
         return EXIT_OK
     obj = ser.vertices_to_obj(vs)
     obj["codeword_count"] = len(census.codeword)
     obj["non_codeword_count"] = len(census.non_codeword)
-    obj["config"] = asdict(cfg)
+    obj["config"] = cfg
     _emit(
         _json(obj),
         args.out,
@@ -193,13 +181,15 @@ def cmd_decode(args) -> int:
     H = read_matrix(args.matrix, args.in_format)
     if (args.word is None) == (not args.random):
         raise ValueError("give exactly one of --word or --random")
-    if cfg.format == "csv" and (args.word is not None or args.orbit_n0):
+    if args.orbit_n0 is not None and not args.random:
+        raise ValueError("--orbit-n0 needs --random")
+    if args.format == "csv" and (args.word is not None or args.orbit_n0 is not None):
         raise ValueError("--format csv is only available for --random without --orbit-n0")
     if args.word is not None:
         w = BinaryVector.from_string(args.word)
         if w.n != H.cols:
             raise ValueError(f"word length {w.n} != cols {H.cols}")
-        res = lp_decode(H, llr_bsc(w, args.crossover), cfg.row_weight_cap)
+        res = lp_decode(H, llr_bsc(w, args.crossover), args.row_weight_cap)
         obj = {
             "schema": ser.SCHEMA,
             "type": "decode",
@@ -209,14 +199,14 @@ def cmd_decode(args) -> int:
             "integral": res.integral,
             "objective": ser.frac_str(res.objective),
             "optimum": ser.vec_strs(res.optimum),
-            "config": asdict(cfg),
+            "config": cfg,
         }
         if args.ml:
             obj["ml_word"] = ml_decode(H, llr_bsc(w, args.crossover)).to01()
         _emit(_json(obj), args.out, f"status {res.status}")
         return EXIT_OK
 
-    if args.orbit_n0:
+    if args.orbit_n0 is not None:
         zero = BinaryVector(H.cols, 0)
         rng = random.Random(args.seed)
         errors = [bsc_sample(zero, args.crossover, rng) for _ in range(args.trials)]
@@ -242,7 +232,7 @@ def cmd_decode(args) -> int:
                 }
                 for r in rep.orbits
             ],
-            "config": asdict(cfg),
+            "config": cfg,
         }
         _emit(
             _json(obj),
@@ -252,7 +242,7 @@ def cmd_decode(args) -> int:
         return EXIT_OK
 
     est = evaluate_lp_performance(
-        H, args.crossover, args.trials, args.seed, cfg.row_weight_cap, ml=args.ml
+        H, args.crossover, args.trials, args.seed, args.row_weight_cap, ml=args.ml
     )
     obj = {
         "schema": ser.SCHEMA,
@@ -263,13 +253,13 @@ def cmd_decode(args) -> int:
         "failures": est.failures,
         "fractional_count": est.fractional,
         "tie_count": est.ties,
-        "config": asdict(cfg),
+        "config": cfg,
     }
     if args.ml:
         obj["ml_mismatches"] = est.ml_mismatches
-    if cfg.format == "csv":
+    if args.format == "csv":
         csv = (
-            f"# config: {json.dumps(asdict(cfg))}\n"
+            f"# config: {json.dumps(cfg)}\n"
             "seed,p,trials,failures,fer,fractional_count,tie_count\n"
             f"{args.seed},{args.crossover},{args.trials},{est.failures},"
             f"{est.fer:.12g},{est.fractional},{est.ties}\n"
@@ -283,10 +273,10 @@ def cmd_decode(args) -> int:
 def cmd_genfun(args) -> int:
     cfg = _config(args, "genfun")
     H = read_matrix(args.matrix, args.in_format)
-    f = generating_function(H, args.box_B)
+    f = generating_function(H, args.box_bound)
     obj = ser.genfun_to_obj(f)
-    obj["config"] = asdict(cfg)
-    _emit(_json(obj), args.out, f"{len(f)} terms at bound {args.box_B}")
+    obj["config"] = cfg
+    _emit(_json(obj), args.out, f"{len(f)} terms at bound {args.box_bound}")
     return EXIT_OK
 
 
@@ -307,8 +297,8 @@ def cmd_improve(args) -> int:
         budget=args.budget,
         seed=args.seed,
         trials=args.trials,
-        max_dim=cfg.bound_vertices,
-        row_weight_cap=cfg.row_weight_cap,
+        max_dim=args.bound_vertices,
+        row_weight_cap=args.row_weight_cap,
     )
     obj = {
         "schema": ser.SCHEMA,
@@ -330,7 +320,7 @@ def cmd_improve(args) -> int:
             for it in report.iterations
         ],
         "final_matrix": format_dense(report.final_matrix),
-        "config": asdict(cfg),
+        "config": cfg,
     }
     _emit(
         _json(obj),
@@ -343,16 +333,23 @@ def cmd_improve(args) -> int:
 # --- argument parsing ------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+# Options that more than one subcommand reads: flag -> add_argument keywords.
+_OPTIONS = {
+    "--seed": {"type": int, "default": 0},
+    "--bound-rays": {"type": int, "default": RAY_DIM_CAP},
+    "--bound-vertices": {"type": int, "default": VERTEX_DIM_CAP},
+    "--row-weight-cap": {"type": int, "default": ROW_WEIGHT_CAP},
+    "--format": {"default": "json", "choices": ["json", "csv"]},
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """--out and --in-format, plus the named _OPTIONS the command reads."""
     p.add_argument("--out", help="write output to this file (summary to stdout)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--in-format", default="auto", choices=["auto", "dense", "alist"],
                    dest="in_format")
-    p.add_argument("--bound-rays", type=int, default=RAY_DIM_CAP, dest="bound_rays")
-    p.add_argument("--bound-vertices", type=int, default=VERTEX_DIM_CAP,
-                   dest="bound_vertices")
-    p.add_argument("--row-weight-cap", type=int, default=ROW_WEIGHT_CAP,
-                   dest="row_weight_cap")
+    for flag in flags:
+        p.add_argument(flag, **_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,13 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cone", help="fundamental cone census and extreme rays")
     p.add_argument("matrix")
-    _add_common(p)
+    _add_common(p, "--bound-rays")
     p.set_defaults(func=cmd_cone)
 
     p = sub.add_parser("vertices", help="relaxed polytope vertex census")
     p.add_argument("matrix")
-    _add_common(p)
-    p.add_argument("--format", default="json", choices=["json", "csv"])
+    _add_common(p, "--bound-vertices", "--row-weight-cap", "--format")
     p.set_defaults(func=cmd_vertices)
 
     p = sub.add_parser("decode", help="LP decode a word or run seeded trials")
@@ -389,13 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ml", action="store_true", help="cross-check against ML decoding")
     p.add_argument("--orbit-n0", type=int, dest="orbit_n0",
                    help="with --random: decode whole shift orbits and report per-orbit")
-    _add_common(p)
-    p.add_argument("--format", default="json", choices=["json", "csv"])
+    _add_common(p, "--seed", "--row-weight-cap", "--format")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("genfun", help="truncated pseudocodeword generating function")
     p.add_argument("matrix")
-    p.add_argument("--box-B", type=int, required=True, dest="box_B")
+    p.add_argument("--box-B", type=int, required=True, dest="box_bound")
     _add_common(p)
     p.set_defaults(func=cmd_genfun)
 
@@ -407,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crossover", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--budget", type=int, default=10)
-    _add_common(p)
+    _add_common(p, "--seed", "--bound-vertices", "--row-weight-cap")
     p.set_defaults(func=cmd_improve)
 
     return ap

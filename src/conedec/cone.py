@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import dd
 from .errors import BoundExceeded
-from .gf2 import BinaryMatrix, BinaryVector, as_fraction_vector
+from .gf2 import BinaryMatrix, BinaryVector, as_fraction_vector, block_matrix
 
 RAY_DIM_CAP = 20  # default dimension bound for extreme-ray enumeration
 
@@ -163,19 +163,7 @@ def blockrow_embed(
             raise ValueError(f"block {k}: vector is not in its own cone")
         parts.append(vv)
     w = tuple(x for part in parts for x in part)
-    return w, in_cone(_side_by_side(Hs), w)
-
-
-def _side_by_side(Hs: Sequence[BinaryMatrix]) -> BinaryMatrix:
-    """The block row [H_1 ... H_t] of matrices sharing a row count."""
-    rows = []
-    for j in range(Hs[0].rows):
-        bits = shift = 0
-        for h in Hs:
-            bits |= h.row_bits[j] << shift
-            shift += h.cols
-        rows.append(bits)
-    return BinaryMatrix(Hs[0].rows, sum(h.cols for h in Hs), rows)
+    return w, in_cone(block_matrix([Hs]), w)
 
 
 def repeated_block_membership(
@@ -203,7 +191,7 @@ def repeated_block_membership(
         col = [ww[k * n + i] for k in range(t)]
         if any(c > vv[i] for c in col) or vv[i] > sum(col):
             return False
-    if not in_cone(_side_by_side([H] * t), ww):
+    if not in_cone(block_matrix([[H] * t]), ww):
         raise AssertionError("sandwich condition held but direct membership failed")
     return True
 
@@ -254,6 +242,6 @@ def augment_column_lift(H1: BinaryMatrix, s, v: Sequence, w) -> bool:
             return False
         lifted = tuple(vv) + tuple(wf)
         extra = BinaryMatrix(H1.rows, H1.rows, [1 << x for x in sigma])
-    if not in_cone(_side_by_side([H1, extra]), lifted):
+    if not in_cone(block_matrix([[H1, extra]]), lifted):
         raise AssertionError("slack condition held but direct membership failed")
     return True

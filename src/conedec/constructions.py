@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cone import ConeSystem, build_fundamental_cone, intersect_cones
-from .gf2 import BinaryMatrix
+from .gf2 import BinaryMatrix, block_matrix
 
 # Rows of the cyclic 3x7 representation of the [7,4,3] Hamming code:
 # consecutive right-rotations of (1,0,1,1,1,0,0).
@@ -63,8 +63,7 @@ def css_matrix(H1: BinaryMatrix, H2: BinaryMatrix) -> BinaryMatrix:
 
 
 def direct_sum(H1: BinaryMatrix, H2: BinaryMatrix) -> BinaryMatrix:
-    rows = [b for b in H1.row_bits] + [b << H1.cols for b in H2.row_bits]
-    return BinaryMatrix(H1.rows + H2.rows, H1.cols + H2.cols, rows)
+    return block_matrix([[H1, None], [None, H2]])
 
 
 def steane_matrix(r: int) -> BinaryMatrix:
@@ -155,36 +154,16 @@ class ExponentMatrix:
 def qc_from_exponents(E: ExponentMatrix) -> BinaryMatrix:
     """Replace every exponent by its circulant permutation block."""
     t = E.block_size
-    br = len(E.entries)
-    bc = len(E.entries[0])
-    rows = []
-    for a in range(br):
-        for u in range(t):
-            bits = 0
-            for b in range(bc):
-                shift = E.entries[a][b]
-                bits |= 1 << (b * t + (u + shift) % t)
-            rows.append(bits)
-    return BinaryMatrix(br * t, bc * t, rows)
+    return block_matrix(
+        [[circulant_permutation(t, e) for e in row] for row in E.entries]
+    )
 
 
 def block_circulant(blocks: Sequence[BinaryMatrix]) -> BinaryMatrix:
     """Stack t block rows, row i holding the block list rotated right i steps:
     the first block row reads (H_1 ... H_t), the second (H_t H_1 ...)."""
-    if not blocks:
-        raise ValueError("need at least one block")
-    c, n0 = blocks[0].rows, blocks[0].cols
-    if any(b.rows != c or b.cols != n0 for b in blocks):
-        raise ValueError("blocks must share dimensions")
     t = len(blocks)
-    rows = []
-    for i in range(t):
-        for a in range(c):
-            bits = 0
-            for k in range(t):
-                bits |= blocks[(k - i) % t].row_bits[a] << (k * n0)
-            rows.append(bits)
-    return BinaryMatrix(t * c, t * n0, rows)
+    return block_matrix([[blocks[(k - i) % t] for k in range(t)] for i in range(t)])
 
 
 def sc_ldpc(blocks: Sequence[BinaryMatrix], L: int, mode: str) -> BinaryMatrix:
@@ -198,6 +177,8 @@ def sc_ldpc(blocks: Sequence[BinaryMatrix], L: int, mode: str) -> BinaryMatrix:
         raise ValueError("need at least one block")
     m = len(blocks) - 1
     nc, nr = blocks[0].rows, blocks[0].cols
+    # block_matrix alone would not catch every mismatch: with L = 1 each
+    # terminated block row holds a single block, so row counts may differ.
     if any(b.rows != nc or b.cols != nr for b in blocks):
         raise ValueError("blocks must share dimensions")
     if L < 1:
@@ -210,16 +191,11 @@ def sc_ldpc(blocks: Sequence[BinaryMatrix], L: int, mode: str) -> BinaryMatrix:
         block_rows = L
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    rows = []
+    grid = []
     for i in range(block_rows):
-        for a in range(nc):
-            bits = 0
-            for j in range(L):
-                k = (i - j) % L if mode == "tailbiting" else i - j
-                if 0 <= k <= m:
-                    bits |= blocks[k].row_bits[a] << (j * nr)
-            rows.append(bits)
-    return BinaryMatrix(block_rows * nc, L * nr, rows)
+        band = [(i - j) % L if mode == "tailbiting" else i - j for j in range(L)]
+        grid.append([blocks[k] if 0 <= k <= m else None for k in band])
+    return block_matrix(grid)
 
 
 def blockcirculant_from_circulant(M: BinaryMatrix, c: int, n0: int, t: int) -> BinaryMatrix:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import BoundExceeded
@@ -72,7 +73,13 @@ class BinaryVector:
         return self.bits.bit_count()
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if (self.bits >> i) & 1)
+        out = []
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return tuple(out)
 
     def to_tuple(self) -> tuple[int, ...]:
         return tuple(self)
@@ -121,9 +128,6 @@ class BinaryMatrix:
     def row(self, j: int) -> BinaryVector:
         return BinaryVector(self.cols, self.row_bits[j])
 
-    def row_vectors(self) -> list[BinaryVector]:
-        return [BinaryVector(self.cols, b) for b in self.row_bits]
-
     def row_support(self, j: int) -> tuple[int, ...]:
         return self.row(j).support()
 
@@ -155,6 +159,48 @@ class BinaryMatrix:
 
     def __repr__(self) -> str:
         return f"BinaryMatrix({self.rows}x{self.cols})"
+
+
+def block_matrix(grid: Sequence[Sequence[BinaryMatrix | None]]) -> BinaryMatrix:
+    """Assemble a matrix from a rectangular grid of blocks.
+
+    grid[i][k] is placed at block row i, block column k; None is a zero
+    block.  Blocks in one block row share a row count and blocks in one
+    block column share a column count; every block row and block column
+    needs at least one block, which fixes its size.
+    """
+    if not grid:
+        raise ValueError("need at least one block row")
+    widths: list[int | None] = [None] * len(grid[0])
+    heights = []
+    for i, brow in enumerate(grid):
+        if len(brow) != len(widths):
+            raise ValueError(f"block row {i} has {len(brow)} blocks, not {len(widths)}")
+        height = None
+        for k, B in enumerate(brow):
+            if B is None:
+                continue
+            height = height or B.rows
+            widths[k] = widths[k] or B.cols
+            if B.rows != height:
+                raise ValueError(f"block row {i}: blocks disagree on the row count")
+            if B.cols != widths[k]:
+                raise ValueError(f"block column {k}: blocks disagree on the column count")
+        if height is None:
+            raise ValueError(f"block row {i} has no block")
+        heights.append(height)
+    if None in widths:
+        raise ValueError(f"block column {widths.index(None)} has no block")
+    offsets = list(accumulate(widths, initial=0))
+    rows = []
+    for brow, height in zip(grid, heights):
+        placed = [(B.row_bits, off) for B, off in zip(brow, offsets) if B is not None]
+        for a in range(height):
+            bits = 0
+            for row_bits, off in placed:
+                bits |= row_bits[a] << off
+            rows.append(bits)
+    return BinaryMatrix(len(rows), offsets[-1], rows)
 
 
 @dataclass(frozen=True)
@@ -276,25 +322,15 @@ def _span(basis: Sequence[BinaryVector]) -> list[int]:
 
 
 def enumerate_dual_words(
-    H: BinaryMatrix,
-    max_weight: int,
-    basis: Sequence[BinaryVector] | None = None,
-    limit: int = ENUMERATION_CAP,
+    H: BinaryMatrix, max_weight: int, limit: int = ENUMERATION_CAP
 ) -> list[tuple[BinaryVector, bool]]:
     """Nonzero dual words of weight <= max_weight, tagged is-a-row-of-H.
 
     The search space is the GF(2) span of the rows of H (the dual code
-    C(H)^perp), or of a caller-supplied spanning set.  The sweep is
-    exhaustive over the span; results are sorted by (weight, coordinates).
+    C(H)^perp).  The sweep is exhaustive over the span; results are sorted
+    by (weight, coordinates).
     """
-    if basis is None:
-        span_rows = H.row_bits
-    else:
-        for v in basis:
-            if v.n != H.cols:
-                raise ValueError("basis length mismatch")
-        span_rows = [v.bits for v in basis]
-    reduced, pivots = gf2_row_echelon(span_rows, H.cols)
+    reduced, pivots = gf2_row_echelon(H.row_bits, H.cols)
     if len(pivots) > limit:
         raise BoundExceeded(
             f"dual span has 2^{len(pivots)} words, above the 2^{limit} cap"

@@ -25,9 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .gf2 import BinaryMatrix, BinaryVector, cyclic_shift, is_quasi_cyclic, mat_vec_mod2
+from .gf2 import (
+    BinaryMatrix,
+    BinaryVector,
+    cyclic_shift,
+    enumerate_codewords,
+    is_quasi_cyclic,
+    mat_vec_mod2,
+)
 from .polytope import ROW_WEIGHT_CAP, build_relaxed_polytope
-from .gf2 import enumerate_codewords
 from .simplex import solve_min
 
 LLR_DENOMINATOR_CAP = 10**6
@@ -47,11 +53,9 @@ def llr_bsc(w: BinaryVector, p: float) -> list[float]:
     return [-g if b else g for b in w]
 
 
-def rationalize_llr(
-    gamma: LlrVector, max_denominator: int = LLR_DENOMINATOR_CAP
-) -> tuple[Fraction, ...]:
+def rationalize_llr(gamma: LlrVector) -> tuple[Fraction, ...]:
     # BSC LLRs take two values, so approximate each distinct value once.
-    exact = {x: Fraction(x).limit_denominator(max_denominator) for x in set(gamma)}
+    exact = {x: Fraction(x).limit_denominator(LLR_DENOMINATOR_CAP) for x in set(gamma)}
     return tuple(exact[x] for x in gamma)
 
 

@@ -83,7 +83,7 @@ class TestCone:
         obj = json.loads(out)
         assert obj["ray_count"] == 42
         assert obj["inequality_count"] == 19
-        assert obj["config"]["seed"] == 0
+        assert obj["config"] == {"command": "cone", "bound_rays": 20}
 
     def test_zero_matrix_units(self, tmp_path, capsys):
         p = tmp_path / "z.txt"
@@ -110,6 +110,23 @@ class TestCone:
             with pytest.raises(SystemExit) as exc:
                 main([argv[0], hamming_path, *argv[1:], "--format", "csv"])
             assert exc.value.code == 2
+
+    def test_unread_options_not_accepted(self, hamming_path, capsys):
+        # Each subcommand registers only the options it reads.
+        unread = {
+            ("cone",): ("--seed", "--bound-vertices", "--row-weight-cap"),
+            ("vertices",): ("--seed", "--bound-rays"),
+            ("decode", "--random"): ("--bound-rays", "--bound-vertices"),
+            ("genfun", "--box-B", "0"): (
+                "--seed", "--bound-rays", "--bound-vertices", "--row-weight-cap",
+            ),
+            ("improve", "--n0", "1", "--target-noncw", "0"): ("--bound-rays",),
+        }
+        for argv, flags in unread.items():
+            for flag in flags:
+                with pytest.raises(SystemExit) as exc:
+                    main([argv[0], hamming_path, *argv[1:], flag, "1"])
+                assert exc.value.code == 2
 
 
 class TestVertices:
@@ -218,6 +235,15 @@ class TestDecode:
             capsys,
             "decode", hamming_path, "--random", "--orbit-n0", "1", "--trials", "2",
         )
+        assert code == 2
+
+    def test_orbit_n0_below_one(self, hamming_path, capsys):
+        code = main(["decode", hamming_path, "--random", "--orbit-n0", "0", "--trials", "2"])
+        assert code == 2
+        assert "n0 must be >= 1" in capsys.readouterr().err
+
+    def test_orbit_n0_needs_random(self, hamming_path, capsys):
+        code, _ = run(capsys, "decode", hamming_path, "--word", "0000000", "--orbit-n0", "7")
         assert code == 2
 
     def test_csv_rejected_for_word(self, hamming_path, capsys):

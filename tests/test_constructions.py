@@ -33,9 +33,9 @@ from conedec.constructions import (
     sc_ldpc,
     steane_matrix,
 )
-from conedec.gf2 import gf2_rank
+from conedec.gf2 import block_matrix, gf2_rank
 
-from conftest import HAMMING7
+from conftest import HAMMING7, random_matrix
 
 
 class TestHammingMatrix:
@@ -388,3 +388,165 @@ class TestHagiwaraCss:
         G = hagiwara_css_label_matrix()
         B = blockcirculant_from_circulant(G, c=6, n0=12, t=7)
         assert is_quasi_cyclic(B, 12)
+
+
+# Reference assemblers: the hand-written bit-placement loops that the
+# builders and the cone composition rules used before block_matrix.
+
+
+def _ref_direct_sum(H1, H2):
+    rows = [b for b in H1.row_bits] + [b << H1.cols for b in H2.row_bits]
+    return BinaryMatrix(H1.rows + H2.rows, H1.cols + H2.cols, rows)
+
+
+def _ref_qc_from_exponents(E):
+    t = E.block_size
+    br = len(E.entries)
+    bc = len(E.entries[0])
+    rows = []
+    for a in range(br):
+        for u in range(t):
+            bits = 0
+            for b in range(bc):
+                shift = E.entries[a][b]
+                bits |= 1 << (b * t + (u + shift) % t)
+            rows.append(bits)
+    return BinaryMatrix(br * t, bc * t, rows)
+
+
+def _ref_block_circulant(blocks):
+    c, n0 = blocks[0].rows, blocks[0].cols
+    t = len(blocks)
+    rows = []
+    for i in range(t):
+        for a in range(c):
+            bits = 0
+            for k in range(t):
+                bits |= blocks[(k - i) % t].row_bits[a] << (k * n0)
+            rows.append(bits)
+    return BinaryMatrix(t * c, t * n0, rows)
+
+
+def _ref_sc_ldpc(blocks, L, mode):
+    m = len(blocks) - 1
+    nc, nr = blocks[0].rows, blocks[0].cols
+    block_rows = L + m if mode == "terminated" else L
+    rows = []
+    for i in range(block_rows):
+        for a in range(nc):
+            bits = 0
+            for j in range(L):
+                k = (i - j) % L if mode == "tailbiting" else i - j
+                if 0 <= k <= m:
+                    bits |= blocks[k].row_bits[a] << (j * nr)
+            rows.append(bits)
+    return BinaryMatrix(block_rows * nc, L * nr, rows)
+
+
+def _ref_side_by_side(Hs):
+    rows = []
+    for j in range(Hs[0].rows):
+        bits = shift = 0
+        for h in Hs:
+            bits |= h.row_bits[j] << shift
+            shift += h.cols
+        rows.append(bits)
+    return BinaryMatrix(Hs[0].rows, sum(h.cols for h in Hs), rows)
+
+
+class TestBlockMatrix:
+    CASES = 300
+
+    def test_direct_sum_matches_reference(self):
+        rng = random.Random(71)
+        for _ in range(self.CASES):
+            H1 = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 9))
+            H2 = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 9))
+            assert direct_sum(H1, H2) == _ref_direct_sum(H1, H2)
+
+    def test_qc_from_exponents_matches_reference(self):
+        rng = random.Random(73)
+        for _ in range(self.CASES):
+            t = rng.randint(1, 8)
+            br, bc = rng.randint(1, 4), rng.randint(1, 6)
+            exps = [[rng.randint(-3, 3 * t) for _ in range(bc)] for _ in range(br)]
+            E = ExponentMatrix.from_rows(exps, t)
+            assert qc_from_exponents(E) == _ref_qc_from_exponents(E)
+
+    def test_block_circulant_matches_reference(self):
+        rng = random.Random(79)
+        for _ in range(self.CASES):
+            c, n0 = rng.randint(1, 4), rng.randint(1, 5)
+            blocks = [random_matrix(rng, c, n0) for _ in range(rng.randint(1, 5))]
+            assert block_circulant(blocks) == _ref_block_circulant(blocks)
+
+    def test_sc_ldpc_matches_reference(self):
+        rng = random.Random(83)
+        for _ in range(self.CASES):
+            nc, nr = rng.randint(1, 4), rng.randint(1, 5)
+            blocks = [random_matrix(rng, nc, nr) for _ in range(rng.randint(1, 4))]
+            mode = rng.choice(("terminated", "tailbiting"))
+            low = len(blocks) if mode == "tailbiting" else 1
+            L = rng.randint(low, low + 4)
+            assert sc_ldpc(blocks, L, mode) == _ref_sc_ldpc(blocks, L, mode)
+
+    def test_block_row_matches_reference(self):
+        # The [H_1 ... H_t], [H ... H] and [H1 | extra] matrices of the cone
+        # composition rules.
+        rng = random.Random(89)
+        for _ in range(self.CASES):
+            r = rng.randint(1, 5)
+            Hs = [random_matrix(rng, r, rng.randint(1, 8)) for _ in range(rng.randint(1, 4))]
+            assert block_matrix([Hs]) == _ref_side_by_side(Hs)
+            t = rng.randint(1, 4)
+            assert block_matrix([[Hs[0]] * t]) == _ref_side_by_side([Hs[0]] * t)
+
+    def test_hagiwara_matches_reference(self):
+        hc, hd = (
+            _ref_qc_from_exponents(ExponentMatrix.from_rows(exps, HAGIWARA_BLOCK_SIZE))
+            for exps in (HAGIWARA_EXPONENTS_C, HAGIWARA_EXPONENTS_D)
+        )
+        assert hagiwara_css_label_matrix() == _ref_direct_sum(hc, hd)
+
+    def test_placement(self):
+        A = BinaryMatrix.from_rows([[1, 1]])
+        B = BinaryMatrix.from_rows([[1], [1]])
+        C = BinaryMatrix.from_rows([[0, 1], [1, 0]])
+        assert block_matrix([[A, None], [C, B]]).to_lists() == [
+            [1, 1, 0],
+            [0, 1, 1],
+            [1, 0, 1],
+        ]
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [],
+            [[]],
+            [[BinaryMatrix(1, 2, [1]), BinaryMatrix(1, 2, [2])], [BinaryMatrix(1, 2, [1])]],
+            [[BinaryMatrix(1, 2, [1]), BinaryMatrix(2, 2, [1, 2])]],
+            [[BinaryMatrix(1, 2, [1])], [BinaryMatrix(1, 3, [1])]],
+            [[BinaryMatrix(1, 2, [1]), BinaryMatrix(1, 2, [2])], [None, None]],
+            [[BinaryMatrix(1, 2, [1]), None], [BinaryMatrix(1, 2, [2]), None]],
+        ],
+        ids=[
+            "empty",
+            "empty-row",
+            "ragged",
+            "row-heights-disagree",
+            "column-widths-disagree",
+            "all-none-row",
+            "all-none-column",
+        ],
+    )
+    def test_rejects_bad_grid(self, grid):
+        with pytest.raises(ValueError):
+            block_matrix(grid)
+
+    def test_block_circulant_rejects_mismatched_blocks(self):
+        # block_matrix makes the shape check: every block meets every block
+        # row and block column.
+        for other in (BinaryMatrix(1, 3, [1]), BinaryMatrix(2, 2, [1, 2])):
+            with pytest.raises(ValueError):
+                block_circulant([BinaryMatrix(1, 2, [1]), other])
+

@@ -27,6 +27,23 @@ def identity(n):
     return BinaryMatrix(n, n, [1 << i for i in range(n)])
 
 
+class TestSupport:
+    def test_matches_bit_scan(self):
+        rng = random.Random(67)
+        cases = [
+            BinaryVector(1, 0),
+            BinaryVector(1, 1),
+            BinaryVector(9, 0),
+            BinaryVector(9, 1 << 8),
+            BinaryVector(200, 1 << 199),
+            BinaryVector(200, (1 << 200) - 1),
+        ]
+        cases += [BinaryVector(200, rng.getrandbits(200)) for _ in range(20)]
+        cases += [BinaryVector(n, rng.getrandbits(n)) for n in rng.choices(range(1, 70), k=200)]
+        for v in cases:
+            assert v.support() == tuple(i for i in range(v.n) if v[i])
+
+
 class TestMatVecMod2:
     def test_membership_anchor(self, hamming7):
         # Row sums over the integers are 4, 2, 2: all even.
