@@ -185,6 +185,8 @@ def cmd_decode(args) -> int:
         raise ValueError("--orbit-n0 needs --random")
     if args.format == "csv" and (args.word is not None or args.orbit_n0 is not None):
         raise ValueError("--format csv is only available for --random without --orbit-n0")
+    if args.ml and args.orbit_n0 is not None:
+        raise ValueError("--ml is not available with --orbit-n0")
     if args.word is not None:
         w = BinaryVector.from_string(args.word)
         if w.n != H.cols:
@@ -210,7 +212,9 @@ def cmd_decode(args) -> int:
         zero = BinaryVector(H.cols, 0)
         rng = random.Random(args.seed)
         errors = [bsc_sample(zero, args.crossover, rng) for _ in range(args.trials)]
-        rep = shift_equivariance_experiment(H, args.orbit_n0, errors, args.crossover)
+        rep = shift_equivariance_experiment(
+            H, args.orbit_n0, errors, args.crossover, args.row_weight_cap
+        )
         base = [r.statuses[0] for r in rep.orbits]
         obj = {
             "schema": ser.SCHEMA,

@@ -119,13 +119,22 @@ def ml_decode(H: BinaryMatrix, gamma: LlrVector) -> BinaryVector:
     if len(gamma) != H.cols:
         raise ValueError(f"LLR length {len(gamma)} != cols {H.cols}")
     gr = rationalize_llr(gamma)
-    best = None
-    best_key = None
+    # Scaling every LLR by one positive integer keeps the order of costs
+    # and turns each cost into an int sum over the set bits.
+    scale = math.lcm(*(g.denominator for g in gr))
+    w = [int(g * scale) for g in gr]
+    best = best_cost = best_key = None
     for c in enumerate_codewords(H):
-        cost = sum(g for g, bit in zip(gr, c) if bit)
-        key = (cost, c.to_tuple())
-        if best_key is None or key < best_key:
-            best, best_key = c, key
+        cost = sum(w[i] for i in c.support())
+        if best is None or cost < best_cost:
+            best, best_cost, best_key = c, cost, None
+        elif cost == best_cost:
+            # Most codewords never tie the best, so their tuples are never built.
+            if best_key is None:
+                best_key = best.to_tuple()
+            key = c.to_tuple()
+            if key < best_key:
+                best, best_key = c, key
     return best
 
 
@@ -168,7 +177,11 @@ class ShiftReport:
 
 
 def shift_equivariance_experiment(
-    H: BinaryMatrix, n0: int, errors: Sequence[BinaryVector], p: float
+    H: BinaryMatrix,
+    n0: int,
+    errors: Sequence[BinaryVector],
+    p: float,
+    row_weight_cap: int = ROW_WEIGHT_CAP,
 ) -> ShiftReport:
     """Decode every rotation of each error and compare along the orbit.
 
@@ -191,7 +204,7 @@ def shift_equivariance_experiment(
         results = []
         for i in range(orbit_len):
             shifted = cyclic_shift(e, n0 * i)
-            results.append(lp_decode(H, llr_bsc(shifted, p)))
+            results.append(lp_decode(H, llr_bsc(shifted, p), row_weight_cap))
         statuses = tuple(r.status for r in results)
         uniform = len(set(statuses)) == 1
         if "tie" in statuses:

@@ -1,14 +1,19 @@
 """Exact simplex over the rationals for desk-scale LPs.
 
-Solves  min c . x  subject to  A x <= b, x >= 0  with integer pivoting:
-the tableau holds integers T = d * R where R is the usual rational tableau
-and d > 0 is the previous pivot element, so every comparison and the
-fraction-free update
+Solves  min c . x  subject to  A x <= b, x >= 0  with integer pivoting on a
+condensed tableau: a basic column is always d * e_r, so only the nonbasic
+columns and the rhs are stored, m + 1 rows of n + 1 integers.  The tableau
+holds T = d * R, where R is the usual rational tableau and d > 0 is the
+previous pivot element.  Exchanging basis[r] with nonbasic[s] at pivot
+p = T[r][s] is the fraction-free Jordan step
 
-    T'[i][j] = (T[i][j] * T[r][s] - T[i][s] * T[r][j]) // d
+    T'[i][j] = (T[i][j] * p - T[i][s] * T[r][j]) // d    (i != r, j != s)
+    T'[i][s] = -T[i][s]                                   (i != r)
+    T'[r][s] = d,  rest of row r unchanged,  then d = p
 
-stay exact (the division is known to be exact).  Bland's rule picks both
-the entering and the leaving variable, which rules out cycling.
+so every comparison stays exact (the division is known to be exact).
+Bland's rule picks both the entering and the leaving variable by variable
+index, which rules out cycling.
 
 The starting basis is the slack basis, so b >= 0 is required; every system
 produced in this package satisfies it (the origin is feasible).
@@ -55,31 +60,33 @@ class ExactSimplex:
     def __init__(self, A: Sequence[Sequence], b: Sequence, c: Sequence):
         self.n = n = len(c)
         self.m = m = len(A)
-        # Tableau columns: n structural, m slacks, rhs.  Last row = objective.
+        # Condensed tableau: one column per nonbasic variable, then the rhs.
+        # Last row = objective.  Variables 0..n-1 are structural, n..n+m-1
+        # the slacks; the slack basis starts with the structurals nonbasic.
         self.T: list[list[int]] = []
-        zeros = [0] * m
-        for i, (row, rhs) in enumerate(_scaled_rows(A, b)):
+        for row, rhs in _scaled_rows(A, b):
             if len(row) != n:
                 raise ValueError("constraint row has wrong length")
             if rhs < 0:
                 raise ValueError("slack basis start requires b >= 0")
-            row += zeros
             row.append(rhs)
-            row[n + i] = 1
             self.T.append(row)
         [(obj, _)] = _scaled_rows([c], [0])
-        self.T.append(obj + [0] * (m + 1))
+        obj.append(0)
+        self.T.append(obj)
         self.c = tuple(Fraction(x) for x in c)
         self.d = 1
         self.basis = [n + i for i in range(m)]
+        self.nonbasic = list(range(n))
 
     def _pivot(self, r: int, s: int) -> None:
+        """Exchange basis[r] with nonbasic[s] (a fraction-free Jordan step)."""
         T = self.T
-        piv = T[r][s]
+        prow = T[r]
+        piv = prow[s]
         if piv <= 0:
             raise NumericalFailure("nonpositive pivot")
         d = self.d
-        prow = T[r]
         for i in range(len(T)):
             if i == r:
                 continue
@@ -89,12 +96,21 @@ class ExactSimplex:
                 if piv != d:
                     T[i] = [x * piv // d for x in row]
                 continue
-            T[i] = [(x * piv - f * y) // d for x, y in zip(row, prow)]
+            row = T[i] = [(x * piv - f * y) // d for x, y in zip(row, prow)]
+            row[s] = -f
+        # The leaving variable's column: d * e_r before the step, so the
+        # update above reduces to -T[i][s] off the pivot row and d on it.
+        prow[s] = d
         self.d = piv
-        self.basis[r] = s
+        self.basis[r], self.nonbasic[s] = self.nonbasic[s], self.basis[r]
 
     def _run(self, max_pivots: int, stop_below_zero: bool = False) -> bool:
         """Bland's-rule pivots until no reduced cost is negative.
+
+        The entering variable is the one of smallest variable index with a
+        negative reduced cost; the nonbasic columns are in exchange order,
+        so that need not be the first such column.  The ratio test breaks
+        ties by the smallest basic variable index.
 
         Returns True at an optimal basis and False on an unbounded improving
         ray; with stop_below_zero, also False as soon as the objective value
@@ -102,16 +118,15 @@ class ExactSimplex:
         """
         T = self.T
         m, n = self.m, self.n
-        basis = self.basis
+        basis, nonbasic = self.basis, self.nonbasic
         for _ in range(max_pivots):
             obj = T[m]
             if stop_below_zero and obj[-1] > 0:  # obj[-1] is -d * (c . x)
                 return False
             s = -1
-            for j in range(n + m):
-                if obj[j] < 0:
+            for j in range(n):
+                if obj[j] < 0 and (s < 0 or nonbasic[j] < nonbasic[s]):
                     s = j
-                    break
             if s < 0:
                 return True
             r = -1
@@ -159,12 +174,12 @@ class ExactSimplex:
         property of the geometry, not of the pivot path that got here.
         """
         T = self.T
-        basic = set(self.basis)
-        zero_cols = [
-            j
-            for j in range(self.n + self.m)
-            if j not in basic and T[self.m][j] == 0
-        ]
+        obj = T[self.m]
+        # Ordered by variable index, so the auxiliary LP and its pivots
+        # depend on the optimal basis alone, not on the exchange order.
+        zero_cols = sorted(
+            (j for j in range(self.n) if obj[j] == 0), key=self.nonbasic.__getitem__
+        )
         if not zero_cols:
             return True
         A = [[T[i][j] for j in zero_cols] for i in range(self.m)]

@@ -1,0 +1,161 @@
+"""The full-tableau exact simplex that the condensed ExactSimplex replaced,
+kept as a test oracle, and a recorder of the pivots either one makes.
+
+FullTableauSimplex stores a column for every variable, basic ones included
+(each is d * e_r), and enters the first column with a negative reduced
+cost.  Its pivot path, its results and its tie check are the reference the
+condensed tableau must reproduce exactly.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from fractions import Fraction
+from typing import Sequence
+
+from conedec.errors import NumericalFailure
+from conedec.simplex import MAX_PIVOTS, ExactSimplex, SimplexResult, _scaled_rows
+
+
+class FullTableauSimplex:
+    def __init__(self, A: Sequence[Sequence], b: Sequence, c: Sequence):
+        self.n = n = len(c)
+        self.m = m = len(A)
+        # Tableau columns: n structural, m slacks, rhs.  Last row = objective.
+        self.T: list[list[int]] = []
+        zeros = [0] * m
+        for i, (row, rhs) in enumerate(_scaled_rows(A, b)):
+            if len(row) != n:
+                raise ValueError("constraint row has wrong length")
+            if rhs < 0:
+                raise ValueError("slack basis start requires b >= 0")
+            row += zeros
+            row.append(rhs)
+            row[n + i] = 1
+            self.T.append(row)
+        [(obj, _)] = _scaled_rows([c], [0])
+        self.T.append(obj + [0] * (m + 1))
+        self.c = tuple(Fraction(x) for x in c)
+        self.d = 1
+        self.basis = [n + i for i in range(m)]
+
+    def _pivot(self, r: int, s: int) -> None:
+        T = self.T
+        piv = T[r][s]
+        if piv <= 0:
+            raise NumericalFailure("nonpositive pivot")
+        d = self.d
+        prow = T[r]
+        for i in range(len(T)):
+            if i == r:
+                continue
+            row = T[i]
+            f = row[s]
+            if f == 0:
+                if piv != d:
+                    T[i] = [x * piv // d for x in row]
+                continue
+            T[i] = [(x * piv - f * y) // d for x, y in zip(row, prow)]
+        self.d = piv
+        self.basis[r] = s
+
+    def _run(self, max_pivots: int, stop_below_zero: bool = False) -> bool:
+        T = self.T
+        m, n = self.m, self.n
+        basis = self.basis
+        for _ in range(max_pivots):
+            obj = T[m]
+            if stop_below_zero and obj[-1] > 0:
+                return False
+            s = -1
+            for j in range(n + m):
+                if obj[j] < 0:
+                    s = j
+                    break
+            if s < 0:
+                return True
+            r = -1
+            for i in range(m):
+                t = T[i][s]
+                if t <= 0:
+                    continue
+                if r < 0:
+                    r = i
+                    continue
+                cmp = T[i][-1] * T[r][s] - T[r][-1] * t
+                if cmp < 0 or (cmp == 0 and basis[i] < basis[r]):
+                    r = i
+            if r < 0:
+                return False
+            self._pivot(r, s)
+        raise NumericalFailure("pivot limit hit")
+
+    def solve(self, max_pivots: int = MAX_PIVOTS) -> SimplexResult:
+        if not self._run(max_pivots):
+            raise NumericalFailure("LP is unbounded; expected a boxed region")
+        x = self._solution()
+        return SimplexResult(
+            objective=sum(ci * xi for ci, xi in zip(self.c, x)),
+            x=x,
+            unique=self._optimum_is_unique(),
+        )
+
+    def _solution(self) -> tuple[Fraction, ...]:
+        vals = [Fraction(0)] * self.n
+        for i, col in enumerate(self.basis):
+            if col < self.n:
+                vals[col] = Fraction(self.T[i][-1], self.d)
+        return tuple(vals)
+
+    def _optimum_is_unique(self) -> bool:
+        T = self.T
+        basic = set(self.basis)
+        zero_cols = [
+            j
+            for j in range(self.n + self.m)
+            if j not in basic and T[self.m][j] == 0
+        ]
+        if not zero_cols:
+            return True
+        A = [[T[i][j] for j in zero_cols] for i in range(self.m)]
+        b = [T[i][-1] for i in range(self.m)]
+        return FullTableauSimplex(A, b, [-1] * len(zero_cols))._run(
+            MAX_PIVOTS, stop_below_zero=True
+        )
+
+
+@contextmanager
+def pivot_log(cls, entering_variable):
+    """Record every pivot that instances of cls make, as (phase, leaving
+    variable, entering variable); phase is "tie" inside the tie check and
+    "solve" otherwise.  entering_variable(simplex, s) maps the pivot
+    column s to its variable index."""
+    log: list[tuple[str, int, int]] = []
+    phase = ["solve"]
+    pivot, tie_check = cls._pivot, cls._optimum_is_unique
+
+    def logged_pivot(self, r, s):
+        log.append((phase[-1], self.basis[r], entering_variable(self, s)))
+        pivot(self, r, s)
+
+    def logged_tie_check(self):
+        phase.append("tie")
+        try:
+            return tie_check(self)
+        finally:
+            phase.pop()
+
+    cls._pivot, cls._optimum_is_unique = logged_pivot, logged_tie_check
+    try:
+        yield log
+    finally:
+        cls._pivot, cls._optimum_is_unique = pivot, tie_check
+
+
+@contextmanager
+def both_pivot_logs():
+    """pivot_log of the condensed ExactSimplex and of the full-tableau
+    reference, entered together."""
+    with pivot_log(ExactSimplex, lambda sx, s: sx.nonbasic[s]) as condensed:
+        with pivot_log(FullTableauSimplex, lambda sx, s: s) as full:
+            yield condensed, full

@@ -258,6 +258,29 @@ class TestDecode:
         )
         assert code == 2
 
+    def test_ml_rejected_for_orbits(self, hamming_path, capsys):
+        code, out = run(
+            capsys,
+            "decode", hamming_path, "--random", "--orbit-n0", "7", "--trials", "2", "--ml",
+        )
+        assert code == 2 and out == ""
+
+    def test_orbit_row_weight_cap_exit(self, tmp_path, capsys):
+        # The 7x7 rows have weight 4, above the cap; without --orbit-n0 the
+        # same call exits 3 as well.
+        from conedec import add_qc_shifts
+
+        H = hamming_matrix(3, cyclic=True)
+        p = tmp_path / "h7.txt"
+        p.write_text(format_dense(add_qc_shifts(H, H.row(0), 1)))
+        for orbit in (("--orbit-n0", "1"), ()):
+            code, _ = run(
+                capsys,
+                "decode", str(p), "--random", *orbit, "--trials", "2",
+                "--row-weight-cap", "2",
+            )
+            assert code == 3
+
     def test_csv_summary(self, hamming_path, capsys):
         code, out = run(
             capsys,

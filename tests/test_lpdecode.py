@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conedec import (
     BinaryMatrix,
@@ -19,8 +21,10 @@ from conedec import (
 )
 from conedec.constructions import hamming_matrix, steane_matrix
 from conedec.errors import BoundExceeded
-from conedec.lpdecode import rationalize_llr
+from conedec.lpdecode import _compiled_system, rationalize_llr
 from conedec.simplex import solve_min
+from conftest import random_matrix
+from reference_simplex import FullTableauSimplex, both_pivot_logs
 
 
 def vertex_costs(H, gamma):
@@ -126,6 +130,27 @@ class TestMlDecode:
             )
             assert ml_decode(hamming7, gamma).to_tuple() == best[1]
 
+    def test_matches_tuple_key_reference(self, hamming7):
+        # Equal LLRs make many codewords tie on cost (all of them at 0), so
+        # the tie-break decides.
+        rng = random.Random(12)
+        cases = [(hamming7, [g] * 7) for g in (0.0, 1.0, -1.0, 0.37)]
+        cases.append((hamming_matrix(4), [0.0] * 15))
+        for _ in range(60):
+            rows = rng.randint(1, 4)
+            cols = rng.randint(1, 8)
+            H = random_matrix(rng, rows, cols)
+            kind = rng.randrange(3)
+            if kind == 0:
+                gamma = [rng.choice((0.0, -0.5, 0.5))] * cols
+            elif kind == 1:
+                gamma = llr_bsc(BinaryVector(cols, rng.getrandbits(cols)), 0.1)
+            else:
+                gamma = [rng.uniform(-2, 2) for _ in range(cols)]
+            cases.append((H, gamma))
+        for H, gamma in cases:
+            assert ml_decode(H, gamma) == reference_ml_decode(H, gamma)
+
     def test_integral_lp_agrees(self, hamming7):
         rng = random.Random(10)
         for t in range(50):
@@ -143,6 +168,52 @@ class TestMlDecode:
             res = lp_decode(H, gamma)
             if res.status == "codeword":
                 assert res.as_binary() == ml_decode(H, gamma)
+
+
+@st.composite
+def small_codes_with_errors(draw):
+    """H with n <= 8 whose rows may be empty or of weight 1, a BSC error
+    pattern and a crossover probability."""
+    n = draw(st.integers(1, 8))
+    row = st.one_of(
+        st.just(0), st.integers(0, n - 1).map(lambda i: 1 << i), st.integers(0, (1 << n) - 1)
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    e = BinaryVector(n, draw(st.integers(0, (1 << n) - 1)))
+    return BinaryMatrix(len(rows), n, rows), e, draw(st.sampled_from((0.05, 0.1, 0.2, 0.3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes_with_errors())
+def test_lp_objective_at_most_ml_cost(case):
+    # Every codeword is a point of the relaxed polytope, so the LP optimum
+    # is at most the ML cost; a unique integral optimum is the ML word.
+    H, e, p = case
+    gamma = llr_bsc(e, p)
+    gr = rationalize_llr(gamma)
+    ml_cost = min(
+        sum(g for i, g in enumerate(gr) if x >> i & 1)
+        for x in range(1 << H.cols)
+        if not any((r & x).bit_count() % 2 for r in H.row_bits)
+    )
+    res = lp_decode(H, gamma)
+    assert res.objective <= ml_cost
+    if res.status == "codeword":
+        assert res.objective == ml_cost
+        assert res.as_binary() == ml_decode(H, gamma)
+
+
+def reference_ml_decode(H, gamma):
+    """ML decoding by the (cost, tuple) key of every codeword."""
+    gr = rationalize_llr(gamma)
+    best = None
+    best_key = None
+    for c in enumerate_codewords(H):
+        cost = sum(g for g, bit in zip(gr, c) if bit)
+        key = (cost, c.to_tuple())
+        if best_key is None or key < best_key:
+            best, best_key = c, key
+    return best
 
 
 def reference_decode(H, gamma, row_weight_cap=20):
@@ -184,6 +255,36 @@ class TestCompiledSystem:
                 assert got == reference_decode(H, gamma)
                 statuses.add(got[0])
         assert statuses == {"codeword", "fractional", "tie"}
+
+    def test_matches_full_tableau_on_seeded_corpus(self, hamming7, hamming7_full):
+        # The condensed tableau decodes every error exactly as the full
+        # tableau does, along the same pivots in the solve and the tie check.
+        rng = random.Random(61)
+        codes = [(hamming7, 12), (hamming7_full, 12), (steane_matrix(3), 12),
+                 (hamming_matrix(4), 4)]
+        statuses = set()
+        phases = set()
+        for H, count in codes:
+            A, b = _compiled_system(H, 20)
+            for t in range(count):
+                if t % 2:  # Gaussian LLRs: fractional optima are unique there
+                    gamma = [rng.gauss(1.0, 1.2) for _ in range(H.cols)]
+                else:
+                    p = rng.choice((0.05, 0.1, 0.2))
+                    e = BinaryVector(H.cols, 0)
+                    while e.weight() < 2:
+                        e = bsc_sample(e, p, rng)
+                    gamma = llr_bsc(e, p)
+                with both_pivot_logs() as (condensed, full):
+                    got = lp_decode(H, gamma)
+                    want = FullTableauSimplex(A, b, rationalize_llr(gamma)).solve()
+                assert (got.optimum, got.objective) == (want.x, want.objective)
+                assert (got.status == "tie") == (not want.unique)
+                assert condensed == full
+                statuses.add(got.status)
+                phases.update(phase for phase, _, _ in full)
+        assert statuses == {"codeword", "fractional", "tie"}
+        assert phases == {"solve", "tie"}
 
     def test_alternating_matrices_of_one_shape(self):
         H1, H2 = hamming_matrix(3), hamming_matrix(3, cyclic=True)

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conedec.errors import NumericalFailure
-from conedec.simplex import solve_min
+from conedec.simplex import ExactSimplex, solve_min
+from reference_simplex import FullTableauSimplex, both_pivot_logs
 
 
 def test_box_corner():
@@ -91,6 +92,56 @@ def test_scaled_rows_give_identical_results(lp):
     # Fraction row takes it.  Scaling a row by a positive factor changes
     # neither the region nor Bland's pivot path, so results must be equal.
     A, b, c, scales = lp
-    scaled_A = [a if q is None else [q * x for x in a] for a, q in zip(A, scales)]
-    scaled_b = [beta if q is None else q * beta for beta, q in zip(b, scales)]
-    assert solve_min(scaled_A, scaled_b, c) == solve_min(A, b, c)
+    assert solve_min(*scale_rows(A, b, scales), c) == solve_min(A, b, c)
+
+
+def scale_rows(A, b, scales):
+    A = [a if q is None else [q * x for x in a] for a, q in zip(A, scales)]
+    b = [beta if q is None else q * beta for beta, q in zip(b, scales)]
+    return A, b
+
+
+@st.composite
+def varied_lps(draw):
+    """boxed_lps with its Fraction-scaled rows applied, and, on a coin
+    flip each, a zero objective (every feasible point is optimal) and a
+    duplicated row (a degenerate vertex)."""
+    A, b, c, scales = draw(boxed_lps())
+    A, b = scale_rows(A, b, scales)
+    if draw(st.booleans()):
+        c = [0] * len(c)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(A) - 1))
+        A, b = A + [A[k]], b + [b[k]]
+    return A, b, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(varied_lps())
+def test_condensed_tableau_matches_full_tableau(lp):
+    # The condensed tableau must make the same pivots as the full one, in
+    # the main solve and in the tie check's auxiliary LP alike.
+    A, b, c = lp
+    with both_pivot_logs() as (condensed, full):
+        got = ExactSimplex(A, b, c).solve()
+        want = FullTableauSimplex(A, b, c).solve()
+    assert got == want
+    assert condensed == full
+
+
+def test_condensed_tableau_covers_both_phases():
+    # An LP that pivots in the tie check too: a 2D box cut by an edge
+    # parallel to the objective.
+    A, b, c = [[1, 1], [1, 0], [0, 1]], [3, 2, 2], [-1, -1]
+    with both_pivot_logs() as (condensed, full):
+        got = ExactSimplex(A, b, c).solve()
+        want = FullTableauSimplex(A, b, c).solve()
+    assert got == want and not got.unique
+    assert condensed == full
+    assert {phase for phase, _, _ in condensed} == {"solve", "tie"}
+
+
+def test_condensed_tableau_shape():
+    sx = ExactSimplex([[1, 2], [3, 4], [5, 6]], [1, 1, 1], [-1, -1])
+    assert len(sx.T) == 4 and all(len(row) == 3 for row in sx.T)
+    assert sx.basis == [2, 3, 4] and sx.nonbasic == [0, 1]
