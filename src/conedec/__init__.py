@@ -17,7 +17,6 @@ from .errors import BoundExceeded, NumericalFailure
 from .gf2 import (
     BinaryMatrix,
     BinaryVector,
-    TannerGraph,
     cyclic_shift,
     enumerate_codewords,
     enumerate_dual_words,
@@ -27,7 +26,6 @@ from .gf2 import (
     mat_vec_mod2,
     parse_alist,
     parse_dense,
-    tanner_graph,
 )
 from .lpdecode import (
     DecodeResult,

@@ -215,7 +215,6 @@ def cmd_decode(args) -> int:
         rep = shift_equivariance_experiment(
             H, args.orbit_n0, errors, args.crossover, args.row_weight_cap
         )
-        base = [r.statuses[0] for r in rep.orbits]
         obj = {
             "schema": ser.SCHEMA,
             "type": "shift-experiment",
@@ -223,8 +222,8 @@ def cmd_decode(args) -> int:
             "p": args.crossover,
             "trials": args.trials,
             "n0": args.orbit_n0,
-            "failures": sum(1 for s in base if s != "codeword"),
-            "fractional_count": sum(1 for s in base if s == "fractional"),
+            "failures": sum(r.failed for r in rep.orbits),
+            "fractional_count": sum(r.statuses[0] == "fractional" for r in rep.orbits),
             "tie_count": rep.tie_orbits,
             "violations": list(rep.violations),
             "per_orbit": [

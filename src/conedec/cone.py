@@ -71,15 +71,20 @@ class RayList:
 
 
 def build_fundamental_cone(H: BinaryMatrix) -> ConeSystem:
+    # Every row has entries in {-1, 0, 1}, one of them nonzero: it is
+    # already primitive, so only duplicates are dropped.
     n = H.cols
-    rows: list[tuple[int, ...]] = [
-        tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
-    ]
+    rows = [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
     for j in range(H.rows):
-        h = [H.entry(j, i) for i in range(n)]
-        for i in H.row_support(j):
-            rows.append(tuple(h[t] - (2 if t == i else 0) for t in range(n)))
-    return ConeSystem.from_rows(n, rows)
+        sup = H.row_support(j)
+        h = [0] * n
+        for i in sup:
+            h[i] = 1
+        for i in sup:
+            h[i] = -1
+            rows.append(tuple(h))
+            h[i] = 1
+    return ConeSystem(n, tuple(dict.fromkeys(rows)))
 
 
 def in_cone(H: BinaryMatrix, v: Sequence) -> bool:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cone import ConeSystem, build_fundamental_cone, intersect_cones
+from .cone import ConeSystem, build_fundamental_cone
 from .gf2 import BinaryMatrix, block_matrix
 
 # Rows of the cyclic 3x7 representation of the [7,4,3] Hamming code:
@@ -117,13 +117,10 @@ def label_matrix(generators: Sequence[PauliString | str]) -> BinaryMatrix:
 
 
 def normalizer_cone(generators: Sequence[PauliString | str]) -> ConeSystem:
-    """Fundamental cone of the normalizer label code: the intersection of
-    the single-generator label cones (same membership as the cone of the
-    stacked label matrix)."""
-    gens = [g if isinstance(g, PauliString) else PauliString(g) for g in generators]
-    return intersect_cones(
-        [build_fundamental_cone(label_matrix([g])) for g in gens]
-    )
+    """Fundamental cone of the normalizer label code: the cone of the
+    stacked label matrix, which is the intersection of the single-generator
+    label cones."""
+    return build_fundamental_cone(label_matrix(generators))
 
 
 def circulant_permutation(t: int, shift: int) -> BinaryMatrix:

@@ -30,7 +30,9 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
 
 
 def integerize(row: Sequence) -> tuple[int, ...]:
-    """Scale a rational row by a positive factor to a primitive integer row."""
+    """Scale a rational row by a positive factor to a primitive integer row.
+
+    The package's one rule for clearing denominators."""
     fr = [Fraction(x) for x in row]
     lcm = 1
     for x in fr:

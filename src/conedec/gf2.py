@@ -8,7 +8,6 @@ explicit size caps instead of falling back to sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -201,22 +200,6 @@ def block_matrix(grid: Sequence[Sequence[BinaryMatrix | None]]) -> BinaryMatrix:
                 bits |= row_bits[a] << off
             rows.append(bits)
     return BinaryMatrix(len(rows), offsets[-1], rows)
-
-
-@dataclass(frozen=True)
-class TannerGraph:
-    """Bipartite check/variable graph; edge (j, i) marks H[j, i] = 1."""
-
-    variable_nodes: int
-    check_nodes: int
-    edges: frozenset[tuple[int, int]]
-
-
-def tanner_graph(H: BinaryMatrix) -> TannerGraph:
-    edges = frozenset(
-        (j, i) for j in range(H.rows) for i in H.row_support(j)
-    )
-    return TannerGraph(variable_nodes=H.cols, check_nodes=H.rows, edges=edges)
 
 
 def mat_vec_mod2(H: BinaryMatrix, v: Sequence[int]) -> BinaryVector:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import dd
 from .gf2 import (
     BinaryMatrix,
     BinaryVector,
@@ -65,6 +66,13 @@ class DecodeResult:
     objective: Fraction  # against the rationalized LLRs
     integral: bool
     status: str  # "codeword" | "fractional" | "tie"
+
+    @property
+    def recovers_zero(self) -> bool:
+        """The Monte Carlo success rule over all-zero transmission: a unique
+        decode to the zero word.  Ties, fractional optima and other
+        codewords are failures."""
+        return self.status == "codeword" and not any(self.optimum)
 
     def as_binary(self) -> BinaryVector:
         if not self.integral:
@@ -118,13 +126,16 @@ def ml_decode(H: BinaryMatrix, gamma: LlrVector) -> BinaryVector:
     lexicographically smallest coordinate tuple."""
     if len(gamma) != H.cols:
         raise ValueError(f"LLR length {len(gamma)} != cols {H.cols}")
-    gr = rationalize_llr(gamma)
-    # Scaling every LLR by one positive integer keeps the order of costs
+    return _ml_argmin(enumerate_codewords(H), gamma)
+
+
+def _ml_argmin(words: Sequence[BinaryVector], gamma: LlrVector) -> BinaryVector:
+    """ml_decode over a codeword list the caller already holds."""
+    # Scaling every LLR by one positive factor keeps the order of costs
     # and turns each cost into an int sum over the set bits.
-    scale = math.lcm(*(g.denominator for g in gr))
-    w = [int(g * scale) for g in gr]
+    w = dd.integerize(rationalize_llr(gamma))
     best = best_cost = best_key = None
-    for c in enumerate_codewords(H):
+    for c in words:
         cost = sum(w[i] for i in c.support())
         if best is None or cost < best_cost:
             best, best_cost, best_key = c, cost, None
@@ -161,6 +172,7 @@ class OrbitRecord:
     statuses: tuple[str, ...]
     status_uniform: bool
     outputs_shift_consistent: bool | None  # None when the orbit contains ties
+    failed: bool  # the error itself (rotation 0) is not decoded to the zero word
 
 
 @dataclass(frozen=True)
@@ -216,7 +228,9 @@ def shift_equivariance_experiment(
                 results[i].optimum == cyclic_shift(base, n0 * i)
                 for i in range(orbit_len)
             )
-        rec = OrbitRecord(e.to_tuple(), statuses, uniform, consistent)
+        rec = OrbitRecord(
+            e.to_tuple(), statuses, uniform, consistent, not results[0].recovers_zero
+        )
         records.append(rec)
         if not uniform or consistent is False:
             violations.append(idx)

@@ -74,6 +74,8 @@ class VertexSet:
 def build_relaxed_polytope(
     H: BinaryMatrix, row_weight_cap: int = ROW_WEIGHT_CAP
 ) -> PolytopeSystem:
+    # Every row has coefficients in {-1, 0, 1}, one of them nonzero, and an
+    # integer bound: it is already primitive, so only duplicates are dropped.
     n = H.cols
     rows: list[tuple[tuple[int, ...], int]] = []
     for i in range(n):
@@ -85,15 +87,16 @@ def build_relaxed_polytope(
             raise BoundExceeded(
                 f"row {j} has weight {len(sup)}, above the expansion cap {row_weight_cap}"
             )
+        base = [0] * n
+        for i in sup:
+            base[i] = -1
         for size in range(1, len(sup) + 1, 2):
             for S in combinations(sup, size):
-                a = [0] * n
-                for i in sup:
-                    a[i] = -1
+                a = base.copy()
                 for i in S:
                     a[i] = 1
                 rows.append((tuple(a), size - 1))
-    return PolytopeSystem.from_rows(n, rows)
+    return PolytopeSystem(n, tuple(dict.fromkeys(rows)))
 
 
 def enumerate_vertices(P: PolytopeSystem, max_dim: int = VERTEX_DIM_CAP) -> VertexSet:

@@ -17,10 +17,11 @@ from .gf2 import (
     BinaryMatrix,
     BinaryVector,
     cyclic_shift,
+    enumerate_codewords,
     enumerate_dual_words,
     row_space_contains,
 )
-from .lpdecode import bsc_sample, llr_bsc, lp_decode, ml_decode
+from .lpdecode import _ml_argmin, bsc_sample, llr_bsc, lp_decode
 from .polytope import ROW_WEIGHT_CAP, VERTEX_DIM_CAP, lp_pseudocodewords
 
 
@@ -63,8 +64,8 @@ def add_qc_shifts(H: BinaryMatrix, c: BinaryVector, n0: int) -> BinaryMatrix:
 class PerformanceEstimate:
     """Monte Carlo decoder quality over all-zero transmission.
 
-    A trial succeeds only when the decode status is "codeword" and the
-    output is the zero word; ties count as failures.  ml_mismatches counts
+    A trial fails unless DecodeResult.recovers_zero holds (a unique decode
+    to the zero word); ties count as failures.  ml_mismatches counts
     "codeword" outputs that differ from the ML word, and is None when the
     run was not cross-checked.
     """
@@ -97,24 +98,25 @@ def evaluate_lp_performance(
     """LP-decode `trials` BSC(p) corruptions of the zero word.
 
     All error patterns come from one random.Random(seed) stream.  With ml,
-    every "codeword" output is cross-checked against ml_decode.
+    every "codeword" output is cross-checked against the ML word, over one
+    codeword list enumerated for the whole run.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = random.Random(seed)
     zero = BinaryVector(H.cols, 0)
+    words = enumerate_codewords(H) if ml else None
     failures = fractional = ties = mismatches = 0
     for _ in range(trials):
         gamma = llr_bsc(bsc_sample(zero, p, rng), p)
         res = lp_decode(H, gamma, row_weight_cap)
-        ok = res.status == "codeword" and all(x == 0 for x in res.optimum)
-        if not ok:
+        if not res.recovers_zero:
             failures += 1
         if res.status == "fractional":
             fractional += 1
         elif res.status == "tie":
             ties += 1
-        if ml and res.status == "codeword" and ml_decode(H, gamma) != res.as_binary():
+        if ml and res.status == "codeword" and _ml_argmin(words, gamma) != res.as_binary():
             mismatches += 1
     return PerformanceEstimate(
         p=p, trials=trials, seed=seed, failures=failures,

@@ -24,29 +24,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd
 from typing import Sequence
 
+from . import dd
 from .errors import NumericalFailure
 
 MAX_PIVOTS = 100000
 
 
-def _scale_row(row: Sequence, rhs) -> tuple[list[int], int]:
-    fr = [Fraction(x) for x in row] + [Fraction(rhs)]
-    lcm = 1
-    for x in fr:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in fr]
-    return ints[:-1], ints[-1]
-
-
 def _scaled_rows(A: Sequence[Sequence], b: Sequence):
-    """(integer row, integer bound) pairs; a system that is all Python ints
-    already skips the Fraction round trip."""
+    """(integer row, integer bound) pairs.  A rational row and its bound are
+    scaled by one positive factor (dd.integerize), which changes neither the
+    region nor Bland's pivot path; a system that is all Python ints is
+    taken as it is."""
     if set(map(type, chain(b, chain.from_iterable(A)))) <= {int}:
         return zip(map(list, A), b)
-    return map(_scale_row, A, b)
+    rows = (dd.integerize([*a, rhs]) for a, rhs in zip(A, b))
+    return ((list(r[:-1]), r[-1]) for r in rows)
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,24 @@ class TestDecode:
             errors.append(sorted(r["error"] for r in json.loads(out)["per_orbit"]))
         assert errors[0] != errors[1]
 
+    def test_orbit_failures_match_plain_run(self, tmp_path, capsys):
+        # Both modes draw the same errors from one seed and decode rotation 0
+        # alike; a unique decode to a nonzero codeword is a failure in both.
+        from conedec import add_qc_shifts
+
+        H = hamming_matrix(3, cyclic=True)
+        p = tmp_path / "h7.txt"
+        p.write_text(format_dense(add_qc_shifts(H, H.row(0), 1)))
+        args = ("decode", str(p), "--random", "--crossover", "0.2", "--trials", "40", "--seed", "3")
+        code, plain = run(capsys, *args)
+        assert code == 0
+        code, orbit = run(capsys, *args, "--orbit-n0", "1")
+        assert code == 0
+        plain, orbit = json.loads(plain), json.loads(orbit)
+        assert plain["failures"] > 0
+        for key in ("failures", "fractional_count"):
+            assert orbit[key] == plain[key]
+
     def test_orbit_requires_quasi_cyclic(self, hamming_path, capsys):
         code, _ = run(
             capsys,

@@ -159,6 +159,10 @@ def _steane_generators(hamming7):
     return gens
 
 
+def _single_generator_intersection(gens):
+    return intersect_cones([build_fundamental_cone(label_matrix([g])) for g in gens])
+
+
 class TestNormalizerCone:
     def test_single_generator(self):
         K = normalizer_cone(["XX"])
@@ -166,12 +170,21 @@ class TestNormalizerCone:
         assert K == K_direct
 
     def test_steane_generators_match_matrix_cone(self, hamming7):
-        K_gen = normalizer_cone(_steane_generators(hamming7))
+        gens = _steane_generators(hamming7)
+        K_gen = normalizer_cone(gens)
+        # The cone of the stacked label matrix is the intersection of the
+        # single-generator cones, row for row.
+        assert K_gen == _single_generator_intersection(gens)
         K_mat = build_fundamental_cone(steane_matrix(3))
         rng = random.Random(53)
         for _ in range(300):
             v = tuple(Fraction(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(14))
             assert K_gen.contains(v) == K_mat.contains(v)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            pool = ["".join(rng.choice("IXYZ") for _ in range(n)) for _ in range(4)]
+            gens = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+            assert normalizer_cone(gens) == _single_generator_intersection(gens)
 
     def test_empty_support_generator(self):
         K = normalizer_cone(["II"])

@@ -15,7 +15,6 @@ from conedec import (
     mat_vec_mod2,
     parse_alist,
     parse_dense,
-    tanner_graph,
 )
 from conedec.errors import BoundExceeded
 from conedec.gf2 import gf2_rank, row_space_contains
@@ -170,35 +169,6 @@ class TestQuasiCyclic:
     def test_multiples(self, hamming7_full):
         for k in range(1, 5):
             assert is_quasi_cyclic(hamming7_full, k * 1)
-
-
-class TestTannerGraph:
-    def test_nine_edge_example(self):
-        H = BinaryMatrix.from_rows(
-            [
-                [1, 1, 0, 1, 0, 0],
-                [0, 1, 1, 0, 1, 0],
-                [0, 0, 0, 1, 1, 1],
-            ]
-        )
-        g = tanner_graph(H)
-        assert g.variable_nodes == 6 and g.check_nodes == 3
-        assert len(g.edges) == 9
-        assert (0, 0) in g.edges and (2, 5) in g.edges and (0, 2) not in g.edges
-
-    def test_zero_matrix(self):
-        g = tanner_graph(BinaryMatrix(1, 4, [0]))
-        assert g.edges == frozenset()
-
-    def test_identity_matching(self):
-        g = tanner_graph(identity(3))
-        assert g.edges == frozenset({(0, 0), (1, 1), (2, 2)})
-
-    def test_edge_count_equals_weight(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            H = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 8))
-            assert len(tanner_graph(H).edges) == H.weight()
 
 
 class TestTextFormats:

@@ -1,6 +1,6 @@
 import pytest
 
-from conedec import qcimprove
+from conedec import lpdecode, qcimprove
 from conedec import (
     BinaryMatrix,
     BinaryVector,
@@ -88,6 +88,20 @@ class TestEvaluateLpPerformance:
         est = evaluate_lp_performance(hamming7, 0.1, 100, seed=3, ml=True)
         assert est.ml_mismatches == 0
         assert evaluate_lp_performance(hamming7, 0.1, 10, seed=3).ml_mismatches is None
+
+    def test_ml_enumerates_codewords_once(self, hamming7, monkeypatch):
+        calls = []
+
+        def counting(H, *args):
+            calls.append(H)
+            return enumerate_codewords(H, *args)
+
+        for mod in (qcimprove, lpdecode):
+            monkeypatch.setattr(mod, "enumerate_codewords", counting, raising=False)
+        est = evaluate_lp_performance(hamming7, 0.1, 30, seed=3, ml=True)
+        assert est.trials - est.failures > 1  # several "codeword" trials
+        assert est.ml_mismatches == 0
+        assert len(calls) == 1
 
 
 class TestImproveRepresentation:
