@@ -7,6 +7,17 @@ sorted by increasing support size, and surviving rays are recombined across
 the new hyperplane using the combinatorial adjacency test.  All arithmetic
 is on Python integers; rays come out as primitive integer vectors.
 
+The adjacency test is bit-parallel (Fukuda & Prodon, "Double description
+method revisited", 1996).  A ray keeps its index for life, and `live` is
+the bitset of the current rays.  Each processed row k keeps tight[k], the
+bitset of the rays tight on it; a new ray's bits go in once, when it is
+made, and a dead ray's bits stay and are masked off by `live`.  A (+, -)
+pair whose common tight rows z number at least dim - 2 is adjacent iff
+live & AND_{k in z} tight[k] is exactly the pair, so the test costs |z|
+big-integer ANDs (stopping once only the pair is left) instead of a scan
+of every ray.  One DEBUG line per call reports the insertions, the peak
+intermediate ray count, the adjacency tests and the rays out.
+
 The final ray set is insertion-order independent (it is the unique set of
 extreme rays); the sort is a heuristic that keeps intermediate ray counts
 small.
@@ -14,9 +25,13 @@ small.
 
 from __future__ import annotations
 
+import logging
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Sequence
+
+logger = logging.getLogger(__name__)
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -63,53 +78,78 @@ def extreme_rays_int(
     if sort_rows:
         others.sort(key=lambda t: (sum(1 for x in t[1] if x), t[1]))
 
-    rays: list[tuple[int, ...]] = [
+    # Ray i keeps index i for life; `alive` lists the current rays and
+    # `live` is their bitset.  masks[i] is the bitset of processed rows tight
+    # at ray i, tight[k] the bitset of rays (dead ones too) tight on row k.
+    rays: list[tuple[int, ...] | None] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
     ]
-    masks: list[int] = []
-    for i in range(dim):
-        m = 0
-        for coord, k in unit_row.items():
-            if coord != i:
-                m |= 1 << k
-        masks.append(m)
+    masks = [0] * dim
+    tight = [0] * len(rows)
+    for coord, k in unit_row.items():
+        tight[k] = ((1 << dim) - 1) ^ (1 << coord)
+        for i in range(dim):
+            if i != coord:
+                masks[i] |= 1 << k
+    alive = list(range(dim))
+    live = (1 << dim) - 1
+    need = dim - 2
+    peak = dim
+    tests = 0  # pairs that pass the count test
 
     for k, a in others:
         bit = 1 << k
-        dots = [sum(x * y for x, y in zip(a, r)) for r in rays]
-        neg = [i for i, d in enumerate(dots) if d < 0]
-        if not neg:
-            for i, d in enumerate(dots):
-                if d == 0:
-                    masks[i] |= bit
-            continue
-        pos = [i for i, d in enumerate(dots) if d > 0]
-        zero = [i for i, d in enumerate(dots) if d == 0]
-        new_rays = [rays[i] for i in pos] + [rays[i] for i in zero]
-        new_masks = [masks[i] for i in pos] + [masks[i] | bit for i in zero]
-        need = dim - 2
-        nrays = len(rays)
-        for ip in pos:
-            mp, dp = masks[ip], dots[ip]
-            rp = rays[ip]
-            for im in neg:
+        pos, neg, zero = [], [], []
+        for i in alive:
+            d = sum(map(mul, a, rays[i]))
+            if d > 0:
+                pos.append((i, d))
+            elif d < 0:
+                neg.append((i, d))
+            else:
+                zero.append(i)
+                masks[i] |= bit
+                tight[k] |= 1 << i
+        born = []
+        for ip, dp in pos:
+            mp, rp = masks[ip], rays[ip]
+            for im, dm in neg:
                 z = mp & masks[im]
                 if z.bit_count() < need:
                     continue
-                adjacent = True
-                for ir in range(nrays):
-                    if ir != ip and ir != im and (masks[ir] & z) == z:
-                        adjacent = False
+                tests += 1
+                # Adjacent iff no other live ray is tight on every row of z.
+                pair = (1 << ip) | (1 << im)
+                common, rest = live, z
+                while rest:
+                    low = rest & -rest
+                    common &= tight[low.bit_length() - 1]
+                    if common == pair:
                         break
-                if not adjacent:
+                    rest ^= low
+                if common != pair:
                     continue
-                dm = dots[im]
+                j = len(rays)
                 rm = rays[im]
-                w = primitive([dp * rm[j] - dm * rp[j] for j in range(dim)])
-                new_rays.append(w)
-                new_masks.append(z | bit)
-        rays, masks = new_rays, new_masks
+                rays.append(primitive([dp * y - dm * x for x, y in zip(rp, rm)]))
+                masks.append(z | bit)
+                born.append(j)
+                rest = z | bit
+                while rest:
+                    low = rest & -rest
+                    tight[low.bit_length() - 1] |= 1 << j
+                    rest ^= low
+        for i, _ in neg:
+            live ^= 1 << i
+            rays[i] = None
+        for j in born:
+            live |= 1 << j
+        alive = [i for i, _ in pos] + zero + born
+        peak = max(peak, len(alive))
 
-    # Combination rays from distinct adjacent pairs are distinct, but dedup
-    # defensively before returning a canonical order.
-    return sorted(set(rays))
+    out = sorted({rays[i] for i in alive})
+    logger.debug(
+        "extreme_rays_int: %d insertions, peak %d rays, %d adjacency tests, %d rays out",
+        len(others), peak, tests, len(out),
+    )
+    return out

@@ -172,7 +172,8 @@ def improve_representation(
 
     Each step picks the minimum-weight dual word that is not already a row
     (ties broken by lexicographically smallest coordinate tuple), adds its
-    full n0-shift orbit, and re-evaluates.  Deterministic given
+    full n0-shift orbit, and re-evaluates.  The loop also stops, with
+    met_target False, once every dual word is a row.  Deterministic given
     (H, n0, target, budget, seed).
     """
     if budget < 0:
@@ -194,6 +195,8 @@ def improve_representation(
         # A word whose whole orbit is already present is itself a row, so
         # the candidate filter guarantees the orbit adds at least one row.
         word = _next_dual_word(current)
+        if word is None:
+            break  # every dual word is already a row
         grown = add_qc_shifts(current, word, n0)
         orbit_size = grown.rows - current.rows
         current = grown
@@ -215,10 +218,6 @@ def improve_representation(
     )
 
 
-def _next_dual_word(H: BinaryMatrix) -> BinaryVector:
-    candidates = [
-        w for w, is_row in enumerate_dual_words(H, H.cols) if not is_row
-    ]
-    if not candidates:
-        raise ValueError("no dual words remain that are not already rows")
-    return candidates[0]  # enumerate_dual_words sorts by (weight, coords)
+def _next_dual_word(H: BinaryMatrix) -> BinaryVector | None:
+    # enumerate_dual_words sorts by (weight, coords)
+    return next((w for w, is_row in enumerate_dual_words(H, H.cols) if not is_row), None)

@@ -95,6 +95,27 @@ def test_hamming_polytope_vertices():
         assert integral == {c.to_tuple() for c in enumerate_codewords(H)}
 
 
+def test_hamming_15_11_cone_rays():
+    with criterion("Hamming [15,11] cone: 3440 extreme rays", 2):
+        rays = extreme_rays(build_fundamental_cone(hamming_matrix(4)))
+        assert len(rays) == 3440
+
+
+def test_sc_ldpc_polytope_vertices():
+    with criterion("terminated SC L=4 polytope: 548 vertices", 4):
+        H0 = BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
+        H1 = BinaryMatrix.from_rows([[1, 0, 1], [1, 1, 0]])
+        H = sc_ldpc([H0, H1], L=4, mode="terminated")
+        vs = enumerate_vertices(build_relaxed_polytope(H))
+        assert len(vs) == 548
+        integral = {
+            tuple(int(x) for x in v)
+            for v, flag in zip(vs.vertices, vs.integral)
+            if flag
+        }
+        assert integral == {c.to_tuple() for c in enumerate_codewords(H)}
+
+
 def test_steane_pseudocodeword_count():
     with criterion("Steane product: 96^2 = 9216 LP pseudocodewords", 10):
         H = hamming7()

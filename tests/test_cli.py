@@ -368,6 +368,17 @@ class TestImprove:
         )
         assert code == 3
 
+    def test_dual_words_exhausted(self, hamming_path, capsys):
+        code, out = run(
+            capsys,
+            "improve", hamming_path, "--n0", "1", "--target-fer", "0.01",
+            "--crossover", "0.05", "--trials", "100", "--budget", "3",
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["met_target"] is False
+        assert len(obj["iterations"]) == 1
+
     def test_deterministic(self, hamming_path, capsys):
         args = (
             "improve", hamming_path, "--n0", "1", "--target-fer", "0.5",

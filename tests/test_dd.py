@@ -1,0 +1,126 @@
+"""Double description against its oracles: the scan-based adjacency test it
+replaced (exact list equality) and the brute-force basis enumeration."""
+
+import logging
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conedec import BinaryMatrix, build_fundamental_cone, build_relaxed_polytope, dd
+from conedec.constructions import hamming_matrix, sc_ldpc
+from conedec.qcimprove import add_qc_shifts
+from reference_dd import basis_extreme_rays, reference_extreme_rays_int
+
+SC_BLOCKS = ([[1, 1, 0], [0, 1, 1]], [[1, 0, 1], [1, 1, 0]])
+
+
+def unit(dim, i):
+    return tuple(1 if j == i else 0 for j in range(dim))
+
+
+@st.composite
+def pointed_systems(draw, max_dim=6, max_extra=8):
+    """(dim, rows): the unit rows plus random rows with entries in [-2, 2],
+    with a zero row, a duplicated row or a second copy of a unit row on
+    coin flips, in a random order."""
+    dim = draw(st.integers(1, max_dim))
+    extra = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=max_extra)
+    )
+    units = [unit(dim, i) for i in range(dim)]
+    rows = units + extra
+    if draw(st.booleans()):
+        rows.append((0,) * dim)
+    if extra and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(extra)))
+    if draw(st.booleans()):
+        rows.append(draw(st.sampled_from(units)))
+    return dim, draw(st.permutations(rows))
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pointed_systems(), st.booleans(), st.randoms(use_true_random=False))
+# No unit row for coordinate 2: the error path runs on every test run.
+@example((3, [(1, 0, 0), (0, 1, 0), (1, -1, 1)]), False, random.Random(0))
+def test_matches_scan_reference(system, drop_unit, rng):
+    dim, rows = system
+    rows = list(rows)
+    if drop_unit:
+        # Without one coordinate's unit row both must raise the same error
+        # (unless a random row happens to be a positive unit row there).
+        rows.remove(unit(dim, rng.randrange(dim)))
+    want = outcome(reference_extreme_rays_int, dim, rows)
+    assert outcome(dd.extreme_rays_int, dim, rows) == want
+    assert outcome(dd.extreme_rays_int, dim, rows, sort_rows=False) == want
+    rng.shuffle(rows)
+    assert outcome(dd.extreme_rays_int, dim, rows, sort_rows=False) == want
+
+
+def test_missing_unit_row_error():
+    rows = [(1, 0, 0), (0, 0, 1), (1, 1, -1)]
+    with pytest.raises(ValueError, match=r"coordinates \[1\]"):
+        dd.extreme_rays_int(3, rows)
+    with pytest.raises(ValueError, match=r"coordinates \[1\]"):
+        reference_extreme_rays_int(3, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pointed_systems(max_extra=6))
+def test_matches_basis_oracle(system):
+    dim, rows = system
+    assert set(dd.extreme_rays_int(dim, rows)) == basis_extreme_rays(dim, rows)
+
+
+def cone_rows(H):
+    K = build_fundamental_cone(H)
+    return K.dim, K.inequalities
+
+
+def homogenized_rows(H):
+    """The rows polytope.enumerate_vertices hands to double description."""
+    P = build_relaxed_polytope(H)
+    n = P.dim
+    return n + 1, [(0,) * n + (1,)] + [tuple(-x for x in a) + (b,) for a, b in P.inequalities]
+
+
+def hamming7():
+    return hamming_matrix(3, cyclic=True)
+
+
+INSTANCES = {
+    "cone 3x7": lambda: cone_rows(hamming7()),
+    "cone [15,11]": lambda: cone_rows(hamming_matrix(4)),
+    "polytope 3x7": lambda: homogenized_rows(hamming7()),
+    "polytope 7x7": lambda: homogenized_rows(add_qc_shifts(hamming7(), hamming7().row(0), 1)),
+    "polytope SC L=4": lambda: homogenized_rows(
+        sc_ldpc([BinaryMatrix.from_rows(b) for b in SC_BLOCKS], L=4, mode="terminated")
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_instances_match_reference(name):
+    dim, rows = INSTANCES[name]()
+    assert dd.extreme_rays_int(dim, rows) == reference_extreme_rays_int(dim, rows)
+
+
+def test_debug_line(caplog):
+    dim, rows = INSTANCES["cone 3x7"]()
+    with caplog.at_level(logging.DEBUG, logger="conedec.dd"):
+        rays = dd.extreme_rays_int(dim, rows)
+    (rec,) = caplog.records
+    assert rec.levelno == logging.DEBUG and rec.name == "conedec.dd"
+    insertions, peak, tests, out = (int(w) for w in rec.getMessage().split() if w.isdigit())
+    assert insertions == len(rows) - dim
+    assert out == len(rays) == 42
+    assert peak >= out
+    assert tests >= out - dim

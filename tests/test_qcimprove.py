@@ -164,6 +164,16 @@ class TestImproveRepresentation:
         )
         assert a == b
 
+    def test_dual_words_exhausted(self, hamming7):
+        # After one orbit all 7 weight-4 dual words are rows; the loop stops
+        # with the target unmet instead of raising.
+        report = improve_representation(
+            hamming7, 1, ImproveTarget(max_fer=0.01, p=0.05), budget=3, trials=100
+        )
+        assert not report.met_target
+        assert len(report.iterations) == 1
+        assert report.final_matrix.rows == 7
+
     def test_target_validation(self):
         with pytest.raises(ValueError):
             ImproveTarget()
