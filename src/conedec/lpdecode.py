@@ -11,9 +11,9 @@ tie test is geometric, so it is invariant under coordinate rotations of a
 quasi-cyclic instance.
 
 The inequality system of the relaxed polytope is compiled once per
-(H, row_weight_cap) into integer rows and held in a small bounded cache,
-so repeated decodes on one matrix (a Monte Carlo run, a shift orbit) only
-swap the objective row.
+(H, row_weight_cap) into an unpivoted integer simplex tableau and held in
+a small bounded cache; repeated decodes on one matrix (a Monte Carlo run,
+a shift orbit) share its constraint rows and only swap the objective row.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .gf2 import (
     mat_vec_mod2,
 )
 from .polytope import ROW_WEIGHT_CAP, build_relaxed_polytope
-from .simplex import solve_min
+from .simplex import ExactSimplex
 
 LLR_DENOMINATOR_CAP = 10**6
 
@@ -81,16 +81,18 @@ class DecodeResult:
 
 
 @functools.lru_cache(maxsize=8)
-def _compiled_system(
-    H: BinaryMatrix, row_weight_cap: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Integer rows and bounds of the relaxed polytope of H.
+def _compiled_system(H: BinaryMatrix, row_weight_cap: int) -> ExactSimplex:
+    """The relaxed polytope of H as an unpivoted simplex with a zero
+    objective; each decode starts from it with with_objective, which shares
+    its integer rows.
 
     The row order is exactly that of build_relaxed_polytope: Bland's rule
     follows it, so it fixes the pivot path and the vertex returned in a tie.
     """
     P = build_relaxed_polytope(H, row_weight_cap)
-    return tuple(a for a, _ in P.inequalities), tuple(b for _, b in P.inequalities)
+    return ExactSimplex(
+        [a for a, _ in P.inequalities], [b for _, b in P.inequalities], [0] * H.cols
+    )
 
 
 def lp_decode(
@@ -106,8 +108,7 @@ def lp_decode(
     if len(gamma) != H.cols:
         raise ValueError(f"LLR length {len(gamma)} != cols {H.cols}")
     gr = rationalize_llr(gamma)
-    A, b = _compiled_system(H, row_weight_cap)
-    res = solve_min(A, b, gr)
+    res = _compiled_system(H, row_weight_cap).with_objective(gr).solve()
     y = res.x
     integral = all(v.denominator == 1 for v in y)
     if not res.unique:

@@ -15,6 +15,15 @@ so every comparison stays exact (the division is known to be exact).
 Bland's rule picks both the entering and the leaving variable by variable
 index, which rules out cycling.
 
+A pivot never writes into a row: every row it changes, the pivot row
+included, is replaced by a new list.  So the constraint rows of one
+unpivoted tableau can be shared by many solves, and with_objective starts
+a fresh solve on them that only brings its own objective row.
+
+The tie check (_optimum_is_unique) runs on the degenerate rows only, those
+whose basic variable sits at zero, as an auxiliary LP in which every pivot
+is degenerate.
+
 The starting basis is the slack basis, so b >= 0 is required; every system
 produced in this package satisfies it (the origin is feasible).
 """
@@ -53,25 +62,41 @@ class SimplexResult:
 class ExactSimplex:
     def __init__(self, A: Sequence[Sequence], b: Sequence, c: Sequence):
         self.n = n = len(c)
-        self.m = m = len(A)
+        self.m = len(A)
         # Condensed tableau: one column per nonbasic variable, then the rhs.
         # Last row = objective.  Variables 0..n-1 are structural, n..n+m-1
         # the slacks; the slack basis starts with the structurals nonbasic.
-        self.T: list[list[int]] = []
+        rows = []
         for row, rhs in _scaled_rows(A, b):
             if len(row) != n:
                 raise ValueError("constraint row has wrong length")
             if rhs < 0:
                 raise ValueError("slack basis start requires b >= 0")
             row.append(rhs)
-            self.T.append(row)
+            rows.append(row)
+        self._rows = tuple(rows)
+        self._start(c)
+
+    def _start(self, c: Sequence) -> None:
+        """Objective row c over the unpivoted rows, at the slack basis."""
         [(obj, _)] = _scaled_rows([c], [0])
         obj.append(0)
-        self.T.append(obj)
+        self.T: list[list[int]] = [*self._rows, obj]
         self.c = tuple(Fraction(x) for x in c)
         self.d = 1
-        self.basis = [n + i for i in range(m)]
-        self.nonbasic = list(range(n))
+        self.basis = list(range(self.n, self.n + self.m))
+        self.nonbasic = list(range(self.n))
+
+    def with_objective(self, c: Sequence) -> "ExactSimplex":
+        """A fresh, unpivoted simplex on this one's constraint rows with
+        objective c.  The rows are shared, not copied: no pivot of either
+        instance writes into them."""
+        if len(c) != self.n:
+            raise ValueError("objective has wrong length")
+        sx = object.__new__(ExactSimplex)
+        sx.n, sx.m, sx._rows = self.n, self.m, self._rows
+        sx._start(c)
+        return sx
 
     def _pivot(self, r: int, s: int) -> None:
         """Exchange basis[r] with nonbasic[s] (a fraction-free Jordan step)."""
@@ -94,11 +119,14 @@ class ExactSimplex:
             row[s] = -f
         # The leaving variable's column: d * e_r before the step, so the
         # update above reduces to -T[i][s] off the pivot row and d on it.
+        # The pivot row is replaced, not written into: rows may be shared
+        # with other instances (with_objective).
+        prow = T[r] = prow.copy()
         prow[s] = d
         self.d = piv
         self.basis[r], self.nonbasic[s] = self.nonbasic[s], self.basis[r]
 
-    def _run(self, max_pivots: int, stop_below_zero: bool = False) -> bool:
+    def _run(self, max_pivots: int) -> bool:
         """Bland's-rule pivots until no reduced cost is negative.
 
         The entering variable is the one of smallest variable index with a
@@ -107,16 +135,13 @@ class ExactSimplex:
         ties by the smallest basic variable index.
 
         Returns True at an optimal basis and False on an unbounded improving
-        ray; with stop_below_zero, also False as soon as the objective value
-        drops below zero.
+        ray.
         """
         T = self.T
         m, n = self.m, self.n
         basis, nonbasic = self.basis, self.nonbasic
         for _ in range(max_pivots):
             obj = T[m]
-            if stop_below_zero and obj[-1] > 0:  # obj[-1] is -d * (c . x)
-                return False
             s = -1
             for j in range(n):
                 if obj[j] < 0 and (s < 0 or nonbasic[j] < nonbasic[s]):
@@ -162,9 +187,15 @@ class ExactSimplex:
         At an optimal basis, any feasible point with the optimal objective
         must keep every nonbasic variable with a positive reduced cost at
         zero; dropping those columns leaves the optimal face exactly.  The
-        face contains a second point iff some combination u >= 0 of the
-        remaining nonbasic columns satisfies W u <= rhs with u != 0, which
-        is itself a tiny LP started at u = 0.  This makes the answer a
+        face contains a second point iff some u >= 0, u != 0, over the
+        remaining nonbasic columns satisfies W u <= rhs.  That holds iff
+        some u >= 0, u != 0, satisfies W_D u <= 0, where D is the set of
+        degenerate rows (rhs 0).  A u with W u <= rhs has W_D u <= rhs_D = 0;
+        conversely, for a u with W_D u <= 0, eps * u also keeps every row of
+        rhs > 0 once eps > 0 is small enough.  So the check is an
+        auxiliary LP, min -sum(u) over W_D u <= 0, u >= 0, started at u = 0:
+        every pivot is degenerate, and it ends either optimal at u = 0
+        (unique) or on an unbounded ray (a tie).  This makes the answer a
         property of the geometry, not of the pivot path that got here.
         """
         T = self.T
@@ -176,14 +207,8 @@ class ExactSimplex:
         )
         if not zero_cols:
             return True
-        A = [[T[i][j] for j in zero_cols] for i in range(self.m)]
-        b = [T[i][-1] for i in range(self.m)]
-        # The auxiliary LP starts at u = 0 with objective 0; the face has a
-        # second point iff some pivot drives -sum(u) below zero or along an
-        # unbounded ray.
-        return ExactSimplex(A, b, [-1] * len(zero_cols))._run(
-            MAX_PIVOTS, stop_below_zero=True
-        )
+        A = [[row[j] for j in zero_cols] for row in T[: self.m] if row[-1] == 0]
+        return ExactSimplex(A, [0] * len(A), [-1] * len(zero_cols))._run(MAX_PIVOTS)
 
 
 def solve_min(A: Sequence[Sequence], b: Sequence, c: Sequence) -> SimplexResult:

@@ -1,10 +1,13 @@
 """The full-tableau exact simplex that the condensed ExactSimplex replaced,
-kept as a test oracle, and a recorder of the pivots either one makes.
+kept as a test oracle, the all-rows tie check that the degenerate-row one
+replaced, and a recorder of the pivots either simplex makes.
 
 FullTableauSimplex stores a column for every variable, basic ones included
 (each is d * e_r), and enters the first column with a negative reduced
-cost.  Its pivot path, its results and its tie check are the reference the
-condensed tableau must reproduce exactly.
+cost.  Its main pivot path and its results are the reference the condensed
+tableau must reproduce exactly.  Its tie check runs the auxiliary LP over
+all rows, so it pivots differently from ExactSimplex's but must give the
+same answer.
 """
 
 from __future__ import annotations
@@ -122,6 +125,32 @@ class FullTableauSimplex:
         return FullTableauSimplex(A, b, [-1] * len(zero_cols))._run(
             MAX_PIVOTS, stop_below_zero=True
         )
+
+
+def all_rows_optimum_is_unique(sx: ExactSimplex) -> bool:
+    """ExactSimplex._optimum_is_unique as it was before it kept only the
+    degenerate rows: at the optimal basis of sx, the auxiliary LP
+    min -sum(u) over W u <= rhs, u >= 0 takes every row with its rhs, and
+    the optimum is unique iff that LP's optimal value is 0.  (The original
+    stopped at the first pivot that took the value below 0; the answer is
+    the same.)"""
+    T, m = sx.T, sx.m
+    zero_cols = sorted(
+        (j for j in range(sx.n) if T[m][j] == 0), key=sx.nonbasic.__getitem__
+    )
+    if not zero_cols:
+        return True
+    aux = ExactSimplex(
+        [[T[i][j] for j in zero_cols] for i in range(m)],
+        [T[i][-1] for i in range(m)],
+        [-1] * len(zero_cols),
+    )
+    return aux._run(MAX_PIVOTS) and aux.T[aux.m][-1] == 0
+
+
+def solve_pivots(log):
+    """The entries of a pivot_log outside the tie check."""
+    return [entry for entry in log if entry[0] == "solve"]
 
 
 @contextmanager

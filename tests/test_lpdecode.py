@@ -19,12 +19,17 @@ from conedec import (
     ml_decode,
     shift_equivariance_experiment,
 )
-from conedec.constructions import hamming_matrix, steane_matrix
+from conedec.constructions import hagiwara_css_label_matrix, hamming_matrix, steane_matrix
 from conedec.errors import BoundExceeded
 from conedec.lpdecode import _compiled_system, rationalize_llr
-from conedec.simplex import solve_min
+from conedec.simplex import ExactSimplex, solve_min
 from conftest import random_matrix
-from reference_simplex import FullTableauSimplex, both_pivot_logs
+from reference_simplex import (
+    FullTableauSimplex,
+    all_rows_optimum_is_unique,
+    both_pivot_logs,
+    solve_pivots,
+)
 
 
 def vertex_costs(H, gamma):
@@ -258,14 +263,15 @@ class TestCompiledSystem:
 
     def test_matches_full_tableau_on_seeded_corpus(self, hamming7, hamming7_full):
         # The condensed tableau decodes every error exactly as the full
-        # tableau does, along the same pivots in the solve and the tie check.
+        # tableau does, along the same pivots in the solve.  The tie checks
+        # pivot differently by design and must agree on their answer.
         rng = random.Random(61)
         codes = [(hamming7, 12), (hamming7_full, 12), (steane_matrix(3), 12),
                  (hamming_matrix(4), 4)]
         statuses = set()
         phases = set()
         for H, count in codes:
-            A, b = _compiled_system(H, 20)
+            A, b = zip(*build_relaxed_polytope(H, 20).inequalities)
             for t in range(count):
                 if t % 2:  # Gaussian LLRs: fractional optima are unique there
                     gamma = [rng.gauss(1.0, 1.2) for _ in range(H.cols)]
@@ -280,11 +286,62 @@ class TestCompiledSystem:
                     want = FullTableauSimplex(A, b, rationalize_llr(gamma)).solve()
                 assert (got.optimum, got.objective) == (want.x, want.objective)
                 assert (got.status == "tie") == (not want.unique)
-                assert condensed == full
+                assert solve_pivots(condensed) == solve_pivots(full)
                 statuses.add(got.status)
                 phases.update(phase for phase, _, _ in full)
         assert statuses == {"codeword", "fractional", "tie"}
         assert phases == {"solve", "tie"}
+
+    def test_tie_check_matches_all_rows_check(self, hamming7, hamming7_full):
+        # The degenerate-row tie check against the all-rows check it
+        # replaced, at the optimal basis of each decode.
+        rng = random.Random(62)
+        cases = []
+        for H, count in [(hamming7, 30), (hamming7_full, 30), (steane_matrix(3), 30),
+                         (hamming_matrix(4), 12)]:
+            for t in range(count):
+                if t % 2:
+                    gamma = [rng.gauss(1.0, 1.2) for _ in range(H.cols)]
+                else:
+                    p = rng.choice((0.05, 0.1, 0.2))
+                    e = BinaryVector(H.cols, 0)
+                    while e.weight() == 0:
+                        e = bsc_sample(e, p, rng)
+                    gamma = llr_bsc(e, p)
+                cases.append((H, gamma))
+        G = hagiwara_css_label_matrix()
+        for w in (4, 4, 5, 5, 6, 6):
+            e = BinaryVector(G.cols, sum(1 << i for i in rng.sample(range(G.cols), w)))
+            cases.append((G, llr_bsc(e, 0.03)))
+        statuses = set()
+        for H, gamma in cases:
+            sx = _compiled_system(H, 20).with_objective(rationalize_llr(gamma))
+            res = sx.solve()
+            assert res.unique == all_rows_optimum_is_unique(sx)
+            integral = all(v.denominator == 1 for v in res.x)
+            statuses.add("tie" if not res.unique else "codeword" if integral else "fractional")
+        assert statuses == {"codeword", "fractional", "tie"}
+
+    def test_shared_rows_are_never_changed(self, hamming7):
+        # Every decode pivots a fresh instance over the cached template's
+        # rows; none of its pivots may write into them.  With entries in
+        # {-1, 0, 1}, writing d over a template row's pivot entry writes the
+        # value it holds (both are 1 then), so test_simplex checks that
+        # write on rows with larger entries.
+        rng = random.Random(63)
+        mats, caps = (hamming7, steane_matrix(3)), (4, 20)
+        for t in range(120):
+            H, cap = mats[t % 2], caps[t // 2 % 2]
+            if t % 3:
+                p = rng.choice((0.05, 0.1, 0.2))
+                gamma = llr_bsc(bsc_sample(BinaryVector(H.cols, 0), p, rng), p)
+            else:
+                gamma = [rng.gauss(1.0, 1.2) for _ in range(H.cols)]
+            assert decode_triple(H, gamma, cap) == reference_decode(H, gamma, cap)
+        for H in mats:
+            for cap in caps:
+                A, b = zip(*build_relaxed_polytope(H, cap).inequalities)
+                assert _compiled_system(H, cap).T == ExactSimplex(A, b, [0] * H.cols).T
 
     def test_alternating_matrices_of_one_shape(self):
         H1, H2 = hamming_matrix(3), hamming_matrix(3, cyclic=True)
@@ -371,6 +428,18 @@ class TestShiftEquivariance:
         assert rep.tie_orbits == 1
         assert rep.orbits[0].statuses == ("tie", "tie")
         assert rep.orbits[0].outputs_shift_consistent is None
+
+    def test_tie_status_invariant_on_tying_orbits(self):
+        # The rotation closure of 110000 (the 6-cycle code) ties often at
+        # p = 0.2, unlike the 7x7 Hamming closure, so the orbit check meets
+        # real ties and must find every tying orbit tied all along.
+        r = BinaryVector.from_string("110000")
+        H = BinaryMatrix.from_rows([cyclic_shift(r, i).to_tuple() for i in range(6)])
+        rng = random.Random(7)
+        errors = [bsc_sample(BinaryVector(6, 0), 0.2, rng) for _ in range(200)]
+        rep = shift_equivariance_experiment(H, 1, errors, 0.2)
+        assert rep.ok
+        assert rep.tie_orbits > 0
 
     def test_weight_two_orbits(self, hamming7_full):
         errors = [BinaryVector.from_bits((1, 1, 0, 0, 0, 0, 0)),

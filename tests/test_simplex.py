@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from conedec.errors import NumericalFailure
 from conedec.simplex import ExactSimplex, solve_min
-from reference_simplex import FullTableauSimplex, both_pivot_logs
+from reference_simplex import (
+    FullTableauSimplex,
+    all_rows_optimum_is_unique,
+    both_pivot_logs,
+    solve_pivots,
+)
 
 
 def test_box_corner():
@@ -119,26 +124,58 @@ def varied_lps(draw):
 @settings(max_examples=200, deadline=None)
 @given(varied_lps())
 def test_condensed_tableau_matches_full_tableau(lp):
-    # The condensed tableau must make the same pivots as the full one, in
-    # the main solve and in the tie check's auxiliary LP alike.
+    # The condensed tableau must make the same pivots as the full one in the
+    # main solve.  The tie checks pivot differently by design (degenerate
+    # rows only against all rows); got == want compares their answers.
     A, b, c = lp
     with both_pivot_logs() as (condensed, full):
         got = ExactSimplex(A, b, c).solve()
         want = FullTableauSimplex(A, b, c).solve()
     assert got == want
-    assert condensed == full
+    assert solve_pivots(condensed) == solve_pivots(full)
 
 
 def test_condensed_tableau_covers_both_phases():
-    # An LP that pivots in the tie check too: a 2D box cut by an edge
-    # parallel to the objective.
-    A, b, c = [[1, 1], [1, 0], [0, 1]], [3, 2, 2], [-1, -1]
+    # An LP whose tie check still pivots: the unit cube cut by
+    # -x1 + x2 + x3 <= 1, min x1 - x2 - x3.  The optimum (0, 1, 0) is a
+    # degenerate vertex (x2 <= 1 is tight as well), and the optimal face
+    # also holds (0, 0, 1) and (1, 1, 1).
+    A = [[-1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    b, c = [1, 1, 1, 1], [1, -1, -1]
     with both_pivot_logs() as (condensed, full):
         got = ExactSimplex(A, b, c).solve()
         want = FullTableauSimplex(A, b, c).solve()
     assert got == want and not got.unique
-    assert condensed == full
+    assert got.x == (0, 1, 0)
+    assert solve_pivots(condensed) == solve_pivots(full)
     assert {phase for phase, _, _ in condensed} == {"solve", "tie"}
+
+
+@settings(max_examples=500, deadline=None)
+@given(varied_lps())
+def test_degenerate_row_tie_check_matches_all_rows_check(lp):
+    sx = ExactSimplex(*lp)
+    res = sx.solve()
+    assert res.unique == all_rows_optimum_is_unique(sx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(varied_lps(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_with_objective_never_changes_the_shared_rows(lp, c2):
+    # Every instance that with_objective starts shares the template's
+    # constraint rows, a pivoted instance's too; no pivot may write into
+    # them.  Entries other than 0 and 1 make a pivot's d differ from the
+    # pivot element, so a write would show.
+    A, b, c = lp
+    c2 = c2[: len(c)]
+    template = ExactSimplex(A, b, [0] * len(c))
+    first = template.with_objective(c)
+    assert first.solve() == solve_min(A, b, c)
+    assert first.with_objective(c2).solve() == solve_min(A, b, c2)
+    assert template.with_objective(c2).solve() == solve_min(A, b, c2)
+    assert template.T == ExactSimplex(A, b, [0] * len(c)).T
+    with pytest.raises(ValueError):
+        template.with_objective([*c, 0])
 
 
 def test_condensed_tableau_shape():
