@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -47,12 +47,12 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
 def integerize(row: Sequence) -> tuple[int, ...]:
     """Scale a rational row by a positive factor to a primitive integer row.
 
-    The package's one rule for clearing denominators."""
-    fr = [Fraction(x) for x in row]
-    lcm = 1
-    for x in fr:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    return primitive([int(x * lcm) for x in fr])
+    The package's one rule for clearing denominators.  An int or a
+    Fraction is read as it is; any other entry, a float say, is converted
+    to a Fraction first."""
+    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    den = lcm(*[x.denominator for x in fr])
+    return primitive([x.numerator * (den // x.denominator) for x in fr])
 
 
 def extreme_rays_int(

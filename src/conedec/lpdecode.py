@@ -11,9 +11,10 @@ tie test is geometric, so it is invariant under coordinate rotations of a
 quasi-cyclic instance.
 
 The inequality system of the relaxed polytope is compiled once per
-(H, row_weight_cap) into an unpivoted integer simplex tableau and held in
-a small bounded cache; repeated decodes on one matrix (a Monte Carlo run,
-a shift orbit) share its constraint rows and only swap the objective row.
+(H, row_weight_cap) into an ExactSimplex at its slack basis, whose sparse
+integer rows and column index are held in a small bounded cache; repeated
+decodes on one matrix (a Monte Carlo run, a shift orbit) share them and
+only bring their own objective row.
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ class DecodeResult:
 
 @functools.lru_cache(maxsize=8)
 def _compiled_system(H: BinaryMatrix, row_weight_cap: int) -> ExactSimplex:
-    """The relaxed polytope of H as an unpivoted simplex with a zero
+    """The relaxed polytope of H as a simplex at its slack basis with a zero
     objective; each decode starts from it with with_objective, which shares
-    its integer rows.
+    its sparse integer rows and column index.
 
     The row order is exactly that of build_relaxed_polytope: Bland's rule
     follows it, so it fixes the pivot path and the vertex returned in a tie.

@@ -1,5 +1,6 @@
 """The scan-based double description that the bitset adjacency test
-replaced, kept as a test oracle, and a brute-force basis oracle.
+replaced, kept as a test oracle, a brute-force basis oracle, and the
+Fraction-based integerize.
 
 reference_extreme_rays_int decides each (+, -) pair's adjacency by scanning
 every current ray for one whose tight-row mask contains the pair's common
@@ -11,15 +12,29 @@ structure: every (dim - 1)-subset of rows of rank dim - 1 has a
 one-dimensional kernel, and a kernel direction of either sign that
 satisfies every row is an extreme ray.  It is exponential in the row count
 and meant for dim <= 6.
+
+reference_integerize is dd.integerize as it was before it read int and
+Fraction entries natively: every entry goes through Fraction, and the row
+is scaled by the running lcm of the denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Sequence
 
 from conedec.dd import integerize, primitive
+
+
+def reference_integerize(row: Sequence) -> tuple[int, ...]:
+    """Scale a rational row by a positive factor to a primitive integer row."""
+    fr = [Fraction(x) for x in row]
+    lcm = 1
+    for x in fr:
+        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+    return primitive([int(x * lcm) for x in fr])
 
 
 def reference_extreme_rays_int(

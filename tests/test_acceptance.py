@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import itertools
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -313,6 +314,25 @@ def test_lp_ml_consistency():
                 assert res.as_binary() == ml
         assert integral_hits > 0
         print(f"    [{integral_hits}/1000 integral decodes, all matched ML]")
+
+
+def test_hagiwara_lp_decode_weight_6():
+    G = hagiwara_css_label_matrix()
+    rng = random.Random(2026)
+    errors = [
+        BinaryVector(G.cols, sum(1 << i for i in rng.sample(range(G.cols), 6)))
+        for _ in range(4)
+    ]
+    with criterion("Hagiwara LP decode, weight 6", 4):
+        results = [lp_decode(G, llr_bsc(e, 0.03)) for e in errors]
+    P = build_relaxed_polytope(G)
+    for res in results:
+        assert res.objective <= 0  # the zero codeword is feasible
+        # Exact membership, with the optimum scaled to integers.
+        den = math.lcm(*(x.denominator for x in res.optimum))
+        y = [int(x * den) for x in res.optimum]
+        assert all(sum(map(int.__mul__, a, y)) <= b * den for a, b in P.inequalities)
+    print(f"    [statuses: {', '.join(res.status for res in results)}]")
 
 
 def test_hagiwara_qc_css_build():

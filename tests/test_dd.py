@@ -1,8 +1,10 @@
 """Double description against its oracles: the scan-based adjacency test it
-replaced (exact list equality) and the brute-force basis enumeration."""
+replaced (exact list equality) and the brute-force basis enumeration; and
+integerize against the Fraction-based version it replaced."""
 
 import logging
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from conedec import BinaryMatrix, build_fundamental_cone, build_relaxed_polytope, dd
 from conedec.constructions import hamming_matrix, sc_ldpc
 from conedec.qcimprove import add_qc_shifts
-from reference_dd import basis_extreme_rays, reference_extreme_rays_int
+from reference_dd import basis_extreme_rays, reference_extreme_rays_int, reference_integerize
 
 SC_BLOCKS = ([[1, 1, 0], [0, 1, 1]], [[1, 0, 1], [1, 1, 0]])
 
@@ -124,3 +126,25 @@ def test_debug_line(caplog):
     assert out == len(rays) == 42
     assert peak >= out
     assert tests >= out - dim
+
+
+ENTRIES = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=10**6).filter(lambda q: abs(q) <= 10**6),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(ENTRIES, max_size=12), st.booleans())
+@example([], False)
+@example([0, Fraction(0), 0.0], False)
+@example([Fraction(-1, 3), 2, -0.5], False)
+@example([True, 3], False)
+def test_integerize_matches_fraction_reference(row, zero):
+    # Mixed int, Fraction and float rows, zero rows and negative entries.
+    if zero:
+        row = [0 * x for x in row]
+    got = dd.integerize(row)
+    assert got == reference_integerize(row)
+    assert all(type(x) is int for x in got)

@@ -25,6 +25,7 @@ from conedec.lpdecode import _compiled_system, rationalize_llr
 from conedec.simplex import ExactSimplex, solve_min
 from conftest import random_matrix
 from reference_simplex import (
+    CondensedSimplex,
     FullTableauSimplex,
     all_rows_optimum_is_unique,
     both_pivot_logs,
@@ -262,9 +263,11 @@ class TestCompiledSystem:
         assert statuses == {"codeword", "fractional", "tie"}
 
     def test_matches_full_tableau_on_seeded_corpus(self, hamming7, hamming7_full):
-        # The condensed tableau decodes every error exactly as the full
-        # tableau does, along the same pivots in the solve.  The tie checks
-        # pivot differently by design and must agree on their answer.
+        # The core-row simplex decodes every error exactly as the condensed
+        # tableau does, along the same pivots in the solve and in the tie
+        # check, and as the full tableau does, along the same pivots in the
+        # solve.  The full tableau's tie check pivots differently by design
+        # and must agree on its answer.
         rng = random.Random(61)
         codes = [(hamming7, 12), (hamming7_full, 12), (steane_matrix(3), 12),
                  (hamming_matrix(4), 4)]
@@ -281,20 +284,26 @@ class TestCompiledSystem:
                     while e.weight() < 2:
                         e = bsc_sample(e, p, rng)
                     gamma = llr_bsc(e, p)
-                with both_pivot_logs() as (condensed, full):
+                gr = rationalize_llr(gamma)
+                with both_pivot_logs() as (core, condensed, full):
                     got = lp_decode(H, gamma)
-                    want = FullTableauSimplex(A, b, rationalize_llr(gamma)).solve()
+                    ref = CondensedSimplex(A, b, gr).solve()
+                    want = FullTableauSimplex(A, b, gr).solve()
+                assert ref == want
                 assert (got.optimum, got.objective) == (want.x, want.objective)
                 assert (got.status == "tie") == (not want.unique)
-                assert solve_pivots(condensed) == solve_pivots(full)
+                assert core == condensed
+                assert solve_pivots(core) == solve_pivots(full)
                 statuses.add(got.status)
-                phases.update(phase for phase, _, _ in full)
+                phases.update(phase for phase, _, _ in core)
         assert statuses == {"codeword", "fractional", "tie"}
         assert phases == {"solve", "tie"}
 
     def test_tie_check_matches_all_rows_check(self, hamming7, hamming7_full):
         # The degenerate-row tie check against the all-rows check it
-        # replaced, at the optimal basis of each decode.
+        # replaced, at the optimal basis of each decode: the condensed
+        # oracle solved on the same LP ends at the same basis, and the
+        # all-rows check runs on its tableau.
         rng = random.Random(62)
         cases = []
         for H, count in [(hamming7, 30), (hamming7_full, 30), (steane_matrix(3), 30),
@@ -315,19 +324,23 @@ class TestCompiledSystem:
             cases.append((G, llr_bsc(e, 0.03)))
         statuses = set()
         for H, gamma in cases:
-            sx = _compiled_system(H, 20).with_objective(rationalize_llr(gamma))
+            gr = rationalize_llr(gamma)
+            sx = _compiled_system(H, 20).with_objective(gr)
             res = sx.solve()
-            assert res.unique == all_rows_optimum_is_unique(sx)
+            A, b = zip(*build_relaxed_polytope(H, 20).inequalities)
+            ref = CondensedSimplex(A, b, gr)
+            ref.solve()
+            assert (sx.basis, sx.nonbasic) == (ref.basis, ref.nonbasic)
+            assert res.unique == all_rows_optimum_is_unique(ref)
             integral = all(v.denominator == 1 for v in res.x)
             statuses.add("tie" if not res.unique else "codeword" if integral else "fractional")
         assert statuses == {"codeword", "fractional", "tie"}
 
     def test_shared_rows_are_never_changed(self, hamming7):
         # Every decode pivots a fresh instance over the cached template's
-        # rows; none of its pivots may write into them.  With entries in
-        # {-1, 0, 1}, writing d over a template row's pivot entry writes the
-        # value it holds (both are 1 then), so test_simplex checks that
-        # write on rows with larger entries.
+        # sparse rows and column index; none of its pivots may change them.
+        # test_simplex checks the same on rows with entries other than
+        # -1, 0 and 1.
         rng = random.Random(63)
         mats, caps = (hamming7, steane_matrix(3)), (4, 20)
         for t in range(120):
@@ -341,7 +354,10 @@ class TestCompiledSystem:
         for H in mats:
             for cap in caps:
                 A, b = zip(*build_relaxed_polytope(H, cap).inequalities)
-                assert _compiled_system(H, cap).T == ExactSimplex(A, b, [0] * H.cols).T
+                template, fresh = _compiled_system(H, cap), ExactSimplex(A, b, [0] * H.cols)
+                assert (template._rows, template._b, template._cols) == (
+                    fresh._rows, fresh._b, fresh._cols
+                )
 
     def test_alternating_matrices_of_one_shape(self):
         H1, H2 = hamming_matrix(3), hamming_matrix(3, cyclic=True)

@@ -1,3 +1,4 @@
+import logging
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conedec.errors import NumericalFailure
-from conedec.simplex import ExactSimplex, solve_min
+from conedec.simplex import MAX_PIVOTS, ExactSimplex, solve_min
 from reference_simplex import (
+    CondensedSimplex,
     FullTableauSimplex,
     all_rows_optimum_is_unique,
     both_pivot_logs,
@@ -23,7 +25,7 @@ def test_box_corner():
 
 def test_zero_objective_segment_ties():
     res = solve_min([[1]], [1], [0])
-    assert res.objective == 0
+    assert res.objective == 0 and type(res.objective) is Fraction
     assert not res.unique
 
 
@@ -124,15 +126,19 @@ def varied_lps(draw):
 @settings(max_examples=200, deadline=None)
 @given(varied_lps())
 def test_condensed_tableau_matches_full_tableau(lp):
-    # The condensed tableau must make the same pivots as the full one in the
-    # main solve.  The tie checks pivot differently by design (degenerate
-    # rows only against all rows); got == want compares their answers.
+    # The core-row simplex must make every pivot the condensed tableau
+    # makes, in the tie check too, and the same pivots as the full tableau
+    # in the main solve.  The full tableau's tie check pivots differently
+    # by design (all rows against degenerate rows); got == want compares
+    # their answers.
     A, b, c = lp
-    with both_pivot_logs() as (condensed, full):
+    with both_pivot_logs() as (core, condensed, full):
         got = ExactSimplex(A, b, c).solve()
+        ref = CondensedSimplex(A, b, c).solve()
         want = FullTableauSimplex(A, b, c).solve()
-    assert got == want
-    assert solve_pivots(condensed) == solve_pivots(full)
+    assert got == ref == want
+    assert core == condensed
+    assert solve_pivots(core) == solve_pivots(full)
 
 
 def test_condensed_tableau_covers_both_phases():
@@ -142,30 +148,105 @@ def test_condensed_tableau_covers_both_phases():
     # also holds (0, 0, 1) and (1, 1, 1).
     A = [[-1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
     b, c = [1, 1, 1, 1], [1, -1, -1]
-    with both_pivot_logs() as (condensed, full):
+    with both_pivot_logs() as (core, condensed, full):
         got = ExactSimplex(A, b, c).solve()
+        ref = CondensedSimplex(A, b, c).solve()
         want = FullTableauSimplex(A, b, c).solve()
-    assert got == want and not got.unique
+    assert got == ref == want and not got.unique
     assert got.x == (0, 1, 0)
-    assert solve_pivots(condensed) == solve_pivots(full)
-    assert {phase for phase, _, _ in condensed} == {"solve", "tie"}
+    assert core == condensed
+    assert solve_pivots(core) == solve_pivots(full)
+    assert {phase for phase, _, _ in core} == {"solve", "tie"}
+
+
+def one_pivot(sx):
+    """Run at most one pivot: True at an optimum, False on a ray, None
+    after a pivot."""
+    try:
+        return sx._run(1)
+    except NumericalFailure:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(varied_lps())
+def test_derived_rows_equal_condensed_tableau(lp):
+    # At every basis along the path, each core row and each row derived
+    # for a basic slack is the condensed tableau's row there, exactly, and
+    # so are d and the objective row.
+    sx, ref = ExactSimplex(*lp), CondensedSimplex(*lp)
+    while True:
+        assert (sx.basis, sx.nonbasic, sx.d) == (ref.basis, ref.nonbasic, ref.d)
+        assert sx.obj == ref.T[-1]
+        rhs = sx._slack_rhs()
+        for i, v in enumerate(sx.basis):
+            if v < sx.n:
+                assert sx.core[v] == ref.T[i]
+            else:
+                assert sx._slack_row(v - sx.n) == ref.T[i]
+                assert rhs[v - sx.n] == ref.T[i][-1]
+        assert set(sx.core) == {v for v in sx.basis if v < sx.n}
+        done = one_pivot(sx)
+        assert done == one_pivot(ref)
+        if done is not None:
+            break
+
+
+@settings(max_examples=300, deadline=None)
+@given(varied_lps())
+def test_tie_check_rows_equal_condensed_degenerate_rows(lp):
+    # The auxiliary LP takes the condensed tableau's degenerate rows over
+    # the zero-reduced-cost columns, in row order, as sparse rows.
+    sx, ref = ExactSimplex(*lp), CondensedSimplex(*lp)
+    assert sx._run(MAX_PIVOTS) and ref._run(MAX_PIVOTS)
+    taken = []
+    store = ExactSimplex._store
+
+    def recording_store(self, n, rows, b):
+        taken.append((n, list(rows), list(b)))
+        store(self, n, rows, b)
+
+    ExactSimplex._store = recording_store
+    try:
+        sx._optimum_is_unique()
+    finally:
+        ExactSimplex._store = store
+    T = ref.T
+    zero_cols = sorted(
+        (j for j in range(ref.n) if T[-1][j] == 0), key=ref.nonbasic.__getitem__
+    )
+    if not zero_cols:
+        assert taken == []
+        return
+    want = [[row[j] for j in zero_cols] for row in T[:-1] if row[-1] == 0]
+    sparse = [tuple((t, x) for t, x in enumerate(row) if x) for row in want]
+    assert taken == [(len(zero_cols), sparse, [0] * len(want))]
 
 
 @settings(max_examples=500, deadline=None)
 @given(varied_lps())
 def test_degenerate_row_tie_check_matches_all_rows_check(lp):
-    sx = ExactSimplex(*lp)
+    # The condensed oracle solved on the same LP ends at the same optimal
+    # basis; the all-rows check runs on its tableau.
+    sx, ref = ExactSimplex(*lp), CondensedSimplex(*lp)
     res = sx.solve()
-    assert res.unique == all_rows_optimum_is_unique(sx)
+    ref.solve()
+    assert (sx.basis, sx.nonbasic) == (ref.basis, ref.nonbasic)
+    assert res.unique == all_rows_optimum_is_unique(ref)
+
+
+def stored_rows(sx):
+    """The constraint data an instance shares with with_objective."""
+    return sx._rows, sx._b, sx._cols
 
 
 @settings(max_examples=200, deadline=None)
 @given(varied_lps(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
 def test_with_objective_never_changes_the_shared_rows(lp, c2):
     # Every instance that with_objective starts shares the template's
-    # constraint rows, a pivoted instance's too; no pivot may write into
-    # them.  Entries other than 0 and 1 make a pivot's d differ from the
-    # pivot element, so a write would show.
+    # sparse rows and column index, a pivoted instance's too; no pivot may
+    # change them.  Entries other than 0 and 1 make a pivot's d differ from
+    # the pivot element.
     A, b, c = lp
     c2 = c2[: len(c)]
     template = ExactSimplex(A, b, [0] * len(c))
@@ -173,12 +254,60 @@ def test_with_objective_never_changes_the_shared_rows(lp, c2):
     assert first.solve() == solve_min(A, b, c)
     assert first.with_objective(c2).solve() == solve_min(A, b, c2)
     assert template.with_objective(c2).solve() == solve_min(A, b, c2)
-    assert template.T == ExactSimplex(A, b, [0] * len(c)).T
+    assert all(x is y for x, y in zip(stored_rows(first), stored_rows(template)))
+    assert stored_rows(template) == stored_rows(ExactSimplex(A, b, [0] * len(c)))
     with pytest.raises(ValueError):
         template.with_objective([*c, 0])
 
 
 def test_condensed_tableau_shape():
-    sx = ExactSimplex([[1, 2], [3, 4], [5, 6]], [1, 1, 1], [-1, -1])
-    assert len(sx.T) == 4 and all(len(row) == 3 for row in sx.T)
-    assert sx.basis == [2, 3, 4] and sx.nonbasic == [0, 1]
+    A, b, c = [[1, 2], [3, 4], [5, 6]], [1, 1, 1], [-1, -1]
+    ref = CondensedSimplex(A, b, c)
+    assert len(ref.T) == 4 and all(len(row) == 3 for row in ref.T)
+    sx = ExactSimplex(A, b, c)
+    assert sx.basis == [2, 3, 4] and sx.nonbasic == [0, 1] and sx.core == {}
+    assert sx._rows == (((0, 1), (1, 2)), ((0, 3), (1, 4)), ((0, 5), (1, 6)))
+    assert sx._cols == (((0, 1), (1, 3), (2, 5)), ((0, 2), (1, 4), (2, 6)))
+    # At most n core rows of n + 1 integers, one per basic structural.
+    sx.solve()
+    assert 0 < len(sx.core) <= sx.n
+    assert all(j < sx.n and len(row) == sx.n + 1 for j, row in sx.core.items())
+    assert set(sx.core) == {v for v in sx.basis if v < sx.n}
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [
+        # Tied at a degenerate vertex: the tie check pivots.
+        ([[-1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1, 1], [1, -1, -1]),
+        # Tied on an edge with no degenerate row: the check takes no row.
+        ([[1, 1]], [1], [-1, -1]),
+        # Unique at a degenerate vertex: no reduced cost is zero.
+        ([[1, 0], [0, 1], [1, 1]], [1, 1, 2], [-1, -2]),
+        # Zero objective: every column has a zero reduced cost.
+        ([[2, 1, 0], [0, 1, 3], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [2, 0, 1, 1, 1], [0, 0, 0]),
+    ],
+)
+def test_debug_line_counts_match_pivot_log(lp, caplog):
+    with both_pivot_logs() as (core, _, _):
+        with caplog.at_level(logging.DEBUG, logger="conedec.simplex"):
+            sx = ExactSimplex(*lp)
+            sx.solve()
+    (rec,) = caplog.records
+    assert rec.levelno == logging.DEBUG and rec.name == "conedec.simplex"
+    rows, solve, tie, degenerate, basic = (
+        int(w) for w in rec.getMessage().split() if w.isdigit()
+    )
+    assert rows == len(lp[0])
+    assert solve == len(solve_pivots(core))
+    assert tie == len(core) - solve
+    assert basic == len(sx.core) == sum(v < sx.n for v in sx.basis)
+    # The oracle's tableau at the same basis: the degenerate rows the tie
+    # check took, none when no reduced cost is zero.
+    ref = CondensedSimplex(*lp)
+    ref.solve()
+    T = ref.T
+    if 0 in T[-1][:-1]:
+        assert degenerate == sum(row[-1] == 0 for row in T[:-1])
+    else:
+        assert degenerate == 0
