@@ -187,6 +187,8 @@ def cmd_decode(args) -> int:
         raise ValueError("--format csv is only available for --random without --orbit-n0")
     if args.ml and args.orbit_n0 is not None:
         raise ValueError("--ml is not available with --orbit-n0")
+    if args.random and args.trials < 1:
+        raise ValueError("need at least one trial")
     if args.word is not None:
         w = BinaryVector.from_string(args.word)
         if w.n != H.cols:

@@ -1,5 +1,5 @@
-"""LP decoding over the relaxed polytope, brute-force ML decoding over the
-codeword list, BSC simulation, and the shift-equivariance experiment for
+"""LP decoding over the relaxed polytope, ML decoding on the syndrome
+trellis of H, BSC simulation, and the shift-equivariance experiment for
 quasi-cyclic representations.
 
 LLRs are computed in double precision and rationalized (continued-fraction
@@ -24,14 +24,16 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from . import dd
+from .errors import BoundExceeded
 from .gf2 import (
+    ENUMERATION_CAP,
     BinaryMatrix,
     BinaryVector,
     cyclic_shift,
-    enumerate_codewords,
     is_quasi_cyclic,
     mat_vec_mod2,
 )
@@ -125,30 +127,65 @@ def lp_decode(
 
 def ml_decode(H: BinaryMatrix, gamma: LlrVector) -> BinaryVector:
     """argmin of gamma . c over all codewords; ties break to the
-    lexicographically smallest coordinate tuple."""
-    if len(gamma) != H.cols:
-        raise ValueError(f"LLR length {len(gamma)} != cols {H.cols}")
-    return _ml_argmin(enumerate_codewords(H), gamma)
+    lexicographically smallest coordinate tuple.
 
-
-def _ml_argmin(words: Sequence[BinaryVector], gamma: LlrVector) -> BinaryVector:
-    """ml_decode over a codeword list the caller already holds."""
-    # Scaling every LLR by one positive factor keeps the order of costs
-    # and turns each cost into an int sum over the set bits.
+    Min-sum on the syndrome trellis of H (Wolf, IEEE T-IT 1978), whose state
+    after coordinate i is the syndrome of c_0..c_i.  Only the states that
+    are reachable from 0 and can still reach 0 are kept: that is the
+    minimal BCJR trellis (McEliece, IEEE T-IT 1996), with at most
+    min(2^k, 2^(n-k)) states per level.  Its widths are known before the
+    walk, and one above 2^ENUMERATION_CAP raises BoundExceeded.  Each state
+    keeps its least (cost, prefix) pair, the prefix an int with c_0 as its
+    top bit, so that int order is tuple order on prefixes of one length.
+    """
+    n = H.cols
+    if len(gamma) != n:
+        raise ValueError(f"LLR length {len(gamma)} != cols {n}")
+    # Scaling every LLR by one positive factor keeps the order of costs.
     w = dd.integerize(rationalize_llr(gamma))
-    best = best_cost = best_key = None
-    for c in words:
-        cost = sum(w[i] for i in c.support())
-        if best is None or cost < best_cost:
-            best, best_cost, best_key = c, cost, None
-        elif cost == best_cost:
-            # Most codewords never tie the best, so their tuples are never built.
-            if best_key is None:
-                best_key = best.to_tuple()
-            key = c.to_tuple()
-            if key < best_key:
-                best, best_key = c, key
-    return best
+    last = _last_coordinate_rows(H.row_bits)
+    first = _last_coordinate_rows([_reverse(b, n) for b in H.row_bits])
+    # The state count doubles where the later columns span column i (both
+    # bits stay live) and halves where the earlier ones do (states merge);
+    # first is last with the coordinates reversed.
+    width = max(accumulate((i not in last) - (n - 1 - i not in first) for i in range(n)))
+    if width > ENUMERATION_CAP:
+        raise BoundExceeded(
+            f"ML trellis needs 2^{width} states, above the 2^{ENUMERATION_CAP} cap"
+        )
+    states = {0: (0, 0)}  # syndrome -> (cost, prefix)
+    for h, wi, m in zip(H.transpose().row_bits, w, map(last.get, range(n))):
+        nxt = {}
+        for s, (cost, path) in states.items():
+            # The rows in m sum to a dual word whose last coordinate is i, so
+            # only a syndrome with even parity over m can still reach 0.
+            for b in (0, 1) if m is None else ((s & m).bit_count() & 1,):
+                t, key = s ^ h * b, (cost + wi * b, path << 1 | b)
+                if t not in nxt or key < nxt[t]:
+                    nxt[t] = key
+        states = nxt
+    return BinaryVector(n, _reverse(states[0][1], n))
+
+
+def _last_coordinate_rows(row_bits: Sequence[int]) -> dict[int, int]:
+    """{i: m} for each coordinate i that the columns after it do not span,
+    with m a set of rows (bit j = row j) whose sum has i as its last
+    coordinate."""
+    basis: dict[int, tuple[int, int]] = {}
+    for j, word in enumerate(row_bits):
+        rows = 1 << j
+        while word:
+            top = word.bit_length() - 1
+            if top not in basis:
+                basis[top] = (word, rows)
+                break
+            word ^= basis[top][0]
+            rows ^= basis[top][1]
+    return {top: rows for top, (_, rows) in basis.items()}
+
+
+def _reverse(bits: int, n: int) -> int:
+    return int(format(bits, f"0{n}b")[::-1], 2)
 
 
 def bsc_sample(c: BinaryVector, p: float, seed: int | random.Random) -> BinaryVector:

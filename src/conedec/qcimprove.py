@@ -17,11 +17,10 @@ from .gf2 import (
     BinaryMatrix,
     BinaryVector,
     cyclic_shift,
-    enumerate_codewords,
     enumerate_dual_words,
     row_space_contains,
 )
-from .lpdecode import _ml_argmin, bsc_sample, llr_bsc, lp_decode
+from .lpdecode import bsc_sample, llr_bsc, lp_decode, ml_decode
 from .polytope import ROW_WEIGHT_CAP, VERTEX_DIM_CAP, lp_pseudocodewords
 
 
@@ -98,14 +97,12 @@ def evaluate_lp_performance(
     """LP-decode `trials` BSC(p) corruptions of the zero word.
 
     All error patterns come from one random.Random(seed) stream.  With ml,
-    every "codeword" output is cross-checked against the ML word, over one
-    codeword list enumerated for the whole run.
+    every "codeword" output is cross-checked against ml_decode.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = random.Random(seed)
     zero = BinaryVector(H.cols, 0)
-    words = enumerate_codewords(H) if ml else None
     failures = fractional = ties = mismatches = 0
     for _ in range(trials):
         gamma = llr_bsc(bsc_sample(zero, p, rng), p)
@@ -116,7 +113,7 @@ def evaluate_lp_performance(
             fractional += 1
         elif res.status == "tie":
             ties += 1
-        if ml and res.status == "codeword" and _ml_argmin(words, gamma) != res.as_binary():
+        if ml and res.status == "codeword" and ml_decode(H, gamma) != res.as_binary():
             mismatches += 1
     return PerformanceEstimate(
         p=p, trials=trials, seed=seed, failures=failures,
@@ -178,6 +175,8 @@ def improve_representation(
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    if n0 < 1:
+        raise ValueError("n0 must be >= 1")
 
     def measure(mat: BinaryMatrix):
         if target.max_noncw_vertices is not None:

@@ -335,6 +335,28 @@ def test_hagiwara_lp_decode_weight_6():
     print(f"    [statuses: {', '.join(res.status for res in results)}]")
 
 
+def test_hagiwara_lp_at_most_ml():
+    # k = 46: ML decoding walks the syndrome trellis, which peaks at 2^16
+    # states; the 2^46 codewords are far over the sweep's cap.
+    G = hagiwara_css_label_matrix()
+    rng = random.Random(4646)
+    errors = [
+        BinaryVector(G.cols, sum(1 << i for i in rng.sample(range(G.cols), w)))
+        for w in (3, 5)
+    ]
+    with criterion("Hagiwara LP objective <= ML cost", 10):
+        pairs = [
+            (lp_decode(G, gamma), ml_decode(G, gamma), rationalize_llr(gamma))
+            for gamma in (llr_bsc(e, 0.03) for e in errors)
+        ]
+    for res, ml, gr in pairs:
+        assert not any(mat_vec_mod2(G, ml.to_tuple()))
+        ml_cost = sum(g for g, b in zip(gr, ml) if b)
+        assert res.objective <= ml_cost
+        assert res.status == "codeword"
+        assert res.as_binary() == ml
+
+
 def test_hagiwara_qc_css_build():
     with criterion("Hagiwara-Imai quasi-cyclic CSS build", 60):
         t = HAGIWARA_BLOCK_SIZE

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conedec import parse_alist, parse_dense
+from conedec import BinaryMatrix, parse_alist, parse_dense
 from conedec.cli import main
 from conedec.gf2 import format_dense
 from conedec.constructions import hamming_matrix
@@ -260,6 +260,30 @@ class TestDecode:
         assert code == 2
         assert "n0 must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_orbit_trials_below_one(self, tmp_path, capsys, trials):
+        from conedec import add_qc_shifts
+
+        H = hamming_matrix(3, cyclic=True)
+        p = tmp_path / "h7.txt"
+        p.write_text(format_dense(add_qc_shifts(H, H.row(0), 1)))
+        for orbit in (("--orbit-n0", "1"), ()):
+            code = main(["decode", str(p), "--random", *orbit, "--trials", trials])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert "need at least one trial" in captured.err
+
+    def test_ml_word_above_sweep_cap(self, tmp_path, capsys):
+        # k = 28: the 2^28 codewords are over the 2^24 sweep cap, while the
+        # trellis has at most 2^2 states.  Bits 0 and 1 flipped, both on the
+        # first check only, form a codeword, and it is the ML word.
+        p = tmp_path / "k28.txt"
+        p.write_text(format_dense(BinaryMatrix(2, 30, [0xFF, 0xFF0])))
+        word = "11" + "0" * 28
+        code, out = run(capsys, "decode", p.as_posix(), "--word", word, "--ml")
+        assert code == 0
+        assert json.loads(out)["ml_word"] == word
+
     def test_orbit_n0_needs_random(self, hamming_path, capsys):
         code, _ = run(capsys, "decode", hamming_path, "--word", "0000000", "--orbit-n0", "7")
         assert code == 2
@@ -378,6 +402,15 @@ class TestImprove:
         obj = json.loads(out)
         assert obj["met_target"] is False
         assert len(obj["iterations"]) == 1
+
+    @pytest.mark.parametrize("target", ["1000", "0"])
+    @pytest.mark.parametrize("n0", ["0", "-2"])
+    def test_n0_below_one(self, hamming_path, capsys, target, n0):
+        # With --target-noncw 1000 the target is met at the start.
+        code = main(["improve", hamming_path, "--n0", n0, "--target-noncw", target])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "n0 must be >= 1" in captured.err
 
     def test_deterministic(self, hamming_path, capsys):
         args = (

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from conedec import (
     enumerate_vertices,
     llr_bsc,
     lp_decode,
+    mat_vec_mod2,
     ml_decode,
     shift_equivariance_experiment,
 )
@@ -23,7 +25,6 @@ from conedec.constructions import hagiwara_css_label_matrix, hamming_matrix, ste
 from conedec.errors import BoundExceeded
 from conedec.lpdecode import _compiled_system, rationalize_llr
 from conedec.simplex import ExactSimplex, solve_min
-from conftest import random_matrix
 from reference_simplex import (
     CondensedSimplex,
     FullTableauSimplex,
@@ -136,26 +137,44 @@ class TestMlDecode:
             )
             assert ml_decode(hamming7, gamma).to_tuple() == best[1]
 
-    def test_matches_tuple_key_reference(self, hamming7):
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_tuple_key_reference(self, data):
+        H, gamma = data.draw(codes_with_llrs())
+        assert ml_decode(H, gamma) == reference_ml_decode(H, gamma)
+
+    def test_equal_llrs_on_hamming_codes(self, hamming7):
         # Equal LLRs make many codewords tie on cost (all of them at 0), so
         # the tie-break decides.
-        rng = random.Random(12)
         cases = [(hamming7, [g] * 7) for g in (0.0, 1.0, -1.0, 0.37)]
         cases.append((hamming_matrix(4), [0.0] * 15))
-        for _ in range(60):
-            rows = rng.randint(1, 4)
-            cols = rng.randint(1, 8)
-            H = random_matrix(rng, rows, cols)
-            kind = rng.randrange(3)
-            if kind == 0:
-                gamma = [rng.choice((0.0, -0.5, 0.5))] * cols
-            elif kind == 1:
-                gamma = llr_bsc(BinaryVector(cols, rng.getrandbits(cols)), 0.1)
-            else:
-                gamma = [rng.uniform(-2, 2) for _ in range(cols)]
-            cases.append((H, gamma))
         for H, gamma in cases:
             assert ml_decode(H, gamma) == reference_ml_decode(H, gamma)
+
+    def test_star_repetition_code(self):
+        # Rows x_0 + x_j for j = 1..39: the [40,1] repetition code.  Its
+        # partial syndromes reachable from 0 number 2^39, and so do those
+        # that can reach 0, while the code has two words; only the
+        # trellis pruned from both sides stays small.
+        H = BinaryMatrix(39, 40, [1 | 1 << j for j in range(1, 40)])
+        rng = random.Random(40)
+        cases = [[0.0] * 40, [-1.0] * 40, [rng.uniform(-2, 2) for _ in range(40)]]
+        cases += [llr_bsc(BinaryVector(40, rng.getrandbits(40)), 0.1) for _ in range(3)]
+        for gamma in cases:
+            start = time.perf_counter()
+            got = ml_decode(H, gamma)
+            assert time.perf_counter() - start < 1
+            assert got == reference_ml_decode(H, gamma)
+        assert ml_decode(H, [-1.0] * 40).weight() == 40
+
+    def test_state_cap(self):
+        # The code {(u, u)} with u of length 25: after coordinate 24 every
+        # syndrome is live, 2^25 of them, so ml_decode refuses before it walks.
+        H = BinaryMatrix(25, 50, [1 << j | 1 << (25 + j) for j in range(25)])
+        start = time.perf_counter()
+        with pytest.raises(BoundExceeded):
+            ml_decode(H, [1.0] * 50)
+        assert time.perf_counter() - start < 1
 
     def test_integral_lp_agrees(self, hamming7):
         rng = random.Random(10)
@@ -189,11 +208,34 @@ def small_codes_with_errors(draw):
     return BinaryMatrix(len(rows), n, rows), e, draw(st.sampled_from((0.05, 0.1, 0.2, 0.3)))
 
 
+@st.composite
+def codes_with_llrs(draw):
+    """H with n <= 10 whose rows may be empty, of weight 1 or copies of
+    earlier rows, and LLRs that are all zero, all equal, BSC or uniform."""
+    n = draw(st.integers(1, 10))
+    rows: list[int] = []
+    for _ in range(draw(st.integers(1, 6))):
+        kinds = [st.just(0), st.integers(0, n - 1).map(lambda i: 1 << i),
+                 st.integers(0, (1 << n) - 1)]
+        if rows:
+            kinds.append(st.sampled_from(tuple(rows)))
+        rows.append(draw(st.one_of(kinds)))
+    kind = draw(st.sampled_from(("zero", "equal", "bsc", "uniform")))
+    if kind == "zero":
+        gamma = [0.0] * n
+    elif kind == "equal":
+        gamma = [draw(st.sampled_from((-1.0, -0.5, 0.37, 1.0)))] * n
+    elif kind == "bsc":
+        e = BinaryVector(n, draw(st.integers(0, (1 << n) - 1)))
+        gamma = llr_bsc(e, draw(st.sampled_from((0.05, 0.1, 0.3))))
+    else:
+        gamma = draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))
+    return BinaryMatrix(len(rows), n, rows), gamma
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_codes_with_errors())
 def test_lp_objective_at_most_ml_cost(case):
-    # Every codeword is a point of the relaxed polytope, so the LP optimum
-    # is at most the ML cost; a unique integral optimum is the ML word.
     H, e, p = case
     gamma = llr_bsc(e, p)
     gr = rationalize_llr(gamma)
@@ -202,11 +244,43 @@ def test_lp_objective_at_most_ml_cost(case):
         for x in range(1 << H.cols)
         if not any((r & x).bit_count() % 2 for r in H.row_bits)
     )
+    assert_lp_at_most_ml(H, gamma, ml_cost)
+
+
+def test_lp_objective_at_most_ml_cost_hamming31():
+    # [31,26] has 2^26 codewords, over the sweep's cap.  The Hamming code is
+    # perfect, so for BSC LLRs the ML word is the syndrome decode of the
+    # received word: flip the one bit whose column is the syndrome.
+    H = hamming_matrix(5)
+    columns = H.transpose().row_bits
+    rng = random.Random(31)
+    statuses = set()
+    try:
+        for _ in range(5):
+            e = BinaryVector(31, 0)
+            while e.weight() == 0:
+                e = bsc_sample(e, 0.05, rng)
+            s = mat_vec_mod2(H, e.to_tuple()).bits
+            nearest = e.bits ^ (1 << columns.index(s) if s else 0)
+            gamma = llr_bsc(e, 0.05)
+            assert ml_decode(H, gamma) == BinaryVector(31, nearest)
+            ml_cost = sum(g for i, g in enumerate(rationalize_llr(gamma)) if nearest >> i & 1)
+            statuses.add(assert_lp_at_most_ml(H, gamma, ml_cost))
+    finally:
+        _compiled_system.cache_clear()  # its 163,902 rows hold about 0.45 GB
+    assert statuses == {"codeword", "tie"}
+
+
+def assert_lp_at_most_ml(H, gamma, ml_cost):
+    """Every codeword is a point of the relaxed polytope, so the LP optimum
+    is at most the ML cost; a unique integral optimum is the ML word.
+    Returns the LP status."""
     res = lp_decode(H, gamma)
     assert res.objective <= ml_cost
     if res.status == "codeword":
         assert res.objective == ml_cost
         assert res.as_binary() == ml_decode(H, gamma)
+    return res.status
 
 
 def reference_ml_decode(H, gamma):

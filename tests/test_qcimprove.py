@@ -1,6 +1,6 @@
 import pytest
 
-from conedec import lpdecode, qcimprove
+from conedec import gf2, lpdecode, qcimprove
 from conedec import (
     BinaryMatrix,
     BinaryVector,
@@ -89,19 +89,21 @@ class TestEvaluateLpPerformance:
         assert est.ml_mismatches == 0
         assert evaluate_lp_performance(hamming7, 0.1, 10, seed=3).ml_mismatches is None
 
-    def test_ml_enumerates_codewords_once(self, hamming7, monkeypatch):
+    def test_ml_enumerates_no_codewords(self, hamming7, monkeypatch):
+        # ML decoding walks the syndrome trellis of H; the codeword sweep is
+        # left to the census and the tests.
         calls = []
 
         def counting(H, *args):
             calls.append(H)
             return enumerate_codewords(H, *args)
 
-        for mod in (qcimprove, lpdecode):
+        for mod in (gf2, qcimprove, lpdecode):
             monkeypatch.setattr(mod, "enumerate_codewords", counting, raising=False)
         est = evaluate_lp_performance(hamming7, 0.1, 30, seed=3, ml=True)
         assert est.trials - est.failures > 1  # several "codeword" trials
         assert est.ml_mismatches == 0
-        assert len(calls) == 1
+        assert calls == []
 
 
 class TestImproveRepresentation:
@@ -173,6 +175,14 @@ class TestImproveRepresentation:
         assert not report.met_target
         assert len(report.iterations) == 1
         assert report.final_matrix.rows == 7
+
+    @pytest.mark.parametrize("n0", [0, -2])
+    def test_n0_below_one(self, hamming7, n0):
+        # The check comes first: a target met at the start must not let an
+        # invalid n0 through.
+        for noncw in (1000, 0):
+            with pytest.raises(ValueError, match="n0 must be >= 1"):
+                improve_representation(hamming7, n0, ImproveTarget(noncw), budget=3)
 
     def test_target_validation(self):
         with pytest.raises(ValueError):
