@@ -4,24 +4,34 @@ quasi-cyclic representations.
 
 LLRs are computed in double precision and rationalized (continued-fraction
 approximation, denominator cap 10^6) before entering the exact simplex, so
-the optimizer itself never sees a float.  A decode reports status
-"codeword" / "fractional" when the optimum is the unique vertex of the
-optimal face, and "tie" when that face contains more than one vertex; the
-tie test is geometric, so it is invariant under coordinate rotations of a
-quasi-cyclic instance.
+the optimizer itself never sees a float.  Each distinct value is
+approximated once per process (a bounded cache), since BSC LLRs repeat.  A
+decode reports status "codeword" / "fractional" when the optimum is the
+unique vertex of the optimal face, and "tie" when that face contains more
+than one vertex; the tie test is geometric, so it is invariant under
+coordinate rotations of a quasi-cyclic instance.
 
 The inequality system of the relaxed polytope is compiled once per
 (H, row_weight_cap) into an ExactSimplex at its slack basis, whose sparse
-integer rows and column index are held in a small bounded cache; repeated
-decodes on one matrix (a Monte Carlo run, a shift orbit) share them and
-only bring their own objective row.
+integer rows and column index are held in a cache bounded by the total
+number of rows it stores; repeated decodes on one matrix (a Monte Carlo
+run, a shift orbit) share them and only bring their own objective row.
+
+Hard-decision certificate (Feldman, Wainwright & Karger, IEEE T-IT 2005):
+when no rationalized LLR is 0 and the hard decision y (y_i = 1 iff
+gamma_i < 0) is a codeword, both decoders return y without an LP or a
+trellis walk.  On [0, 1]^n, gamma . x >= sum of the negative gamma_i, with
+equality only at x = y, so y is the unique LP optimum and the unique ML
+word.  The size caps are checked first, so they raise as before.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import math
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -42,6 +52,14 @@ from .simplex import ExactSimplex
 
 LLR_DENOMINATOR_CAP = 10**6
 
+# Constraint rows kept across the cached compiled systems; the newest one is
+# kept whatever its size.  The 163,902 rows of [31,26] hold about 0.45 GB,
+# so 2^14 such rows hold some 45 MB; 3x7, 7x7, Steane, [15,11] and Hagiwara
+# together take 2238 rows.
+COMPILED_ROWS_CAP = 1 << 14
+
+logger = logging.getLogger(__name__)
+
 LlrVector = Sequence[float]
 
 
@@ -58,9 +76,33 @@ def llr_bsc(w: BinaryVector, p: float) -> list[float]:
 
 
 def rationalize_llr(gamma: LlrVector) -> tuple[Fraction, ...]:
-    # BSC LLRs take two values, so approximate each distinct value once.
-    exact = {x: Fraction(x).limit_denominator(LLR_DENOMINATOR_CAP) for x in set(gamma)}
-    return tuple(exact[x] for x in gamma)
+    return tuple(map(_rational, gamma))
+
+
+@functools.lru_cache(maxsize=4096)
+def _rational(x) -> Fraction:
+    # Equal numbers of any type (1, 1.0, Fraction(1)) share a key and have
+    # the same approximation; NaN and inf raise and are not cached.
+    return Fraction(x).limit_denominator(LLR_DENOMINATOR_CAP)
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _certified_codeword(H: BinaryMatrix, gr: Sequence[Fraction]) -> int | None:
+    """The hard decision y of gr (bit i = 1 iff gr_i < 0) when no gr_i is 0
+    and y is a codeword; y is then the unique minimizer of gr . x over
+    [0, 1]^n and so over the relaxed polytope and the code.  Else None."""
+    y = 0
+    for i, g in enumerate(gr):
+        a = g.numerator  # the sign without a Fraction comparison
+        if a < 0:
+            y |= 1 << i
+        elif not a:
+            return None
+    if y and any((r & y).bit_count() & 1 for r in H.row_bits):
+        return None
+    return y
 
 
 @dataclass(frozen=True)
@@ -83,7 +125,9 @@ class DecodeResult:
         return BinaryVector.from_bits(int(x) for x in self.optimum)
 
 
-@functools.lru_cache(maxsize=8)
+_compiled: OrderedDict[tuple[BinaryMatrix, int], ExactSimplex] = OrderedDict()
+
+
 def _compiled_system(H: BinaryMatrix, row_weight_cap: int) -> ExactSimplex:
     """The relaxed polytope of H as a simplex at its slack basis with a zero
     objective; each decode starts from it with with_objective, which shares
@@ -91,11 +135,21 @@ def _compiled_system(H: BinaryMatrix, row_weight_cap: int) -> ExactSimplex:
 
     The row order is exactly that of build_relaxed_polytope: Bland's rule
     follows it, so it fixes the pivot path and the vertex returned in a tie.
+    Systems are cached least recently used first out, until the rows of the
+    rest fit in COMPILED_ROWS_CAP.
     """
+    key = (H, row_weight_cap)
+    if key in _compiled:
+        _compiled.move_to_end(key)
+        return _compiled[key]
     P = build_relaxed_polytope(H, row_weight_cap)
-    return ExactSimplex(
+    sx = _compiled[key] = ExactSimplex(
         [a for a, _ in P.inequalities], [b for _, b in P.inequalities], [0] * H.cols
     )
+    rows = sum(s.m for s in _compiled.values())
+    while rows > COMPILED_ROWS_CAP and len(_compiled) > 1:
+        rows -= _compiled.popitem(last=False)[1].m
+    return sx
 
 
 def lp_decode(
@@ -106,12 +160,24 @@ def lp_decode(
     The returned point is always a vertex (a basic solution of the
     inequality system).  status is "tie" whenever the optimal face has more
     than one vertex; otherwise "codeword" for an integral parity-valid
-    optimum and "fractional" for the rest.
+    optimum and "fractional" for the rest.  A certified hard decision (see
+    the module docstring) is returned without solving.
     """
     if len(gamma) != H.cols:
         raise ValueError(f"LLR length {len(gamma)} != cols {H.cols}")
     gr = rationalize_llr(gamma)
-    res = _compiled_system(H, row_weight_cap).with_objective(gr).solve()
+    system = _compiled_system(H, row_weight_cap)  # raises over the cap, certified or not
+    hard = _certified_codeword(H, gr)
+    if hard is not None:
+        logger.debug("lp_decode: hard decision of weight %d is a codeword, no LP", hard.bit_count())
+        bits = range(H.cols)
+        return DecodeResult(
+            optimum=tuple([_ONE if hard >> i & 1 else _ZERO for i in bits]),
+            objective=sum([gr[i] for i in bits if hard >> i & 1], _ZERO),
+            integral=True,
+            status="codeword",
+        )
+    res = system.with_objective(gr).solve()
     y = res.x
     integral = all(v.denominator == 1 for v in y)
     if not res.unique:
@@ -137,12 +203,13 @@ def ml_decode(H: BinaryMatrix, gamma: LlrVector) -> BinaryVector:
     walk, and one above 2^ENUMERATION_CAP raises BoundExceeded.  Each state
     keeps its least (cost, prefix) pair, the prefix an int with c_0 as its
     top bit, so that int order is tuple order on prefixes of one length.
+    A certified hard decision (see the module docstring) is returned
+    without the walk.
     """
     n = H.cols
     if len(gamma) != n:
         raise ValueError(f"LLR length {len(gamma)} != cols {n}")
-    # Scaling every LLR by one positive factor keeps the order of costs.
-    w = dd.integerize(rationalize_llr(gamma))
+    gr = rationalize_llr(gamma)
     last = _last_coordinate_rows(H.row_bits)
     first = _last_coordinate_rows([_reverse(b, n) for b in H.row_bits])
     # The state count doubles where the later columns span column i (both
@@ -153,6 +220,13 @@ def ml_decode(H: BinaryMatrix, gamma: LlrVector) -> BinaryVector:
         raise BoundExceeded(
             f"ML trellis needs 2^{width} states, above the 2^{ENUMERATION_CAP} cap"
         )
+    # After the width check, so the cap holds for certified words too.
+    hard = _certified_codeword(H, gr)
+    if hard is not None:
+        logger.debug("ml_decode: hard decision of weight %d is a codeword, no trellis", hard.bit_count())
+        return BinaryVector(n, hard)
+    # Scaling every LLR by one positive factor keeps the order of costs.
+    w = dd.integerize(gr)
     states = {0: (0, 0)}  # syndrome -> (cost, prefix)
     for h, wi, m in zip(H.transpose().row_bits, w, map(last.get, range(n))):
         nxt = {}

@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 import time
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conedec import (
     BinaryMatrix,
     BinaryVector,
+    DecodeResult,
     bsc_sample,
     build_relaxed_polytope,
     cyclic_shift,
@@ -21,6 +23,7 @@ from conedec import (
     ml_decode,
     shift_equivariance_experiment,
 )
+from conedec import lpdecode
 from conedec.constructions import hagiwara_css_label_matrix, hamming_matrix, steane_matrix
 from conedec.errors import BoundExceeded
 from conedec.lpdecode import _compiled_system, rationalize_llr
@@ -61,6 +64,31 @@ class TestLlrBsc:
         for p in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 llr_bsc(w, p)
+
+
+def reference_rationalize_llr(gamma):
+    """Rationalization with a per-call dict of the distinct values."""
+    exact = {x: Fraction(x).limit_denominator(10**6) for x in set(gamma)}
+    return tuple(exact[x] for x in gamma)
+
+
+class TestRationalizeLlr:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.integers(-10**12, 10**12),
+        st.fractions(), st.sampled_from((0.0, -0.0, 1, 1.0, Fraction(1), 1e-7, -1e-7)),
+    ), max_size=12))
+    def test_matches_per_call_dict(self, gamma):
+        got = rationalize_llr(gamma)
+        assert got == reference_rationalize_llr(gamma)
+        assert all(type(g) is Fraction for g in got)
+
+    def test_nan_and_inf_raise_every_time(self):
+        for bad, exc in ((math.nan, ValueError), (math.inf, OverflowError),
+                         (-math.inf, OverflowError)):
+            for _ in range(2):
+                with pytest.raises(exc):
+                    rationalize_llr([1.0, bad])
 
 
 class TestLpDecode:
@@ -209,10 +237,12 @@ def small_codes_with_errors(draw):
 
 
 @st.composite
-def codes_with_llrs(draw):
-    """H with n <= 10 whose rows may be empty, of weight 1 or copies of
-    earlier rows, and LLRs that are all zero, all equal, BSC or uniform."""
-    n = draw(st.integers(1, 10))
+def codes_with_llrs(draw, max_n=10):
+    """H with n <= max_n whose rows may be empty, of weight 1 or copies of
+    earlier rows, and LLRs that are all zero, all equal, BSC or uniform;
+    Gaussian with the signs of a codeword, nonzero where the code has one;
+    or BSC with some entries 0 or small enough to rationalize to 0."""
+    n = draw(st.integers(1, max_n))
     rows: list[int] = []
     for _ in range(draw(st.integers(1, 6))):
         kinds = [st.just(0), st.integers(0, n - 1).map(lambda i: 1 << i),
@@ -220,17 +250,26 @@ def codes_with_llrs(draw):
         if rows:
             kinds.append(st.sampled_from(tuple(rows)))
         rows.append(draw(st.one_of(kinds)))
-    kind = draw(st.sampled_from(("zero", "equal", "bsc", "uniform")))
+    H = BinaryMatrix(len(rows), n, rows)
+    kind = draw(st.sampled_from(("zero", "equal", "bsc", "uniform", "codeword", "near-zero")))
     if kind == "zero":
         gamma = [0.0] * n
     elif kind == "equal":
         gamma = [draw(st.sampled_from((-1.0, -0.5, 0.37, 1.0)))] * n
-    elif kind == "bsc":
+    elif kind in ("bsc", "near-zero"):
         e = BinaryVector(n, draw(st.integers(0, (1 << n) - 1)))
         gamma = llr_bsc(e, draw(st.sampled_from((0.05, 0.1, 0.3))))
-    else:
+        if kind == "near-zero":
+            for i in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+                gamma[i] = draw(st.sampled_from((0.0, -0.0, 1e-7, -4e-7)))
+    elif kind == "uniform":
         gamma = draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))
-    return BinaryMatrix(len(rows), n, rows), gamma
+    else:
+        words = [c.bits for c in enumerate_codewords(H)]
+        c = draw(st.sampled_from([w for w in words if w] or words))
+        rng = draw(st.randoms())
+        gamma = [abs(rng.gauss(1.0, 1.2)) * (-1 if c >> i & 1 else 1) for i in range(n)]
+    return H, gamma
 
 
 @settings(max_examples=150, deadline=None)
@@ -267,7 +306,7 @@ def test_lp_objective_at_most_ml_cost_hamming31():
             ml_cost = sum(g for i, g in enumerate(rationalize_llr(gamma)) if nearest >> i & 1)
             statuses.add(assert_lp_at_most_ml(H, gamma, ml_cost))
     finally:
-        _compiled_system.cache_clear()  # its 163,902 rows hold about 0.45 GB
+        lpdecode._compiled.clear()  # its 163,902 rows hold about 0.45 GB
     assert statuses == {"codeword", "tie"}
 
 
@@ -294,6 +333,15 @@ def reference_ml_decode(H, gamma):
         if best_key is None or key < best_key:
             best, best_key = c, key
     return best
+
+
+def reference_lp_decode(H, gamma, row_weight_cap=20):
+    """lp_decode without the hard-decision certificate: every decode solves
+    the compiled LP."""
+    res = _compiled_system(H, row_weight_cap).with_objective(rationalize_llr(gamma)).solve()
+    integral = all(v.denominator == 1 for v in res.x)
+    status = "tie" if not res.unique else "codeword" if integral else "fractional"
+    return DecodeResult(optimum=res.x, objective=res.objective, integral=integral, status=status)
 
 
 def reference_decode(H, gamma, row_weight_cap=20):
@@ -359,11 +407,14 @@ class TestCompiledSystem:
                         e = bsc_sample(e, p, rng)
                     gamma = llr_bsc(e, p)
                 gr = rationalize_llr(gamma)
+                # The compiled LP is solved directly: lp_decode skips it on a
+                # certified hard decision.
                 with both_pivot_logs() as (core, condensed, full):
-                    got = lp_decode(H, gamma)
+                    res = _compiled_system(H, 20).with_objective(gr).solve()
                     ref = CondensedSimplex(A, b, gr).solve()
                     want = FullTableauSimplex(A, b, gr).solve()
-                assert ref == want
+                got = lp_decode(H, gamma)
+                assert res == ref == want
                 assert (got.optimum, got.objective) == (want.x, want.objective)
                 assert (got.status == "tie") == (not want.unique)
                 assert core == condensed
@@ -452,6 +503,54 @@ class TestCompiledSystem:
         with pytest.raises(BoundExceeded):
             lp_decode(hamming7, gamma, row_weight_cap=3)
         assert lp_decode(hamming7, gamma, row_weight_cap=4).status == "codeword"
+
+    def test_cache_bounded_by_rows(self, monkeypatch, hamming7, hamming7_full):
+        steane = steane_matrix(3)
+        rows = {H: len(build_relaxed_polytope(H, 20).inequalities)
+                for H in (hamming7, hamming7_full, steane)}
+        lpdecode._compiled.clear()
+        monkeypatch.setattr(lpdecode, "COMPILED_ROWS_CAP", rows[hamming7] + rows[steane])
+        a, b = _compiled_system(hamming7, 20), _compiled_system(hamming7_full, 20)
+        assert _compiled_system(hamming7, 20) is a  # 7x7 is now least recently used
+        c = _compiled_system(steane, 20)  # over the cap: 7x7 goes, 3x7 stays
+        assert _compiled_system(hamming7, 20) is a
+        assert _compiled_system(steane, 20) is c
+        assert _compiled_system(hamming7_full, 20) is not b
+        assert list(lpdecode._compiled) == [(hamming7_full, 20)]
+        # A system above the cap on its own is still kept while it is newest.
+        monkeypatch.setattr(lpdecode, "COMPILED_ROWS_CAP", 1)
+        d = _compiled_system(hamming7, 4)
+        assert _compiled_system(hamming7, 4) is d
+        assert list(lpdecode._compiled) == [(hamming7, 4)]
+
+
+class TestHardDecisionCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(codes_with_llrs(max_n=8))
+    def test_lp_matches_reference(self, case):
+        H, gamma = case
+        assert lp_decode(H, gamma) == reference_lp_decode(H, gamma)
+
+    def test_caps_checked_first(self):
+        # All-positive LLRs, so the hard decision 0 is a codeword, on a
+        # matrix with a row of weight 21 (above the LP's default cap) whose
+        # trellis needs 2^25 states: both decoders still refuse.
+        H = BinaryMatrix(27, 52, [1 << j | 1 << (26 + j) for j in range(26)] + [(1 << 21) - 1])
+        with pytest.raises(BoundExceeded):
+            lp_decode(H, [1.0] * 52)
+        with pytest.raises(BoundExceeded):
+            ml_decode(H, [1.0] * 52)
+
+    def test_debug_line_only_when_certified(self, caplog, hamming7):
+        for e, lines in ((0, ["lp_decode", "ml_decode"]), (1, [])):
+            gamma = llr_bsc(BinaryVector(7, e), 0.05)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="conedec.lpdecode"):
+                lp_decode(hamming7, gamma)
+                ml_decode(hamming7, gamma)
+            recs = [r for r in caplog.records if r.name == "conedec.lpdecode"]
+            assert [r.getMessage().split(":")[0] for r in recs] == lines
+            assert all(r.levelno == logging.DEBUG for r in recs)
 
 
 class TestBscSample:
