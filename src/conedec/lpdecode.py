@@ -11,11 +11,12 @@ unique vertex of the optimal face, and "tie" when that face contains more
 than one vertex; the tie test is geometric, so it is invariant under
 coordinate rotations of a quasi-cyclic instance.
 
-The inequality system of the relaxed polytope is compiled once per
-(H, row_weight_cap) into an ExactSimplex at its slack basis, whose sparse
-integer rows and column index are held in a cache bounded by the total
-number of rows it stores; repeated decodes on one matrix (a Monte Carlo
-run, a shift orbit) share them and only bring their own objective row.
+The relaxed polytope's rows are compiled once per (H, row_weight_cap),
+straight from H's sparse odd-set rows (polytope.relaxed_rows) with no dense
+system, into an ExactSimplex at its slack basis.  Its sparse integer rows
+and column index are held in a cache bounded by the total number of rows
+it stores; repeated decodes on one matrix (a Monte Carlo run, a shift
+orbit) share them and only bring their own objective row.
 
 Hard-decision certificate (Feldman, Wainwright & Karger, IEEE T-IT 2005):
 when no rationalized LLR is 0 and the hard decision y (y_i = 1 iff
@@ -47,15 +48,15 @@ from .gf2 import (
     is_quasi_cyclic,
     mat_vec_mod2,
 )
-from .polytope import ROW_WEIGHT_CAP, build_relaxed_polytope
+from .polytope import ROW_WEIGHT_CAP, relaxed_rows
 from .simplex import ExactSimplex
 
 LLR_DENOMINATOR_CAP = 10**6
 
 # Constraint rows kept across the cached compiled systems; the newest one is
-# kept whatever its size.  The 163,902 rows of [31,26] hold about 0.45 GB,
-# so 2^14 such rows hold some 45 MB; 3x7, 7x7, Steane, [15,11] and Hagiwara
-# together take 2238 rows.
+# kept whatever its size.  The 163,902 rows of [31,26] (weight 16) hold
+# about 205 MB (tracemalloc, CPython 3.11), so 2^14 such rows hold some
+# 20 MB; 3x7, 7x7, Steane, [15,11] and Hagiwara together take 2238 rows.
 COMPILED_ROWS_CAP = 1 << 14
 
 logger = logging.getLogger(__name__)
@@ -133,8 +134,8 @@ def _compiled_system(H: BinaryMatrix, row_weight_cap: int) -> ExactSimplex:
     objective; each decode starts from it with with_objective, which shares
     its sparse integer rows and column index.
 
-    The row order is exactly that of build_relaxed_polytope: Bland's rule
-    follows it, so it fixes the pivot path and the vertex returned in a tie.
+    The rows are relaxed_rows(H), in its order: Bland's rule follows it, so
+    it fixes the pivot path and the vertex returned in a tie.
     Systems are cached least recently used first out, until the rows of the
     rest fit in COMPILED_ROWS_CAP.
     """
@@ -142,10 +143,8 @@ def _compiled_system(H: BinaryMatrix, row_weight_cap: int) -> ExactSimplex:
     if key in _compiled:
         _compiled.move_to_end(key)
         return _compiled[key]
-    P = build_relaxed_polytope(H, row_weight_cap)
-    sx = _compiled[key] = ExactSimplex(
-        [a for a, _ in P.inequalities], [b for _, b in P.inequalities], [0] * H.cols
-    )
+    A, b = zip(*relaxed_rows(H, row_weight_cap))
+    sx = _compiled[key] = ExactSimplex(H.cols, A, b, [0] * H.cols)
     rows = sum(s.m for s in _compiled.values())
     while rows > COMPILED_ROWS_CAP and len(_compiled) > 1:
         rows -= _compiled.popitem(last=False)[1].m

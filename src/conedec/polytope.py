@@ -6,9 +6,12 @@ subset S of Supp(h),
 
     sum_{i in S} x_i  -  sum_{i in Supp(h) \\ S} x_i  <=  |S| - 1,
 
-intersected with the box [0,1]^n.  Vertices are enumerated exactly by
-running double description on the homogenization (x, t), t >= 0, and
-scaling the resulting rays to t = 1.
+intersected with the box [0,1]^n.  relaxed_rows generates these rows
+from H in sparse form; the decode LP is compiled from them directly, and
+build_relaxed_polytope makes them dense only for double description,
+membership and JSON.  Vertices are enumerated exactly by running double
+description on the homogenization (x, t), t >= 0, and scaling the
+resulting rays to t = 1.
 """
 
 from __future__ import annotations
@@ -71,39 +74,62 @@ class VertexSet:
         return len(self.vertices)
 
 
+def relaxed_rows(H: BinaryMatrix, row_weight_cap: int = ROW_WEIGHT_CAP):
+    """The rows of the relaxed polytope, sparse: (pairs, bound) with pairs
+    the (i, a_i) of the nonzero a_i, in column order.
+
+    The box rows -x_i <= 0 and x_i <= 1 come first, then each check's odd
+    sets by size, in combinations order; Bland's rule follows this order.
+    Every row is primitive (entries -1 and 1 on its support) and none
+    repeats.  A check above row_weight_cap raises BoundExceeded before the
+    first row.
+    """
+    for j, bits in enumerate(H.row_bits):
+        if bits.bit_count() > row_weight_cap:
+            raise BoundExceeded(
+                f"row {j} has weight {bits.bit_count()}, above the expansion cap {row_weight_cap}"
+            )
+    minus = [(i, -1) for i in range(H.cols)]
+    plus = [(i, 1) for i in range(H.cols)]
+    for i in range(H.cols):
+        yield (minus[i],), 0
+        yield (plus[i],), 1
+    # A row's pairs cover its check's support, so the rows of distinct
+    # supports differ and a repeated check's rows are exactly the duplicates.
+    for bits in dict.fromkeys(H.row_bits):
+        sup = [i for i in range(H.cols) if bits >> i & 1]
+        base = [minus[i] for i in sup]
+        for size in range(1, len(sup) + 1, 2):
+            for S in combinations(range(len(sup)), size):
+                pairs = base.copy()
+                for t in S:
+                    pairs[t] = plus[sup[t]]
+                yield tuple(pairs), size - 1
+
+
 def build_relaxed_polytope(
     H: BinaryMatrix, row_weight_cap: int = ROW_WEIGHT_CAP
 ) -> PolytopeSystem:
-    # Every row has coefficients in {-1, 0, 1}, one of them nonzero, and an
-    # integer bound: it is already primitive, so only duplicates are dropped.
+    """relaxed_rows made dense, for double description, membership and JSON."""
     n = H.cols
-    rows: list[tuple[tuple[int, ...], int]] = []
-    for i in range(n):
-        rows.append((tuple(-1 if t == i else 0 for t in range(n)), 0))
-        rows.append((tuple(1 if t == i else 0 for t in range(n)), 1))
-    for j in range(H.rows):
-        sup = H.row_support(j)
-        if len(sup) > row_weight_cap:
-            raise BoundExceeded(
-                f"row {j} has weight {len(sup)}, above the expansion cap {row_weight_cap}"
-            )
-        base = [0] * n
-        for i in sup:
-            base[i] = -1
-        for size in range(1, len(sup) + 1, 2):
-            for S in combinations(sup, size):
-                a = base.copy()
-                for i in S:
-                    a[i] = 1
-                rows.append((tuple(a), size - 1))
-    return PolytopeSystem(n, tuple(dict.fromkeys(rows)))
+    rows = []
+    for pairs, bound in relaxed_rows(H, row_weight_cap):
+        a = [0] * n
+        for i, x in pairs:
+            a[i] = x
+        rows.append((tuple(a), bound))
+    return PolytopeSystem(n, tuple(rows))
+
+
+def _check_vertex_dim(n: int, max_dim: int) -> None:
+    if n > max_dim:
+        raise BoundExceeded(f"dimension {n} exceeds vertex enumeration cap {max_dim}")
 
 
 def enumerate_vertices(P: PolytopeSystem, max_dim: int = VERTEX_DIM_CAP) -> VertexSet:
     """Complete vertex set via double description on the homogenization."""
     n = P.dim
-    if n > max_dim:
-        raise BoundExceeded(f"dimension {n} exceeds vertex enumeration cap {max_dim}")
+    _check_vertex_dim(n, max_dim)
     # Homogenize: a . x <= b becomes b t - a . x >= 0 on (x, t) with t >= 0.
     # The lower box rows -x_i <= 0 turn into the unit rows the double
     # description seed needs; extreme_rays_int raises ValueError without them.
@@ -141,6 +167,7 @@ def lp_pseudocodewords(
     max_dim: int = VERTEX_DIM_CAP,
     row_weight_cap: int = ROW_WEIGHT_CAP,
 ) -> PseudocodewordCensus:
+    _check_vertex_dim(H.cols, max_dim)  # before the rows are built
     vs = enumerate_vertices(build_relaxed_polytope(H, row_weight_cap), max_dim)
     cw, non = [], []
     for v in vs.vertices:

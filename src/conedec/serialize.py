@@ -23,16 +23,12 @@ def frac_str(x) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def vec_strs(v: Sequence) -> list[str]:
     return [frac_str(x) for x in v]
 
 
 def parse_vec(ss: Sequence[str]) -> tuple[Fraction, ...]:
-    return tuple(parse_frac(s) for s in ss)
+    return tuple(map(Fraction, ss))
 
 
 def cone_to_obj(K: ConeSystem) -> dict:
@@ -66,9 +62,7 @@ def rays_to_obj(R: RayList) -> dict:
 def rays_from_obj(obj: dict) -> RayList:
     if obj.get("type") != "rays":
         raise ValueError("not a ray list object")
-    rays = tuple(
-        tuple(int(parse_frac(s)) for s in r) for r in obj["rays"]
-    )
+    rays = tuple(tuple(int(Fraction(s)) for s in r) for r in obj["rays"])
     return RayList(obj["dim"], rays)
 
 
@@ -90,7 +84,7 @@ def polytope_from_obj(obj: dict) -> PolytopeSystem:
     return PolytopeSystem.from_rows(
         obj["dim"],
         [
-            (parse_vec(row["coeffs"]), parse_frac(row["bound"]))
+            (parse_vec(row["coeffs"]), Fraction(row["bound"]))
             for row in obj["inequalities"]
         ],
     )

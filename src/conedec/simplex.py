@@ -5,7 +5,9 @@ pivoting.  Variables 0..n-1 are structural and n..n+m-1 the slacks.
 Bland's rule picks both the entering and the leaving variable by variable
 index, which rules out cycling.  The starting basis is the slack basis, so
 b >= 0 is required; every system produced in this package satisfies it
-(the origin is feasible).
+(the origin is feasible).  The constructor takes the constraint rows
+sparse and integer, as the decode LP compiles them from H; dense rational
+rows enter through ExactSimplex.dense.
 
 The tableau is the condensed one: T = d * R over the nonbasic columns and
 the rhs, where R is the usual rational tableau and d > 0 is the previous
@@ -79,12 +81,9 @@ MAX_PIVOTS = 100000
 
 
 def _scaled_rows(A: Sequence[Sequence], b: Sequence):
-    """(integer row, integer bound) pairs.  A rational row and its bound are
-    scaled by one positive factor (dd.integerize), which changes neither the
-    region nor Bland's pivot path; a system that is all Python ints is
-    taken as it is."""
-    if set(map(type, chain(b, chain.from_iterable(A)))) <= {int}:
-        return zip(map(list, A), b)
+    """(integer row, integer bound) pairs: each rational row and its bound
+    scaled by one positive factor (dd.integerize), which changes neither
+    the region nor Bland's pivot path."""
     rows = (dd.integerize([*a, rhs]) for a, rhs in zip(A, b))
     return ((list(r[:-1]), r[-1]) for r in rows)
 
@@ -97,22 +96,28 @@ class SimplexResult:
 
 
 class ExactSimplex:
-    def __init__(self, A: Sequence[Sequence], b: Sequence, c: Sequence):
-        n = len(c)
-        rows, bs = [], []
-        for row, rhs in _scaled_rows(A, b):
-            if len(row) != n:
-                raise ValueError("constraint row has wrong length")
-            if rhs < 0:
-                raise ValueError("slack basis start requires b >= 0")
-            rows.append(tuple([(j, a) for j, a in enumerate(row) if a]))
-            bs.append(rhs)
-        self._store(n, rows, bs)
+    def __init__(self, n: int, rows: Sequence, b: Sequence[int], c: Sequence):
+        """min c . x over n structurals and the sparse integer rows: rows[k]
+        is a tuple of (j, a_kj) pairs, a_kj != 0, with rhs b[k] >= 0."""
+        self._store(n, rows, b)
         self._start(c)
 
-    def _store(self, n: int, rows: list, b: list) -> None:
-        """Keep n, the sparse integer rows (tuples of (j, a_kj) pairs, a_kj
-        != 0) with their rhs b >= 0, and the column index built from them."""
+    @classmethod
+    def dense(cls, A: Sequence[Sequence], b: Sequence, c: Sequence) -> "ExactSimplex":
+        """The same from dense rational rows A (see _scaled_rows)."""
+        rows, bs = [], []
+        for row, rhs in _scaled_rows(A, b):
+            if len(row) != len(c):
+                raise ValueError("constraint row has wrong length")
+            rows.append(tuple([(j, a) for j, a in enumerate(row) if a]))
+            bs.append(rhs)
+        return cls(len(c), rows, bs, c)
+
+    def _store(self, n: int, rows: Sequence, b: Sequence[int]) -> None:
+        """Keep n, the sparse rows with their rhs, and the column index
+        built from them."""
+        if any(rhs < 0 for rhs in b):
+            raise ValueError("slack basis start requires b >= 0")
         cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for k, pairs in enumerate(rows):
             for j, a in pairs:
@@ -123,9 +128,9 @@ class ExactSimplex:
 
     def _start(self, c: Sequence) -> None:
         """Objective row c at the slack basis."""
-        [(obj, _)] = _scaled_rows([c], [0])
-        obj.append(0)
-        self.obj: list[int] = obj
+        if len(c) != self.n:
+            raise ValueError("objective has wrong length")
+        self.obj: list[int] = [*dd.integerize(c), 0]
         self.c = tuple(c)
         self.d = 1
         self.basis = list(range(self.n, self.n + self.m))
@@ -140,8 +145,6 @@ class ExactSimplex:
         """A fresh simplex at the slack basis on this one's constraint rows
         with objective c.  The sparse rows and the column index are shared,
         not copied: no pivot writes into them."""
-        if len(c) != self.n:
-            raise ValueError("objective has wrong length")
         sx = object.__new__(ExactSimplex)
         sx.n, sx.m = self.n, self.m
         sx._rows, sx._b, sx._cols = self._rows, self._b, self._cols
@@ -350,15 +353,8 @@ class ExactSimplex:
                 for t, y in part[j]:
                     w[t] -= a * y
             A.append(tuple([(t, x) for t, x in enumerate(w) if x]) if any(w) else ())
-        # The rows are integer and sparse already, and their rhs is 0.
-        aux = object.__new__(ExactSimplex)
-        aux._store(z, A, [0] * len(A))
-        aux._start([-1] * z)
+        aux = ExactSimplex(z, A, [0] * len(A), [-1] * z)
         unique = aux._run(MAX_PIVOTS)
         self._tie_rows, self._tie_pivots = len(A), aux.pivots
         return unique
 
-
-def solve_min(A: Sequence[Sequence], b: Sequence, c: Sequence) -> SimplexResult:
-    """min c . x over {A x <= b, x >= 0}; requires b >= 0."""
-    return ExactSimplex(A, b, c).solve()

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
-from conedec import BinaryMatrix, BinaryVector
+from conedec import BinaryMatrix, BinaryVector, build_relaxed_polytope
 from conedec.constructions import hamming_matrix
+from conedec.errors import BoundExceeded
+from conedec.lpdecode import _compiled_system
 from conedec.qcimprove import add_qc_shifts
+from conedec.simplex import ExactSimplex
 
 # Cyclic 3x7 representation of the [7,4,3] Hamming code; its fundamental
 # cone has 42 extreme rays and its relaxed polytope 96 vertices.
@@ -37,3 +40,19 @@ def random_matrix(rng: random.Random, rows: int, cols: int) -> BinaryMatrix:
 
 def random_vector(rng: random.Random, n: int) -> BinaryVector:
     return BinaryVector(n, rng.getrandbits(n))
+
+
+def assert_compiled_matches_dense(H: BinaryMatrix, cap: int) -> None:
+    """The decode LP that lpdecode compiles from H's sparse rows stores the
+    rows, rhs and column index that ExactSimplex.dense makes of
+    build_relaxed_polytope's dense rows, or both raise one message."""
+    try:
+        P = build_relaxed_polytope(H, cap)
+    except BoundExceeded as exc:
+        with pytest.raises(BoundExceeded) as got:
+            _compiled_system(H, cap)
+        assert str(got.value) == str(exc)
+        return
+    A, b = zip(*P.inequalities)
+    compiled, dense = _compiled_system(H, cap), ExactSimplex.dense(A, b, [0] * H.cols)
+    assert (compiled._rows, compiled._b, compiled._cols) == (dense._rows, dense._b, dense._cols)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -67,7 +68,7 @@ class TestBuild:
         recipe.write_text(json.dumps({"kind": "hamming", "r": 3, "cyclic": True}))
         code, out = run(capsys, "build", str(recipe), "--format", "alist")
         assert code == 0
-        assert parse_alist(out) == parse_dense(open(hamming_path).read())
+        assert parse_alist(out) == parse_dense(Path(hamming_path).read_text())
 
     def test_bad_recipe(self, tmp_path, capsys):
         recipe = tmp_path / "bad.json"

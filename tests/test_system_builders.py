@@ -23,7 +23,7 @@ from conedec.constructions import hagiwara_css_label_matrix, hamming_matrix, ste
 from conedec.errors import BoundExceeded
 from conedec.polytope import ROW_WEIGHT_CAP
 
-from conftest import random_matrix
+from conftest import assert_compiled_matches_dense, random_matrix
 
 
 def reference_cone(H: BinaryMatrix) -> ConeSystem:
@@ -94,6 +94,7 @@ def test_builders_match_reference(H):
     P = build_relaxed_polytope(H)
     assert P == reference_polytope(H)
     assert all_int(K) and all_int(P)
+    assert_compiled_matches_dense(H, ROW_WEIGHT_CAP)
 
 
 @pytest.mark.parametrize(
@@ -132,4 +133,5 @@ def test_row_weight_cap_unchanged():
             assert str(got.value) == str(exc)
         else:
             assert build_relaxed_polytope(H, cap) == expected
+        assert_compiled_matches_dense(H, cap)
     assert 50 < raised < 250
