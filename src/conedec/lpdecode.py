@@ -55,8 +55,8 @@ LLR_DENOMINATOR_CAP = 10**6
 
 # Constraint rows kept across the cached compiled systems; the newest one is
 # kept whatever its size.  The 163,902 rows of [31,26] (weight 16) hold
-# about 205 MB (tracemalloc, CPython 3.11), so 2^14 such rows hold some
-# 20 MB; 3x7, 7x7, Steane, [15,11] and Hagiwara together take 2238 rows.
+# about 87 MB (tracemalloc, CPython 3.11), so 2^14 such rows hold some
+# 9 MB; 3x7, 7x7, Steane, [15,11] and Hagiwara together take 2238 rows.
 COMPILED_ROWS_CAP = 1 << 14
 
 logger = logging.getLogger(__name__)

@@ -19,6 +19,8 @@ SCHEMA = 1
 
 
 def frac_str(x) -> str:
+    if type(x) is int:  # not bool: str(True) is "True"
+        return str(x)
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 

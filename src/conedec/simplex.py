@@ -115,13 +115,15 @@ class ExactSimplex:
 
     def _store(self, n: int, rows: Sequence, b: Sequence[int]) -> None:
         """Keep n, the sparse rows with their rhs, and the column index
-        built from them."""
+        built from them.  Row k's columns share one (k, a) entry per
+        distinct coefficient a: an odd-set row has just (k, 1) and (k, -1)."""
         if any(rhs < 0 for rhs in b):
             raise ValueError("slack basis start requires b >= 0")
         cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for k, pairs in enumerate(rows):
+            entry: dict[int, tuple[int, int]] = {}
             for j, a in pairs:
-                cols[j].append((k, a))
+                cols[j].append(entry.setdefault(a, (k, a)))
         self.n, self.m = n, len(rows)
         self._rows, self._b = tuple(rows), tuple(b)
         self._cols = tuple(map(tuple, cols))

@@ -121,11 +121,31 @@ def test_debug_line(caplog):
         rays = dd.extreme_rays_int(dim, rows)
     (rec,) = caplog.records
     assert rec.levelno == logging.DEBUG and rec.name == "conedec.dd"
-    insertions, peak, tests, out = (int(w) for w in rec.getMessage().split() if w.isdigit())
+    insertions, peak, tests, out, hits = debug_counts(rec)
     assert insertions == len(rows) - dim
     assert out == len(rays) == 42
     assert peak >= out
     assert tests >= out - dim
+    assert 0 <= hits <= tests
+
+
+def debug_counts(rec):
+    """insertions, peak rays, adjacency tests, rays out, memo hits."""
+    return tuple(int(w) for w in rec.getMessage().split() if w.isdigit())
+
+
+def test_sc_polytope_counters(caplog):
+    # The colex insertion order keeps the SC L=4 census at its 548 output
+    # rays (the support-size order swelled to 1280), and the witness memo
+    # leaves few pairs to the AND chain (133,929 chains before either).
+    dim, rows = INSTANCES["polytope SC L=4"]()
+    with caplog.at_level(logging.DEBUG, logger="conedec.dd"):
+        dd.extreme_rays_int(dim, rows)
+    (rec,) = caplog.records
+    _, peak, tests, out, hits = debug_counts(rec)
+    assert out == 548
+    assert peak <= 600
+    assert tests - hits <= 10_000
 
 
 ENTRIES = st.one_of(

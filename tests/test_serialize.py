@@ -1,7 +1,22 @@
 import json
 from fractions import Fraction
 
-from conedec import build_fundamental_cone, build_relaxed_polytope, enumerate_vertices, extreme_rays, generating_function
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conedec import (
+    BinaryMatrix,
+    ConeSystem,
+    GenFun,
+    PolytopeSystem,
+    RayList,
+    VertexSet,
+    build_fundamental_cone,
+    build_relaxed_polytope,
+    enumerate_vertices,
+    extreme_rays,
+    generating_function,
+)
 from conedec import serialize as ser
 
 
@@ -55,3 +70,124 @@ def test_genfun_round_trip(hamming7):
     assert g == f and g.blocks == (7,)
     exps = [t["exp"] for t in obj["terms"]]
     assert exps == sorted(exps)
+
+
+def json_trip(obj):
+    return json.loads(json.dumps(obj))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.integers(),
+        st.booleans(),
+        st.fractions(),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+def test_frac_str_matches_fraction_path(x):
+    # The int fast path writes what the Fraction path writes; bool, float
+    # and Fraction go through Fraction.
+    f = Fraction(x)
+    want = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    assert ser.frac_str(x) == want
+
+
+@st.composite
+def small_matrices(draw, max_cols=5):
+    """Random H with empty, weight-1 and repeated rows."""
+    n = draw(st.integers(1, max_cols))
+    row = st.one_of(
+        st.just(0),
+        st.integers(0, n - 1).map(lambda i: 1 << i),
+        st.integers(0, (1 << n) - 1),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    return BinaryMatrix(len(rows), n, rows)
+
+
+RATIONALS = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.fractions(max_denominator=10**12).filter(lambda q: abs(q) <= 10**12),
+)
+
+
+def vectors(dim, entries=RATIONALS):
+    return st.lists(entries, min_size=dim, max_size=dim).map(tuple)
+
+
+@st.composite
+def dims_and_vectors(draw, entries=RATIONALS, max_size=6):
+    dim = draw(st.integers(1, 6))
+    return dim, draw(st.lists(vectors(dim, entries), max_size=max_size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_matrices().map(build_fundamental_cone),
+                 dims_and_vectors().map(lambda t: ConeSystem.from_rows(*t))))
+def test_cone_json_round_trip(K):
+    assert ser.cone_from_obj(json_trip(ser.cone_to_obj(K))) == K
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    small_matrices().map(lambda H: extreme_rays(build_fundamental_cone(H))),
+    dims_and_vectors(st.integers(0, 10**30)).map(lambda t: RayList(t[0], tuple(t[1]))),
+))
+def test_rays_json_round_trip(R):
+    back = ser.rays_from_obj(json_trip(ser.rays_to_obj(R)))
+    assert back == R
+    assert all(type(x) is int for r in back.rays for x in r)
+
+
+@st.composite
+def polytope_systems(draw):
+    dim, coeffs = draw(dims_and_vectors())
+    bounds = draw(st.lists(RATIONALS, min_size=len(coeffs), max_size=len(coeffs)))
+    try:
+        return PolytopeSystem.from_rows(dim, list(zip(coeffs, bounds)))
+    except ValueError:  # a zero row with a negative bound
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_matrices().map(build_relaxed_polytope), polytope_systems()))
+def test_polytope_json_round_trip(P):
+    assert ser.polytope_from_obj(json_trip(ser.polytope_to_obj(P))) == P
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    small_matrices(max_cols=4).map(lambda H: enumerate_vertices(build_relaxed_polytope(H))),
+    dims_and_vectors().map(lambda t: VertexSet(t[0], tuple(t[1]))),
+))
+def test_vertices_json_round_trip(V):
+    obj = json_trip(ser.vertices_to_obj(V))
+    back = ser.vertices_from_obj(obj)
+    assert back == V
+    assert obj["integral"] == list(V.integral) == list(back.integral)
+
+
+@st.composite
+def genfuns(draw):
+    if draw(st.booleans()):
+        H = draw(small_matrices(max_cols=4))
+        f = generating_function(H, draw(st.integers(0, 2)))
+    else:
+        n, bound = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+        exps = st.lists(st.integers(0, bound), min_size=n, max_size=n).map(tuple)
+        terms = draw(st.dictionaries(exps, st.integers(1, 10**20), max_size=8))
+        f = GenFun(n, bound, terms)
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, f.num_vars))
+        f = f.with_blocks([b for b in (cut, f.num_vars - cut) if b])
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(genfuns())
+def test_genfun_json_round_trip(f):
+    back = ser.genfun_from_obj(json_trip(ser.genfun_to_obj(f)))
+    assert back == f and back.blocks == f.blocks
+    assert back.terms == f.terms

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conedec.errors import NumericalFailure
+from conedec.lpdecode import _compiled_system
+from conedec.polytope import ROW_WEIGHT_CAP
 from conedec.simplex import MAX_PIVOTS, ExactSimplex
 from reference_simplex import (
     CondensedSimplex,
@@ -273,6 +275,17 @@ def test_condensed_tableau_shape():
     assert 0 < len(sx.core) <= sx.n
     assert all(j < sx.n and len(row) == sx.n + 1 for j, row in sx.core.items())
     assert set(sx.core) == {v for v in sx.basis if v < sx.n}
+
+
+def test_column_index_shares_row_entries(hamming7):
+    # Row k's columns hold one (k, a) object per distinct coefficient a,
+    # in a dense system with mixed coefficients and in the compiled 3x7 LP.
+    dense = ExactSimplex.dense([[1, 2, 1, -1, 2], [3, 0, 3, 3, 0]], [1, 1], [0] * 5)
+    for sx in (dense, _compiled_system(hamming7, ROW_WEIGHT_CAP)):
+        for k, pairs in enumerate(sx._rows):
+            entries = [e for col in sx._cols for e in col if e[0] == k]
+            assert len(entries) == len(pairs)
+            assert len({id(e) for e in entries}) == len({a for _, a in pairs})
 
 
 @pytest.mark.parametrize(
