@@ -27,10 +27,9 @@ class Pseudocodeword:
 
     @classmethod
     def certify(cls, H: BinaryMatrix, coords: Sequence[int]) -> "Pseudocodeword":
-        coords = tuple(int(x) for x in coords)
         if not is_gc_pseudocodeword(H, coords):
-            raise ValueError(f"{coords} is not a pseudocodeword of this matrix")
-        return cls(coords)
+            raise ValueError(f"{tuple(coords)} is not a pseudocodeword of this matrix")
+        return cls(tuple(int(x) for x in coords))
 
 
 def is_gc_pseudocodeword(H: BinaryMatrix, p: Sequence[int]) -> bool:
@@ -48,13 +47,19 @@ def is_gc_pseudocodeword(H: BinaryMatrix, p: Sequence[int]) -> bool:
 def enumerate_pseudocodewords(
     H: BinaryMatrix, bound: int, budget: int = BOX_BUDGET
 ) -> list[Pseudocodeword]:
-    """All pseudocodewords in {0..bound}^n, by a pruned depth-first walk.
+    """All pseudocodewords in {0..bound}^n, in lexicographic order, by a
+    pruned depth-first walk over the columns.
 
-    Pruning tracks, per row, the running support sum, the largest 2*v_i
-    demand seen so far, and the best-case remaining mass; a branch dies as
-    soon as no completion can satisfy the cone inequality or (once a row is
-    fully assigned) its parity.  The walk visits exactly the survivors of
-    the naive (bound+1)^n sweep and agrees with it.
+    Each row keeps its running support sum and its largest assigned entry.
+    The level for column i saves both for the rows through column i, sets
+    them to (sum + x, max(max, x)) for each value x it tries, and restores
+    them once when it is done.  A branch dies when a row has
+    sum + bound * (support columns left) < 2 * max, or when a row's last
+    column leaves its sum odd.  The prune is exact: a row's final sum is at
+    most sum + bound * left and its final max at least the current max, so
+    a pruned branch has no completion that meets the cone inequality
+    sum >= 2 * max; and a leaf is reached exactly when every row meets that
+    inequality with an even sum.
     """
     n = H.cols
     if bound < 0:
@@ -63,52 +68,35 @@ def enumerate_pseudocodewords(
         raise BoundExceeded(
             f"box sweep of ({bound + 1})^{n} points exceeds budget {budget}"
         )
-    if bound == 0:
-        return [Pseudocodeword((0,) * n)]
 
-    supports = [H.row_support(j) for j in range(H.rows)]
-    rows_at = [[] for _ in range(n)]  # rows whose support contains column i
-    last_col = [max(s) if s else -1 for s in supports]
-    for j, sup in enumerate(supports):
-        for i in sup:
-            rows_at[i].append(j)
+    rows_at = [[] for _ in range(n)]  # (row, support columns left after i)
+    for j in range(H.rows):
+        sup = H.row_support(j)
+        for k, i in enumerate(sup):
+            rows_at[i].append((j, len(sup) - 1 - k))
 
     found: list[Pseudocodeword] = []
     v = [0] * n
     psum = [0] * H.rows
-    demand = [0] * H.rows
-    remaining = [len(s) for s in supports]
+    pmax = [0] * H.rows
 
     def walk(i: int) -> None:
         if i == n:
             found.append(Pseudocodeword(tuple(v)))
             return
+        saved = [(j, left, psum[j], pmax[j]) for j, left in rows_at[i]]
         for x in range(bound + 1):
-            v[i] = x
-            ok = True
-            for j in rows_at[i]:
-                psum[j] += x
-                remaining[j] -= 1
-                if 2 * x > demand[j]:
-                    demand[j] = 2 * x
-            for j in rows_at[i]:
-                if psum[j] + bound * remaining[j] < demand[j]:
-                    ok = False
+            for j, left, s, t in saved:
+                s += x
+                t = max(t, x)
+                if s + bound * left < 2 * t or (not left and s % 2):
                     break
-                if i == last_col[j] and psum[j] % 2:
-                    ok = False
-                    break
-            if ok:
+                psum[j], pmax[j] = s, t
+            else:
+                v[i] = x
                 walk(i + 1)
-            for j in rows_at[i]:
-                psum[j] -= x
-                remaining[j] += 1
-            # demand is not decremented incrementally; recompute per row
-            for j in rows_at[i]:
-                demand[j] = max(
-                    (2 * v[k] for k in supports[j] if k < i), default=0
-                )
-        v[i] = 0
+        for j, _, s, t in saved:
+            psum[j], pmax[j] = s, t
 
     walk(0)
     return found
@@ -122,13 +110,14 @@ class GenFun:
     Coefficients are kept as nonnegative integers so that a product over
     disjoint variable blocks can never silently cancel terms; for a single
     matrix every coefficient is 1.  `blocks` optionally records a column
-    partition (variable counts per block) for restriction.
+    partition (variable counts per block) for restriction; equality and
+    hash ignore it.
     """
 
     num_vars: int
     bound: int
-    terms: dict[tuple[int, ...], int] = field(compare=False)
-    blocks: tuple[int, ...] | None = None
+    terms: dict[tuple[int, ...], int] = field(hash=False)
+    blocks: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         for e, c in self.terms.items():
@@ -138,14 +127,6 @@ class GenFun:
                 raise ValueError("coefficients must be >= 1")
         if self.blocks is not None and sum(self.blocks) != self.num_vars:
             raise ValueError("block sizes must sum to num_vars")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GenFun)
-            and self.num_vars == other.num_vars
-            and self.bound == other.bound
-            and self.terms == other.terms
-        )
 
     def with_blocks(self, blocks: Sequence[int]) -> "GenFun":
         return GenFun(self.num_vars, self.bound, dict(self.terms), tuple(blocks))

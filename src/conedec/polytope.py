@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from . import dd
@@ -41,6 +42,8 @@ class PolytopeSystem:
     def from_rows(cls, dim: int, rows: Sequence[tuple[Sequence, object]]) -> "PolytopeSystem":
         seen = {}
         for a, b in rows:
+            if len(a) != dim:
+                raise ValueError("inequality row has wrong length")
             merged = dd.integerize(tuple(a) + (Fraction(b),))
             na, nb = merged[:-1], merged[-1]
             if any(na):
@@ -135,15 +138,14 @@ def enumerate_vertices(P: PolytopeSystem, max_dim: int = VERTEX_DIM_CAP) -> Vert
     # description seed needs; extreme_rays_int raises ValueError without them.
     hrows = [(0,) * n + (1,)] + [tuple(-x for x in a) + (b,) for a, b in P.inequalities]
     rays = dd.extreme_rays_int(n + 1, hrows)
-    verts = []
-    for r in rays:
-        t = r[-1]
-        if t == 0:
-            raise ValueError(
-                "system is unbounded; the polytope contract requires box rows"
-            )
-        verts.append(tuple(Fraction(x, t) for x in r[:-1]))
-    return VertexSet(n, tuple(sorted(set(verts))))
+    if any(r[-1] == 0 for r in rays):
+        raise ValueError("system is unbounded; the polytope contract requires box rows")
+    # The rays are distinct and primitive, so their points x / t are
+    # distinct; scaling every point by L = lcm of the t sorts them exactly
+    # in integers.
+    L = lcm(*[r[-1] for r in rays])
+    rays.sort(key=lambda r: tuple(x * (L // r[-1]) for x in r[:-1]))
+    return VertexSet(n, tuple(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays))
 
 
 def codeword_polytope(H: BinaryMatrix) -> VertexSet:

@@ -64,8 +64,11 @@ def rays_to_obj(R: RayList) -> dict:
 def rays_from_obj(obj: dict) -> RayList:
     if obj.get("type") != "rays":
         raise ValueError("not a ray list object")
-    rays = tuple(tuple(int(Fraction(s)) for s in r) for r in obj["rays"])
-    return RayList(obj["dim"], rays)
+    dim = obj["dim"]
+    rays = [parse_vec(r) for r in obj["rays"]]
+    if any(len(r) != dim or any(x.denominator != 1 for x in r) for r in rays):
+        raise ValueError(f"each ray must have {dim} integer entries")
+    return RayList(dim, tuple(tuple(x.numerator for x in r) for r in rays))
 
 
 def polytope_to_obj(P: PolytopeSystem) -> dict:
@@ -109,7 +112,11 @@ def vertices_to_obj(V: VertexSet) -> dict:
 def vertices_from_obj(obj: dict) -> VertexSet:
     if obj.get("type") != "vertices":
         raise ValueError("not a vertex set object")
-    return VertexSet(obj["dim"], tuple(parse_vec(v) for v in obj["vertices"]))
+    dim = obj["dim"]
+    verts = tuple(parse_vec(v) for v in obj["vertices"])
+    if any(len(v) != dim for v in verts):
+        raise ValueError(f"each vertex must have {dim} entries")
+    return VertexSet(dim, verts)
 
 
 def vertices_to_csv(V: VertexSet) -> str:

@@ -1,7 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conedec import (
     BinaryMatrix,
@@ -16,9 +19,11 @@ from conedec import (
     is_gc_pseudocodeword,
     mat_vec_mod2,
 )
+from conedec.constructions import steane_matrix
 from conedec.errors import BoundExceeded
 
 from conftest import MEMBER, NONMEMBER, random_matrix
+from reference_pcw import reference_enumerate_pseudocodewords
 
 
 def naive_box_enumeration(H, bound):
@@ -52,8 +57,49 @@ class TestIsGcPseudocodeword:
         with pytest.raises(ValueError):
             Pseudocodeword.certify(hamming7, NONMEMBER)
 
+    @pytest.mark.parametrize("head", [2.5, Fraction(5, 2)])
+    def test_certify_rejects_non_integers(self, hamming7, head):
+        # int() would truncate the head to 2 and certify MEMBER.
+        with pytest.raises(ValueError):
+            Pseudocodeword.certify(hamming7, (head,) + MEMBER[1:])
+
+    def test_certify_converts_integral_values(self, hamming7):
+        p = Pseudocodeword.certify(hamming7, (2.0, Fraction(0)) + MEMBER[2:])
+        assert p.coords == MEMBER
+        assert all(type(x) is int for x in p.coords)
+
+
+@st.composite
+def walk_matrices(draw):
+    """Small H with weight-0 and weight-1 rows, repeated rows and all-zero
+    columns."""
+    n = draw(st.integers(1, 6))
+    row = st.one_of(
+        st.just(0),
+        st.integers(0, n - 1).map(lambda i: 1 << i),
+        st.integers(0, (1 << n) - 1),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    zero_cols = draw(st.integers(0, (1 << n) - 1)) if draw(st.booleans()) else 0
+    return BinaryMatrix(len(rows), n, [b & ~zero_cols for b in rows])
+
 
 class TestEnumeratePseudocodewords:
+    @settings(max_examples=300, deadline=None)
+    @given(walk_matrices(), st.integers(0, 3))
+    def test_matches_reference_walk(self, H, B):
+        # Same pseudocodewords in the same order as the recomputing walk.
+        assert enumerate_pseudocodewords(H, B) == reference_enumerate_pseudocodewords(H, B)
+
+    def test_pinned_counts(self, hamming7_full):
+        assert len(enumerate_pseudocodewords(steane_matrix(3), 1)) == 256
+        assert len(enumerate_pseudocodewords(hamming7_full, 3)) == 1180
+
+    def test_lexicographic_order(self, hamming7):
+        ps = [p.coords for p in enumerate_pseudocodewords(hamming7, 2)]
+        assert ps == sorted(ps)
+
     def test_two_coordinate_check(self):
         H = BinaryMatrix.from_rows([[1, 1]])
         got = {p.coords for p in enumerate_pseudocodewords(H, 2)}
@@ -125,11 +171,17 @@ class TestGenfunProduct:
         assert {e[:7] for e in prod.terms} == set(f.terms)
 
     def test_block_diagonal_equals_product(self, hamming7):
-        from conedec.constructions import steane_matrix
-
         direct = generating_function(steane_matrix(3), 1)
         f = generating_function(hamming7, 1)
         assert direct == genfun_product([f, f])
+
+    def test_equal_genfuns_hash_equal(self, hamming7):
+        # The product carries blocks (7, 7); equality and hash ignore them.
+        f = generating_function(hamming7, 1)
+        g = genfun_product([f, f])
+        s = generating_function(steane_matrix(3), 1)
+        assert g == s and hash(g) == hash(s)
+        assert len({g, s}) == 1
 
     def test_bound_mismatch(self, hamming7):
         with pytest.raises(ValueError):

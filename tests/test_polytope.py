@@ -131,6 +131,24 @@ class TestEnumerateVertices:
         with pytest.raises(ValueError):
             enumerate_vertices(P)
 
+    def test_unbounded_system(self):
+        # Only the lower box rows: the rays e_i have t = 0.
+        P = PolytopeSystem(2, (((-1, 0), 0), ((0, -1), 0)))
+        with pytest.raises(ValueError, match="unbounded"):
+            enumerate_vertices(P)
+
+    def test_vertices_strictly_increasing(self, hamming7):
+        # Sorting the rays by x * (L / t) must give the Fraction order of
+        # the points, each point once.
+        rng = random.Random(97)
+        mats = [hamming7] + [
+            BinaryMatrix(r, n, [rng.getrandbits(n) for _ in range(r)])
+            for r, n in ((rng.randint(1, 3), rng.randint(1, 5)) for _ in range(20))
+        ]
+        for H in mats:
+            vs = enumerate_vertices(build_relaxed_polytope(H)).vertices
+            assert all(a < b for a, b in zip(vs, vs[1:]))
+
     def test_tiny_brute_force_oracle(self):
         # For a 2-variable system, vertices are checkable by hand:
         # the single check [1 1] allows only 00 and 11.

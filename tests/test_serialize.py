@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +71,37 @@ def test_genfun_round_trip(hamming7):
     assert g == f and g.blocks == (7,)
     exps = [t["exp"] for t in obj["terms"]]
     assert exps == sorted(exps)
+
+
+@pytest.mark.parametrize("obj", [
+    {"type": "rays", "dim": 2, "rays": [["1/2", "1"]]},
+    {"type": "rays", "dim": 2, "rays": [["1", "1"], ["1"]]},
+    {"type": "rays", "dim": 2, "rays": [["1", "0", "1"]]},
+], ids=["fractional", "short", "long"])
+def test_rays_from_obj_rejects_malformed(obj):
+    with pytest.raises(ValueError):
+        ser.rays_from_obj(obj)
+
+
+@pytest.mark.parametrize("vertices", [[["0", "1"], ["1"]], [["0", "1", "1/2"]]],
+                         ids=["short", "long"])
+def test_vertices_from_obj_rejects_wrong_length(vertices):
+    with pytest.raises(ValueError):
+        ser.vertices_from_obj({"type": "vertices", "dim": 2, "vertices": vertices})
+
+
+@pytest.mark.parametrize("coeffs", [["1"], ["1", "0", "1"]], ids=["short", "long"])
+def test_polytope_from_obj_rejects_wrong_length(coeffs):
+    obj = {
+        "type": "polytope",
+        "dim": 2,
+        "inequalities": [
+            {"coeffs": ["1", "1"], "bound": "1"},
+            {"coeffs": coeffs, "bound": "1"},
+        ],
+    }
+    with pytest.raises(ValueError):
+        ser.polytope_from_obj(obj)
 
 
 def json_trip(obj):
