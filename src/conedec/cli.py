@@ -99,30 +99,39 @@ def cmd_build(args) -> int:
 
 
 def build_from_recipe(recipe: dict) -> BinaryMatrix:
+    if type(recipe) is not dict:
+        raise ValueError("a recipe must be a JSON object")
     kind = recipe.get("kind")
     if kind == "hamming":
-        return cons.hamming_matrix(int(recipe["r"]), bool(recipe.get("cyclic", False)))
+        return cons.hamming_matrix(
+            _field(recipe, "r", int), _field(recipe, "cyclic", bool, False)
+        )
     if kind == "steane":
-        return cons.steane_matrix(int(recipe["r"]))
+        return cons.steane_matrix(_field(recipe, "r", int))
     if kind == "css":
         return cons.css_matrix(
-            _recipe_matrix(recipe["h1"]), _recipe_matrix(recipe["h2"])
+            _recipe_matrix(recipe["h1"], "h1"), _recipe_matrix(recipe["h2"], "h2")
         )
     if kind == "label":
-        return cons.label_matrix([str(g) for g in recipe["generators"]])
+        return cons.label_matrix([str(g) for g in _field(recipe, "generators", list)])
     if kind == "circulant":
-        return cons.circulant_permutation(int(recipe["t"]), int(recipe.get("shift", 0)))
+        return cons.circulant_permutation(
+            _field(recipe, "t", int), _field(recipe, "shift", int, 0)
+        )
     if kind == "qc-exponent":
         E = cons.ExponentMatrix.from_rows(
-            recipe["exponents"], int(recipe["block_size"])
+            _int_rows(recipe["exponents"], "exponents"),
+            _field(recipe, "block_size", int),
         )
         return cons.qc_from_exponents(E)
     if kind == "block-circulant":
-        return cons.block_circulant([_recipe_matrix(b) for b in recipe["blocks"]])
+        return cons.block_circulant(
+            [_recipe_matrix(b, "blocks") for b in _field(recipe, "blocks", list)]
+        )
     if kind == "sc":
         return cons.sc_ldpc(
-            [_recipe_matrix(b) for b in recipe["blocks"]],
-            int(recipe["L"]),
+            [_recipe_matrix(b, "blocks") for b in _field(recipe, "blocks", list)],
+            _field(recipe, "L", int),
             str(recipe["mode"]),
         )
     if kind == "hagiwara":
@@ -130,10 +139,31 @@ def build_from_recipe(recipe: dict) -> BinaryMatrix:
     raise ValueError(f"unknown recipe kind {kind!r}")
 
 
-def _recipe_matrix(source) -> BinaryMatrix:
+def _field(recipe: dict, key: str, kind: type, default=None):
+    """recipe[key] (or the default when the key is absent), which must be a
+    JSON value of exactly this type: a bool is not an int, a float not an int."""
+    value = recipe[key] if default is None else recipe.get(key, default)
+    if type(value) is not kind:
+        raise ValueError(
+            f"recipe field {key!r} must be a JSON {kind.__name__}, not {value!r}"
+        )
+    return value
+
+
+def _int_rows(rows, key: str) -> list:
+    """A list of rows of JSON integers (exponents, or matrix entries)."""
+    if type(rows) is not list or not all(
+        type(r) is list and all(type(e) is int for e in r) for r in rows
+    ):
+        raise ValueError(f"recipe field {key!r} must be a list of rows of JSON integers")
+    return rows
+
+
+def _recipe_matrix(source, key: str) -> BinaryMatrix:
+    """A matrix source: a path string or a list of rows."""
     if isinstance(source, str):
         return read_matrix(source)
-    return BinaryMatrix.from_rows(source)
+    return BinaryMatrix.from_rows(_int_rows(source, key))
 
 
 def cmd_cone(args) -> int:

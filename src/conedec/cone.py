@@ -8,6 +8,9 @@ the condition a consequence of nonnegativity), so the system is
   { Row_j(H) - 2 e_i : j in [r], i in Supp(Row_j) }  ∪  { e_i : i in [n] }.
 Membership of a vector in the cone of H is read from H itself (in_cone);
 the dense system is built only where its rows are the output.
+The three lift rules (block rows, repeated blocks, an appended block) share
+one premise check, each given vector in its own cone, and one certificate,
+the lifted vector re-checked with in_cone against the composed matrix.
 
 All arithmetic here is exact; there is no floating-point path.
 """
@@ -145,15 +148,30 @@ def product_cone(cones: Sequence[ConeSystem]) -> ConeSystem:
     return ConeSystem.from_rows(dim, rows)
 
 
+def _member(H: BinaryMatrix, v: Sequence, name: str) -> tuple[Fraction, ...]:
+    """v as exact rationals, after checking that it is a member of K(H)."""
+    vv = as_fraction_vector(v)
+    if len(vv) != H.cols:
+        raise ValueError(f"{name} has wrong length")
+    if not in_cone(H, vv):
+        raise ValueError(f"{name} is not in the cone of its matrix")
+    return vv
+
+
+def _confirm(H: BinaryMatrix, w: Sequence) -> None:
+    """Direct re-check of a vector that a lift rule put in K(H)."""
+    if not in_cone(H, w):
+        raise AssertionError("lift rule held but direct membership failed")
+
+
 def blockrow_embed(
     vs: Sequence[Sequence], Hs: Sequence[BinaryMatrix]
 ) -> tuple[tuple[Fraction, ...], bool]:
     """Concatenate per-block cone members into a member of the block-row cone.
 
     Each v_k must lie in the cone of its own H_k (checked; ValueError if
-    not).  The returned flag is the direct membership re-check of the
-    concatenation against the cone of [H_1 ... H_t]; the containment
-    guarantees it is always True.
+    not).  The concatenation is re-checked directly against the cone of
+    [H_1 ... H_t], which the containment guarantees, so the flag is True.
     """
     if len(vs) != len(Hs):
         raise ValueError("need one vector per block")
@@ -161,14 +179,10 @@ def blockrow_embed(
         raise ValueError("need at least one block")
     if any(h.rows != Hs[0].rows for h in Hs):
         raise ValueError("blocks must share a row count")
-    parts = []
-    for k, (v, h) in enumerate(zip(vs, Hs)):
-        vv = as_fraction_vector(v)
-        if not in_cone(h, vv):
-            raise ValueError(f"block {k}: vector is not in its own cone")
-        parts.append(vv)
+    parts = [_member(h, v, f"block {k}") for k, (v, h) in enumerate(zip(vs, Hs))]
     w = tuple(x for part in parts for x in part)
-    return w, in_cone(block_matrix([Hs]), w)
+    _confirm(block_matrix([Hs]), w)
+    return w, True
 
 
 def repeated_block_membership(
@@ -182,71 +196,50 @@ def repeated_block_membership(
     directly (and must hold).
     """
     n = H.cols
-    vv = as_fraction_vector(v)
+    vv = _member(H, v, "v")
     ww = as_fraction_vector(w)
-    if len(vv) != n:
-        raise ValueError("v has wrong length")
     if t < 1 or len(ww) != t * n:
         raise ValueError("w must have length t * cols(H)")
-    if not in_cone(H, vv):
-        raise ValueError("v is not in the cone of H")
     if any(x < 0 for x in ww):
         return False
-    for i in range(n):
-        col = [ww[k * n + i] for k in range(t)]
-        if any(c > vv[i] for c in col) or vv[i] > sum(col):
-            return False
-    if not in_cone(block_matrix([[H] * t]), ww):
-        raise AssertionError("sandwich condition held but direct membership failed")
+    if any(max(ww[i::n]) > vv[i] or vv[i] > sum(ww[i::n]) for i in range(n)):
+        return False
+    _confirm(block_matrix([[H] * t]), ww)
     return True
 
 
 def augment_column_lift(H1: BinaryMatrix, s, v: Sequence, w) -> bool:
-    """Slack test for lifting a cone member across appended columns.
+    """Slack test for lifting a cone member v across an appended block E.
 
-    Two forms, selected by the type of s:
-      * s a BinaryVector of length rows(H1), w a scalar: tests
-        w <= Row_j(H1) . v for all j in Supp(s); when true, (v, w) lies in
-        the cone of [H1 | s^T] (verified directly).
-      * s a permutation of range(rows(H1)) (sequence of ints), w a vector of
-        length rows(H1): tests w_{s(j)} <= Row_j(H1) . v for all j; when
-        true, (v, w) lies in the cone of [H1 | J_s] (verified directly).
-
-    The condition is sufficient, not necessary: False does not rule out
-    membership of the lifted vector.
+    s a BinaryVector of length rows(H1) with w a scalar gives E = s^T; s a
+    permutation of range(rows(H1)) with w a vector gives E = J_s, whose row
+    j has its one in column s(j).  One rule for both: with v in the cone of
+    H1 (checked; ValueError if not), w >= 0 and w_c <= Row_j(H1) . v for
+    every E_jc = 1 put (v, w) in the cone of [H1 | E].  Proof, row j: its
+    H1 inequalities hold because v is in the cone of H1 and w >= 0; for
+    E_jc = 1, Row_j(H1) . v >= w_c gives the appended inequality.  A pass is
+    re-checked directly.  The rule is sufficient, not necessary: False does
+    not rule out membership of the lifted vector.
     """
-    vv = as_fraction_vector(v)
-    if len(vv) != H1.cols:
-        raise ValueError("v has wrong length")
-    if not in_cone(H1, vv):
-        raise ValueError("v is not in the cone of H1")
-    row_dots = [
-        sum(vv[i] for i in H1.row_support(j)) for j in range(H1.rows)
-    ]
-
+    vv = _member(H1, v, "v")
+    m = H1.rows
     if isinstance(s, BinaryVector):
-        if s.n != H1.rows:
+        if s.n != m:
             raise ValueError("s must have one entry per row of H1")
-        wf = Fraction(w)
-        if wf < 0:
-            return False
-        if any(wf > row_dots[j] for j in s.support()):
-            return False
-        lifted = tuple(vv) + (wf,)
-        extra = BinaryMatrix(H1.rows, 1, list(s))
+        E, ww = BinaryMatrix(m, 1, list(s)), (Fraction(w),)
     else:
         sigma = list(s)
-        if sorted(sigma) != list(range(H1.rows)):
+        if sorted(sigma) != list(range(m)):
             raise ValueError("s must be a permutation of range(rows)")
-        wf = as_fraction_vector(w)
-        if len(wf) != H1.rows:
+        ww = as_fraction_vector(w)
+        if len(ww) != m:
             raise ValueError("w must have one entry per row of H1")
-        if any(x < 0 for x in wf):
+        E = BinaryMatrix(m, m, [1 << c for c in sigma])
+    if any(x < 0 for x in ww):
+        return False
+    for j in range(m):
+        dot = sum(vv[i] for i in H1.row_support(j))
+        if any(ww[c] > dot for c in E.row_support(j)):
             return False
-        if any(wf[sigma[j]] > row_dots[j] for j in range(H1.rows)):
-            return False
-        lifted = tuple(vv) + tuple(wf)
-        extra = BinaryMatrix(H1.rows, H1.rows, [1 << x for x in sigma])
-    if not in_cone(block_matrix([[H1, extra]]), lifted):
-        raise AssertionError("slack condition held but direct membership failed")
+    _confirm(block_matrix([[H1, E]]), vv + ww)
     return True

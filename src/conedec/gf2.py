@@ -417,33 +417,43 @@ def parse_alist(text: str) -> BinaryMatrix:
         raise ValueError("alist file too short")
     try:
         n, m = (int(x) for x in lines[0].split())
+        max_deg = tuple(int(x) for x in lines[1].split())
         col_deg = [int(x) for x in lines[2].split()]
         row_deg = [int(x) for x in lines[3].split()]
     except Exception as e:
         raise ValueError("bad alist header") from e
     if len(col_deg) != n or len(row_deg) != m:
         raise ValueError("alist degree lists do not match dimensions")
+    if max_deg != (max(col_deg, default=0), max(row_deg, default=0)):
+        raise ValueError("alist max degrees do not match the degree lists")
     if len(lines) != 4 + n + m:
         raise ValueError("alist index block has wrong length")
     row_bits = [0] * m
     for i in range(n):
-        idx = [int(x) for x in lines[4 + i].split() if int(x) != 0]
-        if len(idx) != col_deg[i]:
-            raise ValueError(f"column {i}: degree mismatch")
-        for j in idx:
+        for j in _alist_indices(lines[4 + i], col_deg[i], f"column {i}"):
             if not 1 <= j <= m:
                 raise ValueError(f"column {i}: row index {j} out of range")
             row_bits[j - 1] |= 1 << i
     # Validate the (redundant) row-perspective block.
     for j in range(m):
-        idx = sorted(int(x) for x in lines[4 + n + j].split() if int(x) != 0)
+        idx = sorted(_alist_indices(lines[4 + n + j], row_deg[j], f"row {j}"))
         if idx != [i + 1 for i in range(n) if (row_bits[j] >> i) & 1]:
             raise ValueError(f"row {j}: index list inconsistent with columns")
     return BinaryMatrix(m, n, row_bits)
 
 
+def _alist_indices(line: str, degree: int, where: str) -> list[int]:
+    """The nonzero entries of one alist index list: its declared degree of
+    them, none repeated."""
+    idx = [int(x) for x in line.split() if int(x) != 0]
+    if len(idx) != degree:
+        raise ValueError(f"{where}: degree mismatch")
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"{where}: repeated index")
+    return idx
+
+
 def as_fraction_vector(v) -> tuple[Fraction, ...]:
-    """Coerce a BinaryVector or a sequence of numbers to exact rationals."""
-    if isinstance(v, BinaryVector):
-        return tuple(Fraction(b) for b in v)
+    """Coerce a sequence of numbers to exact rationals (a BinaryVector
+    iterates as ints)."""
     return tuple(Fraction(x) for x in v)

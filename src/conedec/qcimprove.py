@@ -136,6 +136,12 @@ class ImproveTarget:
             raise ValueError("set exactly one of max_noncw_vertices / max_fer")
         if self.max_fer is not None and self.p is None:
             raise ValueError("an FER target needs a crossover probability")
+        if self.max_noncw_vertices is not None and self.max_noncw_vertices < 0:
+            raise ValueError("max_noncw_vertices must be >= 0")
+        if self.max_fer is not None and not 0 <= self.max_fer <= 1:
+            raise ValueError("max_fer must lie in [0, 1]")
+        if self.p is not None and not 0 < self.p < 1:
+            raise ValueError("the crossover probability must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

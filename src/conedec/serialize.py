@@ -146,6 +146,15 @@ def genfun_to_obj(f: GenFun) -> dict:
 def genfun_from_obj(obj: dict) -> GenFun:
     if obj.get("type") != "genfun":
         raise ValueError("not a genfun object")
-    terms = {tuple(t["exp"]): t["coef"] for t in obj["terms"]}
+    terms = {}
+    for t in obj["terms"]:
+        exp = tuple(t["exp"])
+        if any(type(x) is not int for x in (*exp, t["coef"])):  # not bool, not float
+            raise ValueError(f"genfun term {t!r} must have integer entries")
+        if exp in terms:
+            raise ValueError(f"genfun exponent {list(exp)} repeats")
+        terms[exp] = t["coef"]
     blocks = tuple(obj["blocks"]) if "blocks" in obj else None
+    if any(type(x) is not int for x in (obj["vars"], obj["bound"], *(blocks or ()))):
+        raise ValueError("genfun vars, bound and blocks must be integers")
     return GenFun(obj["vars"], obj["bound"], terms, blocks)

@@ -70,9 +70,26 @@ class TestBuild:
         assert code == 0
         assert parse_alist(out) == parse_dense(Path(hamming_path).read_text())
 
-    def test_bad_recipe(self, tmp_path, capsys):
+    @pytest.mark.parametrize("obj", [
+        {"kind": "nope"},
+        [{"kind": "steane", "r": 3}],
+        {"kind": "css", "h1": 5, "h2": [[1, 1]]},
+        {"kind": "css", "h1": [[1.0, 1]], "h2": [[1, 1]]},
+        {"kind": "block-circulant", "blocks": 3},
+        {"kind": "hamming", "r": 3, "cyclic": "false"},
+        {"kind": "hamming", "r": 3.9},
+        {"kind": "circulant", "t": True},
+        {"kind": "circulant", "t": 3, "shift": 1.5},
+        {"kind": "qc-exponent", "exponents": [[1, 2.5]], "block_size": 7},
+        {"kind": "label", "generators": "XZ"},
+    ], ids=[
+        "unknown-kind", "list", "int-matrix", "float-entry", "int-blocks",
+        "string-cyclic", "float-r", "bool-t", "float-shift", "float-exponent",
+        "string-generators",
+    ])
+    def test_bad_recipe(self, tmp_path, capsys, obj):
         recipe = tmp_path / "bad.json"
-        recipe.write_text(json.dumps({"kind": "nope"}))
+        recipe.write_text(json.dumps(obj))
         code, _ = run(capsys, "build", str(recipe))
         assert code == 2
 
@@ -412,6 +429,19 @@ class TestImprove:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert "n0 must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("target", [
+        ("--target-noncw", "-1", "--budget", "2"),
+        ("--target-fer", "1.5"),
+        ("--target-fer", "-0.1"),
+        ("--target-fer", "0.1", "--crossover", "0"),
+        ("--target-fer", "0.1", "--crossover", "1"),
+    ], ids=["noncw-negative", "fer-above-one", "fer-negative", "crossover-zero", "crossover-one"])
+    def test_target_out_of_range(self, hamming_path, capsys, target):
+        code = main(["improve", hamming_path, "--n0", "1", *target])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error:")
 
     def test_deterministic(self, hamming_path, capsys):
         args = (

@@ -18,10 +18,15 @@ from conedec import (
     product_cone,
     repeated_block_membership,
 )
-from conedec import dd
+from conedec import cone, dd
 from conedec.errors import BoundExceeded
 
 from conftest import MEMBER, NONMEMBER, random_matrix
+from reference_cone import (
+    reference_augment_column_lift,
+    reference_blockrow_embed,
+    reference_repeated_block_membership,
+)
 
 
 def direct_cone_check(H: BinaryMatrix, v) -> bool:
@@ -363,3 +368,120 @@ class TestAugmentColumnLift:
         witness = (2, 0, 0, 2, 1, 0, 1, 2)
         assert K_aug.contains(witness)
         assert not build_fundamental_cone(hamming7).contains(witness[:7])
+
+
+def test_confirm_raises_assertion_error(hamming7):
+    cone._confirm(hamming7, MEMBER)
+    with pytest.raises(AssertionError):
+        cone._confirm(hamming7, NONMEMBER)
+
+
+def _outcome(rule, *args):
+    """What a lift rule returns, or the type of the exception it raises."""
+    try:
+        return rule(*args)
+    except Exception as exc:  # compared by type against the oracle
+        return type(exc)
+
+
+def _same(rule, reference, *args):
+    assert _outcome(rule, *args) == _outcome(reference, *args)
+
+
+_SCALES = st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1, Fraction(4, 3)])
+
+
+@st.composite
+def lift_cases(draw):
+    """Random H (n <= 6; empty, weight-1 and repeated rows), a rational v
+    inside K(H), perturbed, negative or of the wrong length, and t in 1..3."""
+    n = draw(st.integers(1, 6))
+    row = st.one_of(
+        st.just(0),
+        st.integers(0, n - 1).map(lambda i: 1 << i),
+        st.integers(0, (1 << n) - 1),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    H = BinaryMatrix(len(rows), n, rows)
+    rays = extreme_rays(build_fundamental_cone(H)).rays
+    coeffs = draw(st.lists(_SCALES, min_size=len(rays), max_size=len(rays)))
+    v = [sum((c * r[i] for c, r in zip(coeffs, rays)), Fraction(0)) for i in range(n)]
+    kind = draw(st.sampled_from(["member", "member", "raised", "negative", "short", "long"]))
+    if kind == "raised":
+        v[draw(st.integers(0, n - 1))] += draw(st.integers(1, 3))
+    elif kind == "negative":
+        v[draw(st.integers(0, n - 1))] = Fraction(-1, 2)
+    elif kind == "short":
+        v = v[:-1]
+    elif kind == "long":
+        v = v + [Fraction(0)]
+    return H, tuple(v), draw(st.integers(1, 3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(lift_cases(), st.data())
+def test_lift_rules_match_reference(case, data):
+    """blockrow_embed, repeated_block_membership and augment_column_lift
+    return the oracle's result, or raise the same exception type, on
+    members, non-members and wrong lengths, with slacks below, on and
+    above the boundary, negative, zero and fractional."""
+    H, v, t = case
+    n, m = H.cols, H.rows
+    base = (list(v) + [Fraction(0)] * n)[:n]
+    draw = data.draw
+
+    # Block rows: t blocks, one of them possibly another matrix, with a row
+    # count that may differ, and a vector of its own (0, all ones or 2e_0).
+    Hs, vs = [H] * t, [v] * t
+    if draw(st.booleans()):
+        rows2 = draw(st.sampled_from([m, m, m + 1]))
+        cols2 = draw(st.integers(1, 4))
+        H2 = BinaryMatrix(rows2, cols2, [draw(st.integers(0, 15)) for _ in range(rows2)])
+        k = draw(st.integers(0, t - 1))
+        Hs[k] = H2
+        vs[k] = draw(st.sampled_from([(0,) * cols2, (1,) * cols2, (2,) + (0,) * (cols2 - 1)]))
+    if draw(st.integers(0, 9)) == 0:
+        vs = vs[:-1]
+    _same(blockrow_embed, reference_blockrow_embed, vs, Hs)
+
+    # Repeated blocks: a sandwich split of v (one copy carries v_i, the
+    # others a fraction of it), then one perturbation.
+    w = [[x * draw(_SCALES) for x in base] for _ in range(t)]
+    for i in range(n):
+        w[draw(st.integers(0, t - 1))][i] = base[i]
+    flat = [x for part in w for x in part]
+    move = draw(st.sampled_from(["none", "none", "raise", "lower", "negative", "length"]))
+    k = draw(st.integers(0, len(flat) - 1))
+    if move == "raise":
+        flat[k] += Fraction(1, 2)
+    elif move == "lower":
+        flat = [x / 2 for x in flat]
+    elif move == "negative":
+        flat[k] = Fraction(-1)
+    elif move == "length":
+        flat.append(Fraction(0))
+    _same(repeated_block_membership, reference_repeated_block_membership, H, v, flat, t)
+
+    # Appended column s^T with a scalar slack at, below or above the
+    # smallest touched row dot, or negative.
+    dots = [sum(base[i] for i in H.row_support(j)) for j in range(m)]
+    s = BinaryVector(draw(st.sampled_from([m, m, m, m + 1])), draw(st.integers(0, (1 << m) - 1)))
+    cap = min((dots[j] for j in s.support() if j < m), default=Fraction(2))
+    slack = draw(st.sampled_from([cap, cap / 2, cap + Fraction(1, 3), Fraction(0), Fraction(-1, 2)]))
+    _same(augment_column_lift, reference_augment_column_lift, H, s, v, slack)
+
+    # Appended permutation block J_sigma: w_sigma(j) scaled from row j's dot.
+    sigma = draw(st.permutations(range(m)))
+    if draw(st.integers(0, 9)) == 0:
+        sigma = draw(st.sampled_from([[0] * m, list(range(1, m + 1))]))
+    ws = [Fraction(0)] * m
+    for j in range(m):
+        if 0 <= sigma[j] < m:
+            ws[sigma[j]] = dots[j] * draw(_SCALES)
+    move = draw(st.sampled_from(["none", "none", "negative", "length"]))
+    if move == "negative":
+        ws[draw(st.integers(0, m - 1))] = Fraction(-1, 3)
+    elif move == "length":
+        ws.append(Fraction(0))
+    _same(augment_column_lift, reference_augment_column_lift, H, sigma, v, ws)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conedec import (
     BinaryMatrix,
@@ -207,3 +209,79 @@ class TestTextFormats:
             parse_dense("2 2\n1 0\n")
         with pytest.raises(ValueError):
             parse_dense("1 3\n1 0\n")
+
+    # [[1, 1], [0, 1]]: column degrees 1 2, row degrees 2 1, max degrees 2 2.
+    ALIST_2X2 = "2 2\n2 2\n1 2\n2 1\n1 0\n1 2\n1 2\n2 0\n"
+
+    def test_alist_2x2_parses(self):
+        assert parse_alist(self.ALIST_2X2).to_lists() == [[1, 1], [0, 1]]
+
+    def test_alist_rejects_repeated_column_index(self):
+        # Column 1 lists row 1 twice under degree 2; the rows agree with
+        # the weight-1 column that repeat would build.
+        text = "2 2\n2 2\n1 2\n2 0\n1 0\n1 1\n1 2\n0 0\n"
+        with pytest.raises(ValueError, match="repeated index"):
+            parse_alist(text)
+
+    def test_alist_rejects_row_degree_mismatch(self):
+        # Rows of weight 2 and 1 declared as degrees 5 and 7.
+        text = self.ALIST_2X2.replace("\n2 1\n", "\n5 7\n").replace("2 2\n1 2", "2 7\n1 2")
+        with pytest.raises(ValueError, match="row 0: degree mismatch"):
+            parse_alist(text)
+
+    @pytest.mark.parametrize("line", ["9 9", "2 1", "2", "2 2 2", "a b"])
+    def test_alist_rejects_bad_max_degrees(self, line):
+        lines = self.ALIST_2X2.splitlines()
+        lines[1] = line
+        with pytest.raises(ValueError):
+            parse_alist("\n".join(lines))
+
+
+_TOKENS = st.sampled_from(["0", "1", "2", "3", "-1", "7", "x", "1.5", "", "99999"])
+
+
+@st.composite
+def mutated_matrix_text(draw):
+    """format_alist or format_dense text of a random H, with one to three
+    line or token edits."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    H = BinaryMatrix(m, n, [draw(st.integers(0, (1 << n) - 1)) for _ in range(m)])
+    fmt = draw(st.sampled_from(["alist", "dense"]))
+    lines = [ln.split() for ln in (format_alist(H) if fmt == "alist" else format_dense(H)).splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        j = draw(st.integers(0, len(lines) - 1))
+        k = draw(st.integers(0, max(len(lines[j]) - 1, 0)))
+        edit = draw(st.sampled_from(["token", "drop", "insert", "line-drop", "line-dup", "swap"]))
+        if edit == "token" and lines[j]:
+            lines[j][k] = draw(_TOKENS)
+        elif edit == "drop" and lines[j]:
+            del lines[j][k]
+        elif edit == "insert":
+            lines[j].insert(k, draw(_TOKENS))
+        elif edit == "line-drop" and len(lines) > 1:
+            del lines[j]
+        elif edit == "line-dup":
+            lines.insert(j, list(lines[j]))
+        elif edit == "swap":
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    return fmt, "\n".join(" ".join(ln) for ln in lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_matrix_text())
+def test_parsers_on_mutated_text(case):
+    """The parsers raise only ValueError, and alist text that parses
+    declares the parsed matrix's header, max degrees and degree lists."""
+    fmt, text = case
+    try:
+        H = (parse_alist if fmt == "alist" else parse_dense)(text)
+    except ValueError:
+        return
+    if fmt == "alist":
+        col_deg = [sum(H.entry(j, i) for j in range(H.rows)) for i in range(H.cols)]
+        row_deg = [len(H.row_support(j)) for j in range(H.rows)]
+        declared = [[int(x) for x in ln.split()] for ln in text.splitlines() if ln.strip()]
+        assert declared[:4] == [
+            [H.cols, H.rows], [max(col_deg), max(row_deg)], col_deg, row_deg
+        ]

@@ -192,6 +192,24 @@ class TestImproveRepresentation:
         with pytest.raises(ValueError):
             ImproveTarget(max_fer=0.1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_noncw_vertices": -1},
+        {"max_fer": -0.1, "p": 0.05},
+        {"max_fer": 1.5, "p": 0.05},
+        {"max_fer": 0.1, "p": 0.0},
+        {"max_fer": 0.1, "p": 1.0},
+        {"max_fer": 0.1, "p": -0.5},
+    ], ids=["noncw-negative", "fer-negative", "fer-above-one", "p-zero", "p-one", "p-negative"])
+    def test_target_out_of_range(self, kwargs):
+        with pytest.raises(ValueError):
+            ImproveTarget(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_noncw_vertices": 0}, {"max_fer": 0.0, "p": 0.5}, {"max_fer": 1.0, "p": 0.01},
+    ], ids=["noncw-zero", "fer-zero", "fer-one"])
+    def test_target_range_ends(self, kwargs):
+        ImproveTarget(**kwargs)
+
 
 class TestRepresentationMonotonicity:
     def test_vertices_of_grown_matrix_satisfy_original_rows(self, hamming7, hamming7_full):

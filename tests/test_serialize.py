@@ -83,6 +83,26 @@ def test_rays_from_obj_rejects_malformed(obj):
         ser.rays_from_obj(obj)
 
 
+@pytest.mark.parametrize("change", [
+    {"terms": [{"exp": [0.5], "coef": 1}]},
+    {"terms": [{"exp": [True], "coef": 1}]},
+    {"terms": [{"exp": [1], "coef": True}]},
+    {"terms": [{"exp": [1], "coef": 1.0}]},
+    {"terms": [{"exp": [1], "coef": 1}, {"exp": [1], "coef": 2}]},
+    {"vars": True},
+    {"bound": 2.5},
+    {"blocks": [True]},
+], ids=[
+    "float-exp", "bool-exp", "bool-coef", "float-coef", "repeated-exp",
+    "bool-vars", "float-bound", "bool-block",
+])
+def test_genfun_from_obj_rejects_malformed(change):
+    obj = {"type": "genfun", "vars": 1, "bound": 2, "terms": [{"exp": [1], "coef": 1}]}
+    ser.genfun_from_obj(obj)
+    with pytest.raises(ValueError):
+        ser.genfun_from_obj({**obj, **change})
+
+
 @pytest.mark.parametrize("vertices", [[["0", "1"], ["1"]], [["0", "1", "1/2"]]],
                          ids=["short", "long"])
 def test_vertices_from_obj_rejects_wrong_length(vertices):
