@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .gf2 import (
     parse_dense,
 )
 from .lpdecode import (
-    bsc_sample,
+    bsc_errors,
     llr_bsc,
     lp_decode,
     ml_decode,
@@ -217,8 +216,6 @@ def cmd_decode(args) -> int:
         raise ValueError("--format csv is only available for --random without --orbit-n0")
     if args.ml and args.orbit_n0 is not None:
         raise ValueError("--ml is not available with --orbit-n0")
-    if args.random and args.trials < 1:
-        raise ValueError("need at least one trial")
     if args.word is not None:
         w = BinaryVector.from_string(args.word)
         if w.n != H.cols:
@@ -241,9 +238,7 @@ def cmd_decode(args) -> int:
         return EXIT_OK
 
     if args.orbit_n0 is not None:
-        zero = BinaryVector(H.cols, 0)
-        rng = random.Random(args.seed)
-        errors = [bsc_sample(zero, args.crossover, rng) for _ in range(args.trials)]
+        errors = list(bsc_errors(H.cols, args.crossover, args.trials, args.seed))
         rep = shift_equivariance_experiment(
             H, args.orbit_n0, errors, args.crossover, args.row_weight_cap
         )

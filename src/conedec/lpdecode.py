@@ -2,6 +2,9 @@
 trellis of H, BSC simulation, and the shift-equivariance experiment for
 quasi-cyclic representations.
 
+Every seeded Monte Carlo run, with or without shift orbits, draws its
+errors from one stream, bsc_errors(n, p, trials, seed).
+
 LLRs are computed in double precision and rationalized (continued-fraction
 approximation, denominator cap 10^6) before entering the exact simplex, so
 the optimizer itself never sees a float.  Each distinct value is
@@ -36,7 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import dd
 from .errors import BoundExceeded
@@ -265,7 +268,7 @@ def bsc_sample(c: BinaryVector, p: float, seed: int | random.Random) -> BinaryVe
     """Flip each bit independently with probability p.
 
     seed is an int (a fresh stream, deterministic per seed) or a
-    random.Random to draw from; a Monte Carlo run draws all its trials from
+    random.Random to draw from; bsc_errors draws a whole run's trials from
     one random.Random(seed), so runs with different seeds are independent.
     """
     if not 0 < p < 1:
@@ -276,6 +279,17 @@ def bsc_sample(c: BinaryVector, p: float, seed: int | random.Random) -> BinaryVe
         if rng.random() < p:
             bits ^= 1 << i
     return BinaryVector(c.n, bits)
+
+
+def bsc_errors(n: int, p: float, trials: int, seed: int) -> Iterator[BinaryVector]:
+    """`trials` BSC(p) corruptions of the zero word of length n, all drawn
+    from one random.Random(seed): the error stream of every seeded run."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    rng = random.Random(seed)
+    zero = BinaryVector(n, 0)
+    for _ in range(trials):
+        yield bsc_sample(zero, p, rng)
 
 
 @dataclass(frozen=True)

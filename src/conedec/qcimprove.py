@@ -10,7 +10,6 @@ until a target is met or the budget runs out.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .gf2 import (
@@ -20,7 +19,7 @@ from .gf2 import (
     enumerate_dual_words,
     row_space_contains,
 )
-from .lpdecode import bsc_sample, llr_bsc, lp_decode, ml_decode
+from .lpdecode import bsc_errors, llr_bsc, lp_decode, ml_decode
 from .polytope import ROW_WEIGHT_CAP, VERTEX_DIM_CAP, lp_pseudocodewords
 
 
@@ -96,16 +95,13 @@ def evaluate_lp_performance(
 ) -> PerformanceEstimate:
     """LP-decode `trials` BSC(p) corruptions of the zero word.
 
-    All error patterns come from one random.Random(seed) stream.  With ml,
-    every "codeword" output is cross-checked against ml_decode.
+    The errors are bsc_errors(H.cols, p, trials, seed), the stream every
+    seeded run draws from.  With ml, every "codeword" output is
+    cross-checked against ml_decode.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = random.Random(seed)
-    zero = BinaryVector(H.cols, 0)
     failures = fractional = ties = mismatches = 0
-    for _ in range(trials):
-        gamma = llr_bsc(bsc_sample(zero, p, rng), p)
+    for e in bsc_errors(H.cols, p, trials, seed):
+        gamma = llr_bsc(e, p)
         res = lp_decode(H, gamma, row_weight_cap)
         if not res.recovers_zero:
             failures += 1

@@ -1,9 +1,10 @@
 """JSON/CSV views of the core objects.
 
 Rationals travel as exact "p" or "p/q" strings (canonical: q > 0, lowest
-terms), never as floats, so a JSON round trip is bit-exact.  CSV exports
-are decimal with 12 significant digits and carry a header comment marking
-them as lossy.
+terms), never as floats, so a JSON round trip is bit-exact.  The loaders
+accept only what the writers emit and raise ValueError on anything else.
+CSV exports are decimal with 12 significant digits and carry a header
+comment marking them as lossy.
 """
 
 from __future__ import annotations
@@ -29,8 +30,27 @@ def vec_strs(v: Sequence) -> list[str]:
     return [frac_str(x) for x in v]
 
 
-def parse_vec(ss: Sequence[str]) -> tuple[Fraction, ...]:
-    return tuple(map(Fraction, ss))
+def _read(obj, kind: str, key: str, dim_key: str = "dim") -> tuple[int, list]:
+    """(dim, obj[key]) of an object a loader takes: a dict of type kind whose
+    dim_key is an integer >= 1 and whose key holds a list, else ValueError."""
+    if type(obj) is not dict or obj.get("type") != kind:
+        raise ValueError(f"not a {kind} object")
+    dim, items = obj.get(dim_key), obj.get(key)
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"{kind} {dim_key} must be an integer >= 1")
+    if type(items) is not list:
+        raise ValueError(f"{kind} {key} must be a list")
+    return dim, items
+
+
+def _vector(v, dim: int) -> tuple[Fraction, ...]:
+    """A list of dim exact "p" / "p/q" strings, parsed."""
+    if type(v) is not list or len(v) != dim or any(type(x) is not str for x in v):
+        raise ValueError(f"expected a list of {dim} \"p/q\" strings, got {v!r}")
+    try:
+        return tuple(map(Fraction, v))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {v!r}") from None
 
 
 def cone_to_obj(K: ConeSystem) -> dict:
@@ -44,11 +64,8 @@ def cone_to_obj(K: ConeSystem) -> dict:
 
 
 def cone_from_obj(obj: dict) -> ConeSystem:
-    if obj.get("type") != "cone":
-        raise ValueError("not a cone object")
-    return ConeSystem.from_rows(
-        obj["dim"], [parse_vec(a) for a in obj["inequalities"]]
-    )
+    dim, rows = _read(obj, "cone", "inequalities")
+    return ConeSystem.from_rows(dim, [_vector(a, dim) for a in rows])
 
 
 def rays_to_obj(R: RayList) -> dict:
@@ -62,12 +79,10 @@ def rays_to_obj(R: RayList) -> dict:
 
 
 def rays_from_obj(obj: dict) -> RayList:
-    if obj.get("type") != "rays":
-        raise ValueError("not a ray list object")
-    dim = obj["dim"]
-    rays = [parse_vec(r) for r in obj["rays"]]
-    if any(len(r) != dim or any(x.denominator != 1 for x in r) for r in rays):
-        raise ValueError(f"each ray must have {dim} integer entries")
+    dim, items = _read(obj, "rays", "rays")
+    rays = [_vector(r, dim) for r in items]
+    if any(x.denominator != 1 for r in rays for x in r):
+        raise ValueError("each ray must have integer entries")
     return RayList(dim, tuple(tuple(x.numerator for x in r) for r in rays))
 
 
@@ -84,15 +99,14 @@ def polytope_to_obj(P: PolytopeSystem) -> dict:
 
 
 def polytope_from_obj(obj: dict) -> PolytopeSystem:
-    if obj.get("type") != "polytope":
-        raise ValueError("not a polytope object")
-    return PolytopeSystem.from_rows(
-        obj["dim"],
-        [
-            (parse_vec(row["coeffs"]), Fraction(row["bound"]))
-            for row in obj["inequalities"]
-        ],
-    )
+    dim, rows = _read(obj, "polytope", "inequalities")
+    ineqs = []
+    for row in rows:
+        if type(row) is not dict:
+            raise ValueError("each polytope inequality must be an object")
+        [bound] = _vector([row.get("bound")], 1)
+        ineqs.append((_vector(row.get("coeffs"), dim), bound))
+    return PolytopeSystem.from_rows(dim, ineqs)
 
 
 def vertices_to_obj(V: VertexSet) -> dict:
@@ -110,13 +124,8 @@ def vertices_to_obj(V: VertexSet) -> dict:
 
 
 def vertices_from_obj(obj: dict) -> VertexSet:
-    if obj.get("type") != "vertices":
-        raise ValueError("not a vertex set object")
-    dim = obj["dim"]
-    verts = tuple(parse_vec(v) for v in obj["vertices"])
-    if any(len(v) != dim for v in verts):
-        raise ValueError(f"each vertex must have {dim} entries")
-    return VertexSet(dim, verts)
+    dim, verts = _read(obj, "vertices", "vertices")
+    return VertexSet(dim, tuple(_vector(v, dim) for v in verts))
 
 
 def vertices_to_csv(V: VertexSet) -> str:
@@ -144,17 +153,18 @@ def genfun_to_obj(f: GenFun) -> dict:
 
 
 def genfun_from_obj(obj: dict) -> GenFun:
-    if obj.get("type") != "genfun":
-        raise ValueError("not a genfun object")
+    num_vars, items = _read(obj, "genfun", "terms", dim_key="vars")
     terms = {}
-    for t in obj["terms"]:
+    for t in items:
+        if type(t) is not dict or type(t.get("exp")) is not list:
+            raise ValueError(f"genfun term {t!r} must hold an exponent list")
         exp = tuple(t["exp"])
-        if any(type(x) is not int for x in (*exp, t["coef"])):  # not bool, not float
+        if any(type(x) is not int for x in (*exp, t.get("coef"))):  # not bool, not float
             raise ValueError(f"genfun term {t!r} must have integer entries")
         if exp in terms:
             raise ValueError(f"genfun exponent {list(exp)} repeats")
         terms[exp] = t["coef"]
-    blocks = tuple(obj["blocks"]) if "blocks" in obj else None
-    if any(type(x) is not int for x in (obj["vars"], obj["bound"], *(blocks or ()))):
-        raise ValueError("genfun vars, bound and blocks must be integers")
-    return GenFun(obj["vars"], obj["bound"], terms, blocks)
+    blocks = obj.get("blocks", [])
+    if type(blocks) is not list or any(type(x) is not int for x in (obj.get("bound"), *blocks)):
+        raise ValueError("genfun bound and blocks must be integers")
+    return GenFun(num_vars, obj["bound"], terms, tuple(blocks) if "blocks" in obj else None)

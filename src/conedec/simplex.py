@@ -5,9 +5,8 @@ pivoting.  Variables 0..n-1 are structural and n..n+m-1 the slacks.
 Bland's rule picks both the entering and the leaving variable by variable
 index, which rules out cycling.  The starting basis is the slack basis, so
 b >= 0 is required; every system produced in this package satisfies it
-(the origin is feasible).  The constructor takes the constraint rows
-sparse and integer, as the decode LP compiles them from H; dense rational
-rows enter through ExactSimplex.dense.
+(the origin is feasible).  The constructor takes one input format: the
+constraint rows sparse and integer, as the decode LP compiles them from H.
 
 The tableau is the condensed one: T = d * R over the nonbasic columns and
 the rhs, where R is the usual rational tableau and d > 0 is the previous
@@ -80,14 +79,6 @@ logger = logging.getLogger(__name__)
 MAX_PIVOTS = 100000
 
 
-def _scaled_rows(A: Sequence[Sequence], b: Sequence):
-    """(integer row, integer bound) pairs: each rational row and its bound
-    scaled by one positive factor (dd.integerize), which changes neither
-    the region nor Bland's pivot path."""
-    rows = (dd.integerize([*a, rhs]) for a, rhs in zip(A, b))
-    return ((list(r[:-1]), r[-1]) for r in rows)
-
-
 @dataclass(frozen=True)
 class SimplexResult:
     objective: Fraction
@@ -101,17 +92,6 @@ class ExactSimplex:
         is a tuple of (j, a_kj) pairs, a_kj != 0, with rhs b[k] >= 0."""
         self._store(n, rows, b)
         self._start(c)
-
-    @classmethod
-    def dense(cls, A: Sequence[Sequence], b: Sequence, c: Sequence) -> "ExactSimplex":
-        """The same from dense rational rows A (see _scaled_rows)."""
-        rows, bs = [], []
-        for row, rhs in _scaled_rows(A, b):
-            if len(row) != len(c):
-                raise ValueError("constraint row has wrong length")
-            rows.append(tuple([(j, a) for j, a in enumerate(row) if a]))
-            bs.append(rhs)
-        return cls(len(c), rows, bs, c)
 
     def _store(self, n: int, rows: Sequence, b: Sequence[int]) -> None:
         """Keep n, the sparse rows with their rhs, and the column index
@@ -278,8 +258,8 @@ class ExactSimplex:
             self._pivot(r, s)
         raise NumericalFailure("pivot limit hit")
 
-    def solve(self, max_pivots: int = MAX_PIVOTS) -> SimplexResult:
-        if not self._run(max_pivots):
+    def solve(self) -> SimplexResult:
+        if not self._run(MAX_PIVOTS):
             raise NumericalFailure("LP is unbounded; expected a boxed region")
         x = self._solution()
         res = SimplexResult(

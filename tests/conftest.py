@@ -7,7 +7,7 @@ from conedec.constructions import hamming_matrix
 from conedec.errors import BoundExceeded
 from conedec.lpdecode import _compiled_system
 from conedec.qcimprove import add_qc_shifts
-from conedec.simplex import ExactSimplex
+from reference_simplex import dense_simplex
 
 # Cyclic 3x7 representation of the [7,4,3] Hamming code; its fundamental
 # cone has 42 extreme rays and its relaxed polytope 96 vertices.
@@ -44,7 +44,7 @@ def random_vector(rng: random.Random, n: int) -> BinaryVector:
 
 def assert_compiled_matches_dense(H: BinaryMatrix, cap: int) -> None:
     """The decode LP that lpdecode compiles from H's sparse rows stores the
-    rows, rhs and column index that ExactSimplex.dense makes of
+    rows, rhs and column index that dense_simplex makes of
     build_relaxed_polytope's dense rows, or both raise one message."""
     try:
         P = build_relaxed_polytope(H, cap)
@@ -54,5 +54,5 @@ def assert_compiled_matches_dense(H: BinaryMatrix, cap: int) -> None:
         assert str(got.value) == str(exc)
         return
     A, b = zip(*P.inequalities)
-    compiled, dense = _compiled_system(H, cap), ExactSimplex.dense(A, b, [0] * H.cols)
+    compiled, dense = _compiled_system(H, cap), dense_simplex(A, b, [0] * H.cols)
     assert (compiled._rows, compiled._b, compiled._cols) == (dense._rows, dense._b, dense._cols)

@@ -1,5 +1,6 @@
-"""Reference simplexes kept as test oracles, and a recorder of the pivots
-a simplex makes.
+"""Reference simplexes kept as test oracles, a recorder of the pivots a
+simplex makes, and dense_simplex, which feeds ExactSimplex dense rational
+rows (the package itself builds only sparse integer rows).
 
 CondensedSimplex is the condensed-tableau simplex that the core-row
 ExactSimplex replaced: it stores every row of the condensed tableau (the
@@ -23,8 +24,29 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Sequence
 
+from conedec import dd
 from conedec.errors import NumericalFailure
-from conedec.simplex import MAX_PIVOTS, ExactSimplex, SimplexResult, _scaled_rows
+from conedec.simplex import MAX_PIVOTS, ExactSimplex, SimplexResult
+
+
+def _scaled_rows(A: Sequence[Sequence], b: Sequence):
+    """(integer row, integer bound) pairs: each rational row and its bound
+    scaled by one positive factor (dd.integerize), which changes neither
+    the region nor Bland's pivot path."""
+    rows = (dd.integerize([*a, rhs]) for a, rhs in zip(A, b))
+    return ((list(r[:-1]), r[-1]) for r in rows)
+
+
+def dense_simplex(A: Sequence[Sequence], b: Sequence, c: Sequence) -> ExactSimplex:
+    """ExactSimplex on dense rational rows A: min c . x over A x <= b, x >= 0,
+    each row scaled to integers (_scaled_rows) and stored sparse."""
+    rows, bs = [], []
+    for row, rhs in _scaled_rows(A, b):
+        if len(row) != len(c):
+            raise ValueError("constraint row has wrong length")
+        rows.append(tuple([(j, a) for j, a in enumerate(row) if a]))
+        bs.append(rhs)
+    return ExactSimplex(len(c), rows, bs, c)
 
 
 class CondensedSimplex:

@@ -248,23 +248,38 @@ class TestDecode:
             errors.append(sorted(r["error"] for r in json.loads(out)["per_orbit"]))
         assert errors[0] != errors[1]
 
-    def test_orbit_failures_match_plain_run(self, tmp_path, capsys):
-        # Both modes draw the same errors from one seed and decode rotation 0
+    def test_orbit_failures_match_plain_run(self, tmp_path, capsys, monkeypatch):
+        # Both modes draw their errors from bsc_errors and decode rotation 0
         # alike; a unique decode to a nonzero codeword is a failure in both.
-        from conedec import add_qc_shifts
+        from conedec import add_qc_shifts, qcimprove
+        from conedec.lpdecode import bsc_errors, llr_bsc
 
         H = hamming_matrix(3, cyclic=True)
         p = tmp_path / "h7.txt"
         p.write_text(format_dense(add_qc_shifts(H, H.row(0), 1)))
-        args = ("decode", str(p), "--random", "--crossover", "0.2", "--trials", "40", "--seed", "3")
-        code, plain = run(capsys, *args)
-        assert code == 0
-        code, orbit = run(capsys, *args, "--orbit-n0", "1")
-        assert code == 0
-        plain, orbit = json.loads(plain), json.loads(orbit)
-        assert plain["failures"] > 0
-        for key in ("failures", "fractional_count"):
-            assert orbit[key] == plain[key]
+        gammas = []
+        lp_decode = qcimprove.lp_decode
+
+        def recording_decode(H, gamma, cap):
+            gammas.append(gamma)
+            return lp_decode(H, gamma, cap)
+
+        monkeypatch.setattr(qcimprove, "lp_decode", recording_decode)
+        for seed in (3, 11):
+            errors = list(bsc_errors(7, 0.2, 40, seed))
+            args = ("decode", str(p), "--random", "--crossover", "0.2", "--trials", "40",
+                    "--seed", str(seed))
+            gammas.clear()
+            code, plain = run(capsys, *args)
+            assert code == 0
+            assert gammas == [llr_bsc(e, 0.2) for e in errors]
+            code, orbit = run(capsys, *args, "--orbit-n0", "1")
+            assert code == 0
+            plain, orbit = json.loads(plain), json.loads(orbit)
+            assert [r["error"] for r in orbit["per_orbit"]] == [e.to01() for e in errors]
+            assert plain["failures"] > 0
+            for key in ("failures", "fractional_count"):
+                assert orbit[key] == plain[key]
 
     def test_orbit_requires_quasi_cyclic(self, hamming_path, capsys):
         code, _ = run(

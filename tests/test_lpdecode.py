@@ -27,13 +27,13 @@ from conedec import lpdecode
 from conedec.constructions import hagiwara_css_label_matrix, hamming_matrix, steane_matrix
 from conedec.errors import BoundExceeded
 from conedec.lpdecode import _compiled_system, rationalize_llr
-from conedec.simplex import ExactSimplex
 from conftest import assert_compiled_matches_dense
 from reference_simplex import (
     CondensedSimplex,
     FullTableauSimplex,
     all_rows_optimum_is_unique,
     both_pivot_logs,
+    dense_simplex,
     solve_pivots,
 )
 
@@ -349,7 +349,7 @@ def reference_decode(H, gamma, row_weight_cap=20):
     """Decode without the compiled system: build the polytope afresh and
     solve it from Fraction rows, as lp_decode did before compilation."""
     P = build_relaxed_polytope(H, row_weight_cap)
-    res = ExactSimplex.dense(
+    res = dense_simplex(
         [[Fraction(x) for x in a] for a, _ in P.inequalities],
         [Fraction(b) for _, b in P.inequalities],
         rationalize_llr(gamma),

@@ -20,6 +20,8 @@ from conedec import (
 )
 from conedec import serialize as ser
 
+MISSING = object()  # a key the malformed object leaves out
+
 
 def test_fraction_strings():
     assert ser.frac_str(Fraction(3, 4)) == "3/4"
@@ -77,10 +79,30 @@ def test_genfun_round_trip(hamming7):
     {"type": "rays", "dim": 2, "rays": [["1/2", "1"]]},
     {"type": "rays", "dim": 2, "rays": [["1", "1"], ["1"]]},
     {"type": "rays", "dim": 2, "rays": [["1", "0", "1"]]},
-], ids=["fractional", "short", "long"])
+    {"type": "rays", "dim": 2, "rays": 5},
+    {"type": "rays", "dim": 2, "rays": [[1, 0]]},
+    {"type": "rays", "dim": 0, "rays": []},
+    {"type": "rays", "dim": True, "rays": [["1"]]},
+    [["1", "0"]],
+], ids=["fractional", "short", "long", "rays-not-list", "int-entries", "dim-zero",
+        "bool-dim", "not-object"])
 def test_rays_from_obj_rejects_malformed(obj):
     with pytest.raises(ValueError):
         ser.rays_from_obj(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"type": "cone", "dim": 2, "inequalities": [None]},
+    {"type": "cone", "dim": "2", "inequalities": [["1", "0"]]},
+    [["1", "0"]],
+    {"type": "cone", "dim": 2, "inequalities": [[1.5, 0]]},
+    {"type": "cone", "dim": 2, "inequalities": [["1"]]},
+    {"type": "cone", "dim": 2, "inequalities": [["1/0", "1"]]},
+], ids=["null-row", "string-dim", "not-object", "float-entries", "short", "zero-denominator"])
+def test_cone_from_obj_rejects_malformed(obj):
+    ser.cone_from_obj({"type": "cone", "dim": 2, "inequalities": [["1", "0"]]})
+    with pytest.raises(ValueError):
+        ser.cone_from_obj(obj)
 
 
 @pytest.mark.parametrize("change", [
@@ -92,33 +114,44 @@ def test_rays_from_obj_rejects_malformed(obj):
     {"vars": True},
     {"bound": 2.5},
     {"blocks": [True]},
+    {"terms": [{"exp": 3, "coef": 1}]},
+    {"terms": MISSING},
+    {"terms": [[1]]},
+    {"blocks": 1},
+    {"bound": MISSING},
 ], ids=[
     "float-exp", "bool-exp", "bool-coef", "float-coef", "repeated-exp",
-    "bool-vars", "float-bound", "bool-block",
+    "bool-vars", "float-bound", "bool-block", "int-exp", "no-terms",
+    "list-term", "int-blocks", "no-bound",
 ])
 def test_genfun_from_obj_rejects_malformed(change):
     obj = {"type": "genfun", "vars": 1, "bound": 2, "terms": [{"exp": [1], "coef": 1}]}
     ser.genfun_from_obj(obj)
+    bad = {k: v for k, v in {**obj, **change}.items() if v is not MISSING}
     with pytest.raises(ValueError):
-        ser.genfun_from_obj({**obj, **change})
+        ser.genfun_from_obj(bad)
 
 
-@pytest.mark.parametrize("vertices", [[["0", "1"], ["1"]], [["0", "1", "1/2"]]],
-                         ids=["short", "long"])
+@pytest.mark.parametrize("vertices", [
+    [["0", "1"], ["1"]], [["0", "1", "1/2"]], [3], [["1/0", "1"]], [[0.5, "1"]],
+], ids=["short", "long", "int-vertex", "zero-denominator", "float-entry"])
 def test_vertices_from_obj_rejects_wrong_length(vertices):
     with pytest.raises(ValueError):
         ser.vertices_from_obj({"type": "vertices", "dim": 2, "vertices": vertices})
 
 
-@pytest.mark.parametrize("coeffs", [["1"], ["1", "0", "1"]], ids=["short", "long"])
-def test_polytope_from_obj_rejects_wrong_length(coeffs):
+@pytest.mark.parametrize("row", [
+    {"coeffs": ["1"], "bound": "1"},
+    {"coeffs": ["1", "0", "1"], "bound": "1"},
+    {"coeffs": ["1", "1"]},
+    {"coeffs": ["1", "1"], "bound": 1},
+    ["1", "1"],
+], ids=["short", "long", "no-bound", "int-bound", "not-object"])
+def test_polytope_from_obj_rejects_wrong_length(row):
     obj = {
         "type": "polytope",
         "dim": 2,
-        "inequalities": [
-            {"coeffs": ["1", "1"], "bound": "1"},
-            {"coeffs": coeffs, "bound": "1"},
-        ],
+        "inequalities": [{"coeffs": ["1", "1"], "bound": "1"}, row],
     }
     with pytest.raises(ValueError):
         ser.polytope_from_obj(obj)

@@ -14,32 +14,33 @@ from reference_simplex import (
     FullTableauSimplex,
     all_rows_optimum_is_unique,
     both_pivot_logs,
+    dense_simplex,
     solve_pivots,
 )
 
 
 def test_box_corner():
-    res = ExactSimplex.dense([[1, 0], [0, 1]], [1, 1], [-1, -1]).solve()
+    res = dense_simplex([[1, 0], [0, 1]], [1, 1], [-1, -1]).solve()
     assert res.x == (Fraction(1), Fraction(1))
     assert res.objective == -2
     assert res.unique
 
 
 def test_zero_objective_segment_ties():
-    res = ExactSimplex.dense([[1]], [1], [0]).solve()
+    res = dense_simplex([[1]], [1], [0]).solve()
     assert res.objective == 0 and type(res.objective) is Fraction
     assert not res.unique
 
 
 def test_degenerate_duplicate_rows_unique():
-    res = ExactSimplex.dense([[1], [1]], [1, 1], [-1]).solve()
+    res = dense_simplex([[1], [1]], [1, 1], [-1]).solve()
     assert res.x == (Fraction(1),)
     assert res.unique
 
 
 def test_fractional_data():
     # min -x1 - x2 with x1 + 2 x2 <= 2, 2 x1 + x2 <= 2: optimum (2/3, 2/3).
-    res = ExactSimplex.dense([[1, 2], [2, 1]], [2, 2], [-1, -1]).solve()
+    res = dense_simplex([[1, 2], [2, 1]], [2, 2], [-1, -1]).solve()
     assert res.x == (Fraction(2, 3), Fraction(2, 3))
     assert res.objective == Fraction(-4, 3)
     assert res.unique
@@ -47,20 +48,20 @@ def test_fractional_data():
 
 def test_alternate_optima_detected():
     # Objective parallel to a facet: the whole edge x1 + x2 = 1 is optimal.
-    res = ExactSimplex.dense([[1, 1]], [1], [-1, -1]).solve()
+    res = dense_simplex([[1, 1]], [1], [-1, -1]).solve()
     assert res.objective == -1
     assert not res.unique
 
 
 def test_degenerate_vertex_still_unique():
     # Three facets through the optimum (1, 1) in 2D: degenerate but unique.
-    res = ExactSimplex.dense([[1, 0], [0, 1], [1, 1]], [1, 1, 2], [-1, -2]).solve()
+    res = dense_simplex([[1, 0], [0, 1], [1, 1]], [1, 1, 2], [-1, -2]).solve()
     assert res.x == (Fraction(1), Fraction(1))
     assert res.unique
 
 
 def test_rational_coefficients():
-    res = ExactSimplex.dense(
+    res = dense_simplex(
         [[Fraction(1, 2), Fraction(1, 3)]], [Fraction(5, 6)], [Fraction(-1), 0]
     ).solve()
     assert res.x[0] == Fraction(5, 3)
@@ -69,12 +70,12 @@ def test_rational_coefficients():
 
 def test_negative_rhs_rejected():
     with pytest.raises(ValueError):
-        ExactSimplex.dense([[1]], [-1], [1]).solve()
+        dense_simplex([[1]], [-1], [1]).solve()
 
 
 def test_unbounded_raises():
     with pytest.raises(NumericalFailure):
-        ExactSimplex.dense([[-1]], [0], [-1]).solve()
+        dense_simplex([[-1]], [0], [-1]).solve()
 
 
 @st.composite
@@ -100,8 +101,8 @@ def test_scaled_rows_give_identical_results(lp):
     # Scaling a row by a positive factor changes neither the region nor
     # Bland's pivot path, so results must be equal.
     A, b, c, scales = lp
-    scaled = ExactSimplex.dense(*scale_rows(A, b, scales), c)
-    assert scaled.solve() == ExactSimplex.dense(A, b, c).solve()
+    scaled = dense_simplex(*scale_rows(A, b, scales), c)
+    assert scaled.solve() == dense_simplex(A, b, c).solve()
 
 
 def scale_rows(A, b, scales):
@@ -135,7 +136,7 @@ def test_condensed_tableau_matches_full_tableau(lp):
     # their answers.
     A, b, c = lp
     with both_pivot_logs() as (core, condensed, full):
-        got = ExactSimplex.dense(A, b, c).solve()
+        got = dense_simplex(A, b, c).solve()
         ref = CondensedSimplex(A, b, c).solve()
         want = FullTableauSimplex(A, b, c).solve()
     assert got == ref == want
@@ -151,7 +152,7 @@ def test_condensed_tableau_covers_both_phases():
     A = [[-1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
     b, c = [1, 1, 1, 1], [1, -1, -1]
     with both_pivot_logs() as (core, condensed, full):
-        got = ExactSimplex.dense(A, b, c).solve()
+        got = dense_simplex(A, b, c).solve()
         ref = CondensedSimplex(A, b, c).solve()
         want = FullTableauSimplex(A, b, c).solve()
     assert got == ref == want and not got.unique
@@ -176,7 +177,7 @@ def test_derived_rows_equal_condensed_tableau(lp):
     # At every basis along the path, each core row and each row derived
     # for a basic slack is the condensed tableau's row there, exactly, and
     # so are d and the objective row.
-    sx, ref = ExactSimplex.dense(*lp), CondensedSimplex(*lp)
+    sx, ref = dense_simplex(*lp), CondensedSimplex(*lp)
     while True:
         assert (sx.basis, sx.nonbasic, sx.d) == (ref.basis, ref.nonbasic, ref.d)
         assert sx.obj == ref.T[-1]
@@ -199,7 +200,7 @@ def test_derived_rows_equal_condensed_tableau(lp):
 def test_tie_check_rows_equal_condensed_degenerate_rows(lp):
     # The auxiliary LP takes the condensed tableau's degenerate rows over
     # the zero-reduced-cost columns, in row order, as sparse rows.
-    sx, ref = ExactSimplex.dense(*lp), CondensedSimplex(*lp)
+    sx, ref = dense_simplex(*lp), CondensedSimplex(*lp)
     assert sx._run(MAX_PIVOTS) and ref._run(MAX_PIVOTS)
     taken = []
     store = ExactSimplex._store
@@ -230,7 +231,7 @@ def test_tie_check_rows_equal_condensed_degenerate_rows(lp):
 def test_degenerate_row_tie_check_matches_all_rows_check(lp):
     # The condensed oracle solved on the same LP ends at the same optimal
     # basis; the all-rows check runs on its tableau.
-    sx, ref = ExactSimplex.dense(*lp), CondensedSimplex(*lp)
+    sx, ref = dense_simplex(*lp), CondensedSimplex(*lp)
     res = sx.solve()
     ref.solve()
     assert (sx.basis, sx.nonbasic) == (ref.basis, ref.nonbasic)
@@ -251,13 +252,13 @@ def test_with_objective_never_changes_the_shared_rows(lp, c2):
     # the pivot element.
     A, b, c = lp
     c2 = c2[: len(c)]
-    template = ExactSimplex.dense(A, b, [0] * len(c))
+    template = dense_simplex(A, b, [0] * len(c))
     first = template.with_objective(c)
-    assert first.solve() == ExactSimplex.dense(A, b, c).solve()
-    assert first.with_objective(c2).solve() == ExactSimplex.dense(A, b, c2).solve()
-    assert template.with_objective(c2).solve() == ExactSimplex.dense(A, b, c2).solve()
+    assert first.solve() == dense_simplex(A, b, c).solve()
+    assert first.with_objective(c2).solve() == dense_simplex(A, b, c2).solve()
+    assert template.with_objective(c2).solve() == dense_simplex(A, b, c2).solve()
     assert all(x is y for x, y in zip(stored_rows(first), stored_rows(template)))
-    assert stored_rows(template) == stored_rows(ExactSimplex.dense(A, b, [0] * len(c)))
+    assert stored_rows(template) == stored_rows(dense_simplex(A, b, [0] * len(c)))
     with pytest.raises(ValueError):
         template.with_objective([*c, 0])
 
@@ -266,7 +267,7 @@ def test_condensed_tableau_shape():
     A, b, c = [[1, 2], [3, 4], [5, 6]], [1, 1, 1], [-1, -1]
     ref = CondensedSimplex(A, b, c)
     assert len(ref.T) == 4 and all(len(row) == 3 for row in ref.T)
-    sx = ExactSimplex.dense(A, b, c)
+    sx = dense_simplex(A, b, c)
     assert sx.basis == [2, 3, 4] and sx.nonbasic == [0, 1] and sx.core == {}
     assert sx._rows == (((0, 1), (1, 2)), ((0, 3), (1, 4)), ((0, 5), (1, 6)))
     assert sx._cols == (((0, 1), (1, 3), (2, 5)), ((0, 2), (1, 4), (2, 6)))
@@ -280,7 +281,7 @@ def test_condensed_tableau_shape():
 def test_column_index_shares_row_entries(hamming7):
     # Row k's columns hold one (k, a) object per distinct coefficient a,
     # in a dense system with mixed coefficients and in the compiled 3x7 LP.
-    dense = ExactSimplex.dense([[1, 2, 1, -1, 2], [3, 0, 3, 3, 0]], [1, 1], [0] * 5)
+    dense = dense_simplex([[1, 2, 1, -1, 2], [3, 0, 3, 3, 0]], [1, 1], [0] * 5)
     for sx in (dense, _compiled_system(hamming7, ROW_WEIGHT_CAP)):
         for k, pairs in enumerate(sx._rows):
             entries = [e for col in sx._cols for e in col if e[0] == k]
@@ -304,7 +305,7 @@ def test_column_index_shares_row_entries(hamming7):
 def test_debug_line_counts_match_pivot_log(lp, caplog):
     with both_pivot_logs() as (core, _, _):
         with caplog.at_level(logging.DEBUG, logger="conedec.simplex"):
-            sx = ExactSimplex.dense(*lp)
+            sx = dense_simplex(*lp)
             sx.solve()
     (rec,) = caplog.records
     assert rec.levelno == logging.DEBUG and rec.name == "conedec.simplex"
