@@ -3,8 +3,10 @@
 Subcommands: build (matrix from a recipe file), cone (inequality census and
 extreme rays), vertices (vertex census), decode (single word or seeded
 Monte Carlo), genfun (truncated generating function), improve (redundant-row
-loop).  Every command is deterministic given its flags; the effective
-configuration, including the seed, is embedded in each JSON output.
+loop).  Every command is deterministic given its flags.  Every command but
+build returns (payload, summary) to one output path, _analyze: a dict is
+written as JSON with "schema" first and the effective config (including the
+seed) last, a string as a CSV body under a "# config: {json}" line.
 
 Exit codes: 0 success, 2 input error, 3 resource bound exceeded,
 4 internal numerical failure.
@@ -86,6 +88,20 @@ def _json(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _analyze(args) -> int:
+    """Validate the config, read H, and write what args.run(args, H)
+    returns; with --out, the summary line goes to stdout."""
+    cfg = _config(args, args.command)
+    H = read_matrix(args.matrix, args.in_format)
+    payload, summary = args.run(args, H)
+    if isinstance(payload, str):
+        text = f"# config: {json.dumps(cfg)}\n" + payload
+    else:
+        text = _json({"schema": ser.SCHEMA, **payload, "config": cfg})
+    _emit(text, args.out, summary)
+    return EXIT_OK
+
+
 # --- subcommands -----------------------------------------------------------
 
 
@@ -165,49 +181,27 @@ def _recipe_matrix(source, key: str) -> BinaryMatrix:
     return BinaryMatrix.from_rows(_int_rows(source, key))
 
 
-def cmd_cone(args) -> int:
-    cfg = _config(args, "cone")
-    H = read_matrix(args.matrix, args.in_format)
+def cmd_cone(args, H: BinaryMatrix) -> tuple[dict, str]:
     K = build_fundamental_cone(H)
     rays = extreme_rays(K, max_dim=args.bound_rays)
-    obj = ser.cone_to_obj(K)
-    obj.update(ser.rays_to_obj(rays))
-    obj["type"] = "cone-census"
-    obj["config"] = cfg
-    _emit(
-        _json(obj),
-        args.out,
-        f"dim {K.dim}: {len(K.inequalities)} inequalities, {len(rays)} extreme rays",
-    )
-    return EXIT_OK
+    obj = {**ser.cone_to_obj(K), **ser.rays_to_obj(rays), "type": "cone-census"}
+    return obj, f"dim {K.dim}: {len(K.inequalities)} inequalities, {len(rays)} extreme rays"
 
 
-def cmd_vertices(args) -> int:
-    cfg = _config(args, "vertices")
-    H = read_matrix(args.matrix, args.in_format)
+def cmd_vertices(args, H: BinaryMatrix) -> tuple[dict | str, str]:
     census = lp_pseudocodewords(
         H, max_dim=args.bound_vertices, row_weight_cap=args.row_weight_cap
     )
     vs = census.vertex_set
     if args.format == "csv":
-        csv = f"# config: {json.dumps(cfg)}\n" + ser.vertices_to_csv(vs)
-        _emit(csv, args.out, f"{len(vs)} vertices")
-        return EXIT_OK
+        return ser.vertices_to_csv(vs), f"{len(vs)} vertices"
     obj = ser.vertices_to_obj(vs)
     obj["codeword_count"] = len(census.codeword)
     obj["non_codeword_count"] = len(census.non_codeword)
-    obj["config"] = cfg
-    _emit(
-        _json(obj),
-        args.out,
-        f"{len(vs)} vertices ({len(census.non_codeword)} non-codeword)",
-    )
-    return EXIT_OK
+    return obj, f"{len(vs)} vertices ({len(census.non_codeword)} non-codeword)"
 
 
-def cmd_decode(args) -> int:
-    cfg = _config(args, "decode")
-    H = read_matrix(args.matrix, args.in_format)
+def cmd_decode(args, H: BinaryMatrix) -> tuple[dict | str, str]:
     if (args.word is None) == (not args.random):
         raise ValueError("give exactly one of --word or --random")
     if args.orbit_n0 is not None and not args.random:
@@ -217,65 +211,73 @@ def cmd_decode(args) -> int:
     if args.ml and args.orbit_n0 is not None:
         raise ValueError("--ml is not available with --orbit-n0")
     if args.word is not None:
-        w = BinaryVector.from_string(args.word)
-        if w.n != H.cols:
-            raise ValueError(f"word length {w.n} != cols {H.cols}")
-        res = lp_decode(H, llr_bsc(w, args.crossover), args.row_weight_cap)
-        obj = {
-            "schema": ser.SCHEMA,
-            "type": "decode",
-            "word": w.to01(),
-            "p": args.crossover,
-            "status": res.status,
-            "integral": res.integral,
-            "objective": ser.frac_str(res.objective),
-            "optimum": ser.vec_strs(res.optimum),
-            "config": cfg,
-        }
-        if args.ml:
-            obj["ml_word"] = ml_decode(H, llr_bsc(w, args.crossover)).to01()
-        _emit(_json(obj), args.out, f"status {res.status}")
-        return EXIT_OK
-
+        return _decode_word(args, H)
     if args.orbit_n0 is not None:
-        errors = list(bsc_errors(H.cols, args.crossover, args.trials, args.seed))
-        rep = shift_equivariance_experiment(
-            H, args.orbit_n0, errors, args.crossover, args.row_weight_cap
-        )
-        obj = {
-            "schema": ser.SCHEMA,
-            "type": "shift-experiment",
-            "seed": args.seed,
-            "p": args.crossover,
-            "trials": args.trials,
-            "n0": args.orbit_n0,
-            "failures": sum(r.failed for r in rep.orbits),
-            "fractional_count": sum(r.statuses[0] == "fractional" for r in rep.orbits),
-            "tie_count": rep.tie_orbits,
-            "violations": list(rep.violations),
-            "per_orbit": [
-                {
-                    "error": "".join(str(b) for b in r.error),
-                    "statuses": list(r.statuses),
-                    "status_uniform": r.status_uniform,
-                    "outputs_shift_consistent": r.outputs_shift_consistent,
-                }
-                for r in rep.orbits
-            ],
-            "config": cfg,
-        }
-        _emit(
-            _json(obj),
-            args.out,
-            f"{len(rep.violations)} violations over {args.trials} orbits",
-        )
-        return EXIT_OK
+        return _decode_orbits(args, H)
+    return _decode_trials(args, H)
 
+
+def _decode_word(args, H: BinaryMatrix) -> tuple[dict, str]:
+    w = BinaryVector.from_string(args.word)
+    if w.n != H.cols:
+        raise ValueError(f"word length {w.n} != cols {H.cols}")
+    gamma = llr_bsc(w, args.crossover)
+    res = lp_decode(H, gamma, args.row_weight_cap)
+    obj = {
+        "type": "decode",
+        "word": w.to01(),
+        "p": args.crossover,
+        "status": res.status,
+        "integral": res.integral,
+        "objective": ser.frac_str(res.objective),
+        "optimum": ser.vec_strs(res.optimum),
+    }
+    if args.ml:
+        obj["ml_word"] = ml_decode(H, gamma).to01()
+    return obj, f"status {res.status}"
+
+
+def _decode_orbits(args, H: BinaryMatrix) -> tuple[dict, str]:
+    errors = list(bsc_errors(H.cols, args.crossover, args.trials, args.seed))
+    rep = shift_equivariance_experiment(
+        H, args.orbit_n0, errors, args.crossover, args.row_weight_cap
+    )
+    obj = {
+        "type": "shift-experiment",
+        "seed": args.seed,
+        "p": args.crossover,
+        "trials": args.trials,
+        "n0": args.orbit_n0,
+        "failures": sum(r.failed for r in rep.orbits),
+        "fractional_count": sum(r.statuses[0] == "fractional" for r in rep.orbits),
+        "tie_count": rep.tie_orbits,
+        "violations": list(rep.violations),
+        "per_orbit": [
+            {
+                "error": "".join(str(b) for b in r.error),
+                "statuses": list(r.statuses),
+                "status_uniform": r.status_uniform,
+                "outputs_shift_consistent": r.outputs_shift_consistent,
+            }
+            for r in rep.orbits
+        ],
+    }
+    return obj, f"{len(rep.violations)} violations over {args.trials} orbits"
+
+
+def _decode_trials(args, H: BinaryMatrix) -> tuple[dict | str, str]:
     est = evaluate_lp_performance(
         H, args.crossover, args.trials, args.seed, args.row_weight_cap, ml=args.ml
     )
+    summary = f"fer {est.fer:.4g}"
+    if args.format == "csv":
+        csv = (
+            "seed,p,trials,failures,fer,fractional_count,tie_count\n"
+            f"{args.seed},{args.crossover},{args.trials},{est.failures},"
+            f"{est.fer:.12g},{est.fractional},{est.ties}\n"
+        )
+        return csv, summary
     obj = {
-        "schema": ser.SCHEMA,
         "type": "decode-trials",
         "seed": args.seed,
         "p": args.crossover,
@@ -283,36 +285,18 @@ def cmd_decode(args) -> int:
         "failures": est.failures,
         "fractional_count": est.fractional,
         "tie_count": est.ties,
-        "config": cfg,
     }
     if args.ml:
         obj["ml_mismatches"] = est.ml_mismatches
-    if args.format == "csv":
-        csv = (
-            f"# config: {json.dumps(cfg)}\n"
-            "seed,p,trials,failures,fer,fractional_count,tie_count\n"
-            f"{args.seed},{args.crossover},{args.trials},{est.failures},"
-            f"{est.fer:.12g},{est.fractional},{est.ties}\n"
-        )
-        _emit(csv, args.out, f"fer {est.fer:.4g}")
-        return EXIT_OK
-    _emit(_json(obj), args.out, f"fer {est.fer:.4g}")
-    return EXIT_OK
+    return obj, summary
 
 
-def cmd_genfun(args) -> int:
-    cfg = _config(args, "genfun")
-    H = read_matrix(args.matrix, args.in_format)
+def cmd_genfun(args, H: BinaryMatrix) -> tuple[dict, str]:
     f = generating_function(H, args.box_bound)
-    obj = ser.genfun_to_obj(f)
-    obj["config"] = cfg
-    _emit(_json(obj), args.out, f"{len(f)} terms at bound {args.box_bound}")
-    return EXIT_OK
+    return ser.genfun_to_obj(f), f"{len(f)} terms at bound {args.box_bound}"
 
 
-def cmd_improve(args) -> int:
-    cfg = _config(args, "improve")
-    H = read_matrix(args.matrix, args.in_format)
+def cmd_improve(args, H: BinaryMatrix) -> tuple[dict, str]:
     if (args.target_noncw is None) == (args.target_fer is None):
         raise ValueError("give exactly one of --target-noncw or --target-fer")
     target = ImproveTarget(
@@ -331,7 +315,6 @@ def cmd_improve(args) -> int:
         row_weight_cap=args.row_weight_cap,
     )
     obj = {
-        "schema": ser.SCHEMA,
         "type": "improvement",
         "seed": report.seed,
         "n0": args.n0,
@@ -350,14 +333,8 @@ def cmd_improve(args) -> int:
             for it in report.iterations
         ],
         "final_matrix": format_dense(report.final_matrix),
-        "config": cfg,
     }
-    _emit(
-        _json(obj),
-        args.out,
-        f"met_target={report.met_target} after {len(report.iterations)} iterations",
-    )
-    return EXIT_OK
+    return obj, f"met_target={report.met_target} after {len(report.iterations)} iterations"
 
 
 # --- argument parsing ------------------------------------------------------
@@ -373,13 +350,19 @@ _OPTIONS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
-    """--out and --in-format, plus the named _OPTIONS the command reads."""
+def _add_command(sub, name: str, run, help: str, *flags: str) -> argparse.ArgumentParser:
+    """Register a command that reads a matrix: its matrix argument, --out,
+    --in-format, the named _OPTIONS it reads, and run(args, H), which
+    _analyze calls."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("matrix")
     p.add_argument("--out", help="write output to this file (summary to stdout)")
     p.add_argument("--in-format", default="auto", choices=["auto", "dense", "alist"],
                    dest="in_format")
     for flag in flags:
         p.add_argument(flag, **_OPTIONS[flag])
+    p.set_defaults(func=_analyze, run=run)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,18 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="dense", choices=["dense", "alist"])
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("cone", help="fundamental cone census and extreme rays")
-    p.add_argument("matrix")
-    _add_common(p, "--bound-rays")
-    p.set_defaults(func=cmd_cone)
+    _add_command(sub, "cone", cmd_cone, "fundamental cone census and extreme rays",
+                 "--bound-rays")
+    _add_command(sub, "vertices", cmd_vertices, "relaxed polytope vertex census",
+                 "--bound-vertices", "--row-weight-cap", "--format")
 
-    p = sub.add_parser("vertices", help="relaxed polytope vertex census")
-    p.add_argument("matrix")
-    _add_common(p, "--bound-vertices", "--row-weight-cap", "--format")
-    p.set_defaults(func=cmd_vertices)
-
-    p = sub.add_parser("decode", help="LP decode a word or run seeded trials")
-    p.add_argument("matrix")
+    p = _add_command(sub, "decode", cmd_decode, "LP decode a word or run seeded trials",
+                     "--seed", "--row-weight-cap", "--format")
     p.add_argument("--word", help="received word as a 0/1 string")
     p.add_argument("--random", action="store_true", help="Monte Carlo over the BSC")
     p.add_argument("--crossover", type=float, default=0.1)
@@ -415,25 +393,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ml", action="store_true", help="cross-check against ML decoding")
     p.add_argument("--orbit-n0", type=int, dest="orbit_n0",
                    help="with --random: decode whole shift orbits and report per-orbit")
-    _add_common(p, "--seed", "--row-weight-cap", "--format")
-    p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("genfun", help="truncated pseudocodeword generating function")
-    p.add_argument("matrix")
+    p = _add_command(sub, "genfun", cmd_genfun,
+                     "truncated pseudocodeword generating function")
     p.add_argument("--box-B", type=int, required=True, dest="box_bound")
-    _add_common(p)
-    p.set_defaults(func=cmd_genfun)
 
-    p = sub.add_parser("improve", help="redundant-row representation improvement")
-    p.add_argument("matrix")
+    p = _add_command(sub, "improve", cmd_improve,
+                     "redundant-row representation improvement",
+                     "--seed", "--bound-vertices", "--row-weight-cap")
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--target-noncw", type=int, dest="target_noncw")
     p.add_argument("--target-fer", type=float, dest="target_fer")
     p.add_argument("--crossover", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--budget", type=int, default=10)
-    _add_common(p, "--seed", "--bound-vertices", "--row-weight-cap")
-    p.set_defaults(func=cmd_improve)
 
     return ap
 

@@ -277,17 +277,17 @@ def row_space_contains(H: BinaryMatrix, w: BinaryVector) -> bool:
     return bits == 0
 
 
-def enumerate_codewords(H: BinaryMatrix, limit: int = ENUMERATION_CAP) -> list[BinaryVector]:
+def enumerate_codewords(H: BinaryMatrix) -> list[BinaryVector]:
     """All codewords of C(H), i.e. the GF(2) nullspace of H.
 
     Spans the nullspace basis, so the cost is 2^(n - rank) words; refuses
-    (rather than samples) when that exceeds 2^limit.
+    (rather than samples) when that exceeds 2^ENUMERATION_CAP.
     """
     basis = gf2_nullspace_basis(H)
     k = len(basis)
-    if k > limit:
+    if k > ENUMERATION_CAP:
         raise BoundExceeded(
-            f"code has 2^{k} codewords, above the 2^{limit} enumeration cap"
+            f"code has 2^{k} codewords, above the 2^{ENUMERATION_CAP} enumeration cap"
         )
     words = _span(basis)
     return [BinaryVector(H.cols, b) for b in sorted(words)]
@@ -305,18 +305,18 @@ def _span(basis: Sequence[BinaryVector]) -> list[int]:
 
 
 def enumerate_dual_words(
-    H: BinaryMatrix, max_weight: int, limit: int = ENUMERATION_CAP
+    H: BinaryMatrix, max_weight: int
 ) -> list[tuple[BinaryVector, bool]]:
     """Nonzero dual words of weight <= max_weight, tagged is-a-row-of-H.
 
     The search space is the GF(2) span of the rows of H (the dual code
     C(H)^perp).  The sweep is exhaustive over the span; results are sorted
-    by (weight, coordinates).
+    by (weight, coordinates); refuses when the span exceeds 2^ENUMERATION_CAP.
     """
     reduced, pivots = gf2_row_echelon(H.row_bits, H.cols)
-    if len(pivots) > limit:
+    if len(pivots) > ENUMERATION_CAP:
         raise BoundExceeded(
-            f"dual span has 2^{len(pivots)} words, above the 2^{limit} cap"
+            f"dual span has 2^{len(pivots)} words, above the 2^{ENUMERATION_CAP} cap"
         )
     row_set = set(H.row_bits)
     out = []

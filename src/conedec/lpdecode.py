@@ -71,11 +71,15 @@ def llr_bsc(w: BinaryVector, p: float) -> list[float]:
     """Per-position log-likelihood ratios for a BSC with crossover p.
 
     gamma_i = +log((1-p)/p) for a received 0 and the negation for a 1;
-    p = 1/2 gives the all-zero (uninformative) vector.
+    p = 1/2 gives the all-zero (uninformative) vector.  A p so close to 0
+    that the LLR overflows (a subnormal float) is refused, as is p outside
+    (0, 1).
     """
     if not 0 < p < 1:
         raise ValueError("crossover probability must be in (0, 1)")
     g = math.log((1 - p) / p)
+    if not math.isfinite(g):
+        raise ValueError(f"crossover probability {p!r} gives an infinite LLR")
     return [-g if b else g for b in w]
 
 

@@ -44,9 +44,7 @@ def is_gc_pseudocodeword(H: BinaryMatrix, p: Sequence[int]) -> bool:
     return in_cone(H, p)
 
 
-def enumerate_pseudocodewords(
-    H: BinaryMatrix, bound: int, budget: int = BOX_BUDGET
-) -> list[Pseudocodeword]:
+def enumerate_pseudocodewords(H: BinaryMatrix, bound: int) -> list[Pseudocodeword]:
     """All pseudocodewords in {0..bound}^n, in lexicographic order, by a
     pruned depth-first walk over the columns.
 
@@ -64,9 +62,9 @@ def enumerate_pseudocodewords(
     n = H.cols
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    if (bound + 1) ** n > budget:
+    if (bound + 1) ** n > BOX_BUDGET:
         raise BoundExceeded(
-            f"box sweep of ({bound + 1})^{n} points exceeds budget {budget}"
+            f"box sweep of ({bound + 1})^{n} points exceeds budget {BOX_BUDGET}"
         )
 
     rows_at = [[] for _ in range(n)]  # (row, support columns left after i)
@@ -138,12 +136,8 @@ class GenFun:
         return len(self.terms)
 
 
-def generating_function(
-    H: BinaryMatrix, bound: int, budget: int = BOX_BUDGET
-) -> GenFun:
-    terms = {
-        p.coords: 1 for p in enumerate_pseudocodewords(H, bound, budget)
-    }
+def generating_function(H: BinaryMatrix, bound: int) -> GenFun:
+    terms = {p.coords: 1 for p in enumerate_pseudocodewords(H, bound)}
     return GenFun(H.cols, bound, terms)
 
 

@@ -9,6 +9,7 @@ comment marking them as lossy.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -83,7 +84,11 @@ def rays_from_obj(obj: dict) -> RayList:
     rays = [_vector(r, dim) for r in items]
     if any(x.denominator != 1 for r in rays for x in r):
         raise ValueError("each ray must have integer entries")
-    return RayList(dim, tuple(tuple(x.numerator for x in r) for r in rays))
+    rays = tuple(tuple(x.numerator for x in r) for r in rays)
+    for r in rays:
+        if min(r) < 0 or math.gcd(*r) != 1:  # gcd 1 also rules out the zero ray
+            raise ValueError(f"ray {list(r)} is not a nonnegative primitive vector")
+    return RayList(dim, rays)
 
 
 def polytope_to_obj(P: PolytopeSystem) -> dict:
@@ -167,4 +172,6 @@ def genfun_from_obj(obj: dict) -> GenFun:
     blocks = obj.get("blocks", [])
     if type(blocks) is not list or any(type(x) is not int for x in (obj.get("bound"), *blocks)):
         raise ValueError("genfun bound and blocks must be integers")
+    if obj["bound"] < 0:
+        raise ValueError("genfun bound must be >= 0")
     return GenFun(num_vars, obj["bound"], terms, tuple(blocks) if "blocks" in obj else None)

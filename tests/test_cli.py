@@ -6,6 +6,7 @@ import pytest
 from conedec import BinaryMatrix, parse_alist, parse_dense
 from conedec.cli import main
 from conedec.gf2 import format_dense
+from conedec.serialize import SCHEMA
 from conedec.constructions import hamming_matrix
 
 
@@ -368,6 +369,18 @@ class TestDecode:
         assert lines[1] == "seed,p,trials,failures,fer,fractional_count,tie_count"
 
 
+    @pytest.mark.parametrize("argv", [
+        ("decode", "--word", "1000000"),
+        ("decode", "--random", "--trials", "3"),
+        ("improve", "--n0", "1", "--target-fer", "0.1", "--trials", "3"),
+    ], ids=["word", "random", "improve"])
+    def test_subnormal_crossover(self, hamming_path, capsys, argv):
+        code = main([argv[0], hamming_path, *argv[1:], "--crossover", "1e-320"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: crossover probability 1e-320 gives an infinite LLR\n"
+
+
 class TestGenfun:
     def test_two_coordinate(self, tmp_path, capsys):
         p = tmp_path / "rep2.txt"
@@ -479,3 +492,49 @@ class TestRoundTrips:
         code, out = run(capsys, "cone", str(alist_path))
         assert code == 0
         assert json.loads(out)["ray_count"] == 42
+
+
+# Every command that reads a matrix, in each output mode it has.
+OUTPUTS = {
+    "cone": ("cone",),
+    "vertices": ("vertices",),
+    "vertices-csv": ("vertices", "--format", "csv"),
+    "decode-word": ("decode", "--word", "1000000"),
+    "decode-word-ml": ("decode", "--word", "1100000", "--ml"),
+    "decode-trials": ("decode", "--random", "--trials", "20", "--seed", "3"),
+    "decode-trials-ml": ("decode", "--random", "--trials", "20", "--seed", "3", "--ml"),
+    "decode-trials-csv": ("decode", "--random", "--trials", "20", "--seed", "3",
+                          "--format", "csv"),
+    "decode-orbits": ("decode", "--random", "--orbit-n0", "7", "--trials", "3"),
+    "genfun": ("genfun", "--box-B", "1"),
+    "improve-noncw": ("improve", "--n0", "1", "--target-noncw", "0", "--budget", "5"),
+    "improve-fer": ("improve", "--n0", "1", "--target-fer", "0.5", "--trials", "20",
+                    "--budget", "1"),
+}
+
+
+@pytest.mark.parametrize("argv", OUTPUTS.values(), ids=OUTPUTS.keys())
+def test_output_contract(tmp_path, capsys, hamming_path, argv):
+    # JSON: "schema" first and "config" last.  CSV: a "# config: " line with
+    # the config JSON, then the body.  --out writes exactly what stdout would
+    # carry and leaves stdout one summary line.
+    argv = [argv[0], hamming_path, *argv[1:]]
+    code, text = run(capsys, *argv)
+    assert code == 0
+    out = tmp_path / "out"
+    code, summary = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == text.encode()
+    assert summary.endswith("\n") and summary.count("\n") == 1 and len(summary) > 1
+    if "csv" in argv:
+        code, as_json = run(capsys, *argv, "--format", "json")
+        cfg = {**json.loads(as_json)["config"], "format": "csv"}
+        first, _, body = text.partition("\n")
+        assert first == f"# config: {json.dumps(cfg)}"
+        assert body
+    else:
+        obj = json.loads(text)
+        keys = list(obj)
+        assert keys[0] == "schema" and keys[-1] == "config"
+        assert obj["schema"] == SCHEMA
+        assert obj["config"]["command"] == argv[0]

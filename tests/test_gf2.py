@@ -107,7 +107,7 @@ class TestEnumerateCodewords:
     def test_cap(self):
         H = BinaryMatrix(1, 30, [1])
         with pytest.raises(BoundExceeded):
-            enumerate_codewords(H, limit=24)
+            enumerate_codewords(H)
 
 
 class TestDualWords:
@@ -132,6 +132,11 @@ class TestDualWords:
         for w, _ in enumerate_dual_words(hamming7, 7):
             assert row_space_contains(hamming7, w)
         assert not row_space_contains(hamming7, BinaryVector.from_string("1000000"))
+
+    def test_cap(self):
+        # rank 25: the span is refused before any sweep
+        with pytest.raises(BoundExceeded):
+            enumerate_dual_words(identity(25), 1)
 
 
 class TestCyclicShift:

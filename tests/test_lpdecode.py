@@ -66,6 +66,11 @@ class TestLlrBsc:
             with pytest.raises(ValueError):
                 llr_bsc(w, p)
 
+    def test_subnormal_p(self):
+        # 0 < p < 1, but log((1 - p) / p) overflows to inf
+        with pytest.raises(ValueError, match="infinite LLR"):
+            llr_bsc(BinaryVector.from_string("10"), 1e-320)
+
 
 def reference_rationalize_llr(gamma):
     """Rationalization with a per-call dict of the distinct values."""

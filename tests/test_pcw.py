@@ -122,9 +122,12 @@ class TestEnumeratePseudocodewords:
             assert got == naive_box_enumeration(H, B)
 
     def test_budget(self):
-        H = BinaryMatrix(1, 10, [3])
+        # 4^13 = 2^26 box points, above BOX_BUDGET = 2^24: refused before the walk
+        H = BinaryMatrix(1, 13, [3])
         with pytest.raises(BoundExceeded):
-            enumerate_pseudocodewords(H, 3, budget=1000)
+            enumerate_pseudocodewords(H, 3)
+        with pytest.raises(BoundExceeded):
+            generating_function(H, 3)
 
     def test_additive_closure_inside_box(self, hamming7):
         ps = [p.coords for p in enumerate_pseudocodewords(hamming7, 1)]

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -84,8 +85,13 @@ def test_genfun_round_trip(hamming7):
     {"type": "rays", "dim": 0, "rays": []},
     {"type": "rays", "dim": True, "rays": [["1"]]},
     [["1", "0"]],
+    {"type": "rays", "dim": 2, "rays": [["-1", "0"]]},
+    {"type": "rays", "dim": 2, "rays": [["2", "0"]]},
+    {"type": "rays", "dim": 2, "rays": [["0", "0"]]},
+    {"type": "rays", "dim": 2, "rays": [["1", "0"], ["2", "4"]]},
 ], ids=["fractional", "short", "long", "rays-not-list", "int-entries", "dim-zero",
-        "bool-dim", "not-object"])
+        "bool-dim", "not-object", "negative", "not-primitive", "zero-ray",
+        "second-not-primitive"])
 def test_rays_from_obj_rejects_malformed(obj):
     with pytest.raises(ValueError):
         ser.rays_from_obj(obj)
@@ -119,10 +125,11 @@ def test_cone_from_obj_rejects_malformed(obj):
     {"terms": [[1]]},
     {"blocks": 1},
     {"bound": MISSING},
+    {"bound": -3},
 ], ids=[
     "float-exp", "bool-exp", "bool-coef", "float-coef", "repeated-exp",
     "bool-vars", "float-bound", "bool-block", "int-exp", "no-terms",
-    "list-term", "int-blocks", "no-bound",
+    "list-term", "int-blocks", "no-bound", "negative-bound",
 ])
 def test_genfun_from_obj_rejects_malformed(change):
     obj = {"type": "genfun", "vars": 1, "bound": 2, "terms": [{"exp": [1], "coef": 1}]}
@@ -215,10 +222,16 @@ def test_cone_json_round_trip(K):
     assert ser.cone_from_obj(json_trip(ser.cone_to_obj(K))) == K
 
 
+def primitive_rays(t) -> RayList:
+    """The nonzero vectors of (dim, vectors), each divided by its gcd."""
+    dim, vs = t
+    return RayList(dim, tuple(tuple(x // math.gcd(*v) for x in v) for v in vs if any(v)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(
     small_matrices().map(lambda H: extreme_rays(build_fundamental_cone(H))),
-    dims_and_vectors(st.integers(0, 10**30)).map(lambda t: RayList(t[0], tuple(t[1]))),
+    dims_and_vectors(st.integers(0, 10**30)).map(primitive_rays),
 ))
 def test_rays_json_round_trip(R):
     back = ser.rays_from_obj(json_trip(ser.rays_to_obj(R)))
