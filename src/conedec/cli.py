@@ -5,8 +5,9 @@ extreme rays), vertices (vertex census), decode (single word or seeded
 Monte Carlo), genfun (truncated generating function), improve (redundant-row
 loop).  Every command is deterministic given its flags.  Every command but
 build returns (payload, summary) to one output path, _analyze: a dict is
-written as JSON with "schema" first and the effective config (including the
-seed) last, a string as a CSV body under a "# config: {json}" line.
+written as JSON with "schema" first and the config (the command and every
+option it takes, seed included) last, a string as a CSV body under a
+"# config: {json}" line.
 
 Exit codes: 0 success, 2 input error, 3 resource bound exceeded,
 4 internal numerical failure.
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import constructions as cons
 from . import serialize as ser
-from .cone import RAY_DIM_CAP, build_fundamental_cone, extreme_rays
+from .cone import build_fundamental_cone, extreme_rays
 from .errors import BoundExceeded, NumericalFailure
 from .gf2 import (
     BinaryMatrix,
@@ -39,7 +40,7 @@ from .lpdecode import (
     shift_equivariance_experiment,
 )
 from .pcw import generating_function
-from .polytope import ROW_WEIGHT_CAP, VERTEX_DIM_CAP, lp_pseudocodewords
+from .polytope import lp_pseudocodewords
 from .qcimprove import ImproveTarget, evaluate_lp_performance, improve_representation
 
 EXIT_OK = 0
@@ -48,23 +49,15 @@ EXIT_BOUND = 3
 EXIT_NUMERICAL = 4
 
 
-# Options that land in a command's JSON config, in output order; a command's
-# config holds the ones it registers.
-_CONFIG_DESTS = (
-    "seed", "bound_rays", "bound_vertices", "box_bound", "row_weight_cap", "format",
-)
+# Parsed arguments that are not options of the analysis: the input and
+# output paths, the input format, and the dispatch targets.
+_NOT_CONFIG = ("matrix", "out", "in_format", "func", "run")
 
 
-def _config(args, command: str) -> dict:
-    """The command and the value of every option it reads, validated."""
-    cfg = {"command": command}
-    cfg.update((d, getattr(args, d)) for d in _CONFIG_DESTS if hasattr(args, d))
-    for name in ("bound_rays", "bound_vertices", "row_weight_cap"):
-        if cfg.get(name, 1) < 1:
-            raise ValueError(f"{name} must be positive")
-    if cfg.get("box_bound", 0) < 0:
-        raise ValueError("box_bound must be >= 0")
-    return cfg
+def _config(args) -> dict:
+    """The command and every option it takes, defaults included, in the
+    order they are registered."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
 
 
 def read_matrix(path: str, in_format: str = "auto") -> BinaryMatrix:
@@ -89,9 +82,9 @@ def _json(obj: dict) -> str:
 
 
 def _analyze(args) -> int:
-    """Validate the config, read H, and write what args.run(args, H)
-    returns; with --out, the summary line goes to stdout."""
-    cfg = _config(args, args.command)
+    """Read H and write what args.run(args, H) returns with its config;
+    with --out, the summary line goes to stdout."""
+    cfg = _config(args)
     H = read_matrix(args.matrix, args.in_format)
     payload, summary = args.run(args, H)
     if isinstance(payload, str):
@@ -183,15 +176,13 @@ def _recipe_matrix(source, key: str) -> BinaryMatrix:
 
 def cmd_cone(args, H: BinaryMatrix) -> tuple[dict, str]:
     K = build_fundamental_cone(H)
-    rays = extreme_rays(K, max_dim=args.bound_rays)
+    rays = extreme_rays(K)
     obj = {**ser.cone_to_obj(K), **ser.rays_to_obj(rays), "type": "cone-census"}
     return obj, f"dim {K.dim}: {len(K.inequalities)} inequalities, {len(rays)} extreme rays"
 
 
 def cmd_vertices(args, H: BinaryMatrix) -> tuple[dict | str, str]:
-    census = lp_pseudocodewords(
-        H, max_dim=args.bound_vertices, row_weight_cap=args.row_weight_cap
-    )
+    census = lp_pseudocodewords(H)
     vs = census.vertex_set
     if args.format == "csv":
         return ser.vertices_to_csv(vs), f"{len(vs)} vertices"
@@ -222,7 +213,7 @@ def _decode_word(args, H: BinaryMatrix) -> tuple[dict, str]:
     if w.n != H.cols:
         raise ValueError(f"word length {w.n} != cols {H.cols}")
     gamma = llr_bsc(w, args.crossover)
-    res = lp_decode(H, gamma, args.row_weight_cap)
+    res = lp_decode(H, gamma)
     obj = {
         "type": "decode",
         "word": w.to01(),
@@ -239,9 +230,7 @@ def _decode_word(args, H: BinaryMatrix) -> tuple[dict, str]:
 
 def _decode_orbits(args, H: BinaryMatrix) -> tuple[dict, str]:
     errors = list(bsc_errors(H.cols, args.crossover, args.trials, args.seed))
-    rep = shift_equivariance_experiment(
-        H, args.orbit_n0, errors, args.crossover, args.row_weight_cap
-    )
+    rep = shift_equivariance_experiment(H, args.orbit_n0, errors, args.crossover)
     obj = {
         "type": "shift-experiment",
         "seed": args.seed,
@@ -266,9 +255,7 @@ def _decode_orbits(args, H: BinaryMatrix) -> tuple[dict, str]:
 
 
 def _decode_trials(args, H: BinaryMatrix) -> tuple[dict | str, str]:
-    est = evaluate_lp_performance(
-        H, args.crossover, args.trials, args.seed, args.row_weight_cap, ml=args.ml
-    )
+    est = evaluate_lp_performance(H, args.crossover, args.trials, args.seed, ml=args.ml)
     summary = f"fer {est.fer:.4g}"
     if args.format == "csv":
         csv = (
@@ -311,8 +298,6 @@ def cmd_improve(args, H: BinaryMatrix) -> tuple[dict, str]:
         budget=args.budget,
         seed=args.seed,
         trials=args.trials,
-        max_dim=args.bound_vertices,
-        row_weight_cap=args.row_weight_cap,
     )
     obj = {
         "type": "improvement",
@@ -343,9 +328,6 @@ def cmd_improve(args, H: BinaryMatrix) -> tuple[dict, str]:
 # Options that more than one subcommand reads: flag -> add_argument keywords.
 _OPTIONS = {
     "--seed": {"type": int, "default": 0},
-    "--bound-rays": {"type": int, "default": RAY_DIM_CAP},
-    "--bound-vertices": {"type": int, "default": VERTEX_DIM_CAP},
-    "--row-weight-cap": {"type": int, "default": ROW_WEIGHT_CAP},
     "--format": {"default": "json", "choices": ["json", "csv"]},
 }
 
@@ -379,13 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="dense", choices=["dense", "alist"])
     p.set_defaults(func=cmd_build)
 
-    _add_command(sub, "cone", cmd_cone, "fundamental cone census and extreme rays",
-                 "--bound-rays")
+    _add_command(sub, "cone", cmd_cone, "fundamental cone census and extreme rays")
     _add_command(sub, "vertices", cmd_vertices, "relaxed polytope vertex census",
-                 "--bound-vertices", "--row-weight-cap", "--format")
+                 "--format")
 
     p = _add_command(sub, "decode", cmd_decode, "LP decode a word or run seeded trials",
-                     "--seed", "--row-weight-cap", "--format")
+                     "--seed", "--format")
     p.add_argument("--word", help="received word as a 0/1 string")
     p.add_argument("--random", action="store_true", help="Monte Carlo over the BSC")
     p.add_argument("--crossover", type=float, default=0.1)
@@ -400,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "improve", cmd_improve,
                      "redundant-row representation improvement",
-                     "--seed", "--bound-vertices", "--row-weight-cap")
+                     "--seed")
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--target-noncw", type=int, dest="target_noncw")
     p.add_argument("--target-fer", type=float, dest="target_fer")

@@ -25,7 +25,7 @@ from . import dd
 from .errors import BoundExceeded
 from .gf2 import BinaryMatrix, BinaryVector, as_fraction_vector, block_matrix
 
-RAY_DIM_CAP = 20  # default dimension bound for extreme-ray enumeration
+RAY_DIM_CAP = 20  # dimension bound for extreme-ray enumeration
 
 
 @dataclass(frozen=True)
@@ -111,14 +111,14 @@ def in_cone(H: BinaryMatrix, v: Sequence) -> bool:
     return True
 
 
-def extreme_rays(K: ConeSystem, max_dim: int = RAY_DIM_CAP) -> RayList:
+def extreme_rays(K: ConeSystem) -> RayList:
     """Complete set of extreme rays via double description.
 
     The cone must include its nonnegativity rows (ConeSystem built by this
     module always does); rays come out sorted and primitive.
     """
-    if K.dim > max_dim:
-        raise BoundExceeded(f"dimension {K.dim} exceeds ray enumeration cap {max_dim}")
+    if K.dim > RAY_DIM_CAP:
+        raise BoundExceeded(f"dimension {K.dim} exceeds ray enumeration cap {RAY_DIM_CAP}")
     rays = dd.extreme_rays_int(K.dim, K.inequalities)
     return RayList(K.dim, tuple(rays))
 

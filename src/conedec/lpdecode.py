@@ -14,9 +14,9 @@ unique vertex of the optimal face, and "tie" when that face contains more
 than one vertex; the tie test is geometric, so it is invariant under
 coordinate rotations of a quasi-cyclic instance.
 
-The relaxed polytope's rows are compiled once per (H, row_weight_cap),
-straight from H's sparse odd-set rows (polytope.relaxed_rows) with no dense
-system, into an ExactSimplex at its slack basis.  Its sparse integer rows
+The relaxed polytope's rows are compiled once per H, straight from H's
+sparse odd-set rows (polytope.relaxed_rows) with no dense system, into an
+ExactSimplex at its slack basis.  Its sparse integer rows
 and column index are held in a cache bounded by the total number of rows
 it stores; repeated decodes on one matrix (a Monte Carlo run, a shift
 orbit) share them and only bring their own objective row.
@@ -51,7 +51,7 @@ from .gf2 import (
     is_quasi_cyclic,
     mat_vec_mod2,
 )
-from .polytope import ROW_WEIGHT_CAP, relaxed_rows
+from .polytope import relaxed_rows
 from .simplex import ExactSimplex
 
 LLR_DENOMINATOR_CAP = 10**6
@@ -133,10 +133,10 @@ class DecodeResult:
         return BinaryVector.from_bits(int(x) for x in self.optimum)
 
 
-_compiled: OrderedDict[tuple[BinaryMatrix, int], ExactSimplex] = OrderedDict()
+_compiled: OrderedDict[BinaryMatrix, ExactSimplex] = OrderedDict()
 
 
-def _compiled_system(H: BinaryMatrix, row_weight_cap: int) -> ExactSimplex:
+def _compiled_system(H: BinaryMatrix) -> ExactSimplex:
     """The relaxed polytope of H as a simplex at its slack basis with a zero
     objective; each decode starts from it with with_objective, which shares
     its sparse integer rows and column index.
@@ -146,21 +146,18 @@ def _compiled_system(H: BinaryMatrix, row_weight_cap: int) -> ExactSimplex:
     Systems are cached least recently used first out, until the rows of the
     rest fit in COMPILED_ROWS_CAP.
     """
-    key = (H, row_weight_cap)
-    if key in _compiled:
-        _compiled.move_to_end(key)
-        return _compiled[key]
-    A, b = zip(*relaxed_rows(H, row_weight_cap))
-    sx = _compiled[key] = ExactSimplex(H.cols, A, b, [0] * H.cols)
+    if H in _compiled:
+        _compiled.move_to_end(H)
+        return _compiled[H]
+    A, b = zip(*relaxed_rows(H))
+    sx = _compiled[H] = ExactSimplex(H.cols, A, b, [0] * H.cols)
     rows = sum(s.m for s in _compiled.values())
     while rows > COMPILED_ROWS_CAP and len(_compiled) > 1:
         rows -= _compiled.popitem(last=False)[1].m
     return sx
 
 
-def lp_decode(
-    H: BinaryMatrix, gamma: LlrVector, row_weight_cap: int = ROW_WEIGHT_CAP
-) -> DecodeResult:
+def lp_decode(H: BinaryMatrix, gamma: LlrVector) -> DecodeResult:
     """min gamma . y over the relaxed polytope of H, solved exactly.
 
     The returned point is always a vertex (a basic solution of the
@@ -172,7 +169,7 @@ def lp_decode(
     if len(gamma) != H.cols:
         raise ValueError(f"LLR length {len(gamma)} != cols {H.cols}")
     gr = rationalize_llr(gamma)
-    system = _compiled_system(H, row_weight_cap)  # raises over the cap, certified or not
+    system = _compiled_system(H)  # raises over the cap, certified or not
     hard = _certified_codeword(H, gr)
     if hard is not None:
         logger.debug("lp_decode: hard decision of weight %d is a codeword, no LP", hard.bit_count())
@@ -323,7 +320,6 @@ def shift_equivariance_experiment(
     n0: int,
     errors: Sequence[BinaryVector],
     p: float,
-    row_weight_cap: int = ROW_WEIGHT_CAP,
 ) -> ShiftReport:
     """Decode every rotation of each error and compare along the orbit.
 
@@ -346,7 +342,7 @@ def shift_equivariance_experiment(
         results = []
         for i in range(orbit_len):
             shifted = cyclic_shift(e, n0 * i)
-            results.append(lp_decode(H, llr_bsc(shifted, p), row_weight_cap))
+            results.append(lp_decode(H, llr_bsc(shifted, p)))
         statuses = tuple(r.status for r in results)
         uniform = len(set(statuses)) == 1
         if "tie" in statuses:

@@ -26,7 +26,7 @@ from . import dd
 from .errors import BoundExceeded
 from .gf2 import BinaryMatrix, as_fraction_vector, enumerate_codewords, mat_vec_mod2
 
-VERTEX_DIM_CAP = 16  # default dimension bound for vertex enumeration
+VERTEX_DIM_CAP = 16  # dimension bound for vertex enumeration
 ROW_WEIGHT_CAP = 20  # each row of weight w expands to 2^(w-1) inequalities
 
 
@@ -77,20 +77,20 @@ class VertexSet:
         return len(self.vertices)
 
 
-def relaxed_rows(H: BinaryMatrix, row_weight_cap: int = ROW_WEIGHT_CAP):
+def relaxed_rows(H: BinaryMatrix):
     """The rows of the relaxed polytope, sparse: (pairs, bound) with pairs
     the (i, a_i) of the nonzero a_i, in column order.
 
     The box rows -x_i <= 0 and x_i <= 1 come first, then each check's odd
     sets by size, in combinations order; Bland's rule follows this order.
     Every row is primitive (entries -1 and 1 on its support) and none
-    repeats.  A check above row_weight_cap raises BoundExceeded before the
+    repeats.  A check above ROW_WEIGHT_CAP raises BoundExceeded before the
     first row.
     """
     for j, bits in enumerate(H.row_bits):
-        if bits.bit_count() > row_weight_cap:
+        if bits.bit_count() > ROW_WEIGHT_CAP:
             raise BoundExceeded(
-                f"row {j} has weight {bits.bit_count()}, above the expansion cap {row_weight_cap}"
+                f"row {j} has weight {bits.bit_count()}, above the expansion cap {ROW_WEIGHT_CAP}"
             )
     minus = [(i, -1) for i in range(H.cols)]
     plus = [(i, 1) for i in range(H.cols)]
@@ -110,13 +110,11 @@ def relaxed_rows(H: BinaryMatrix, row_weight_cap: int = ROW_WEIGHT_CAP):
                 yield tuple(pairs), size - 1
 
 
-def build_relaxed_polytope(
-    H: BinaryMatrix, row_weight_cap: int = ROW_WEIGHT_CAP
-) -> PolytopeSystem:
+def build_relaxed_polytope(H: BinaryMatrix) -> PolytopeSystem:
     """relaxed_rows made dense, for double description, membership and JSON."""
     n = H.cols
     rows = []
-    for pairs, bound in relaxed_rows(H, row_weight_cap):
+    for pairs, bound in relaxed_rows(H):
         a = [0] * n
         for i, x in pairs:
             a[i] = x
@@ -124,15 +122,15 @@ def build_relaxed_polytope(
     return PolytopeSystem(n, tuple(rows))
 
 
-def _check_vertex_dim(n: int, max_dim: int) -> None:
-    if n > max_dim:
-        raise BoundExceeded(f"dimension {n} exceeds vertex enumeration cap {max_dim}")
+def _check_vertex_dim(n: int) -> None:
+    if n > VERTEX_DIM_CAP:
+        raise BoundExceeded(f"dimension {n} exceeds vertex enumeration cap {VERTEX_DIM_CAP}")
 
 
-def enumerate_vertices(P: PolytopeSystem, max_dim: int = VERTEX_DIM_CAP) -> VertexSet:
+def enumerate_vertices(P: PolytopeSystem) -> VertexSet:
     """Complete vertex set via double description on the homogenization."""
     n = P.dim
-    _check_vertex_dim(n, max_dim)
+    _check_vertex_dim(n)
     # Homogenize: a . x <= b becomes b t - a . x >= 0 on (x, t) with t >= 0.
     # The lower box rows -x_i <= 0 turn into the unit rows the double
     # description seed needs; extreme_rays_int raises ValueError without them.
@@ -164,18 +162,12 @@ class PseudocodewordCensus:
     non_codeword: tuple[tuple[Fraction, ...], ...]
 
 
-def lp_pseudocodewords(
-    H: BinaryMatrix,
-    max_dim: int = VERTEX_DIM_CAP,
-    row_weight_cap: int = ROW_WEIGHT_CAP,
-) -> PseudocodewordCensus:
-    _check_vertex_dim(H.cols, max_dim)  # before the rows are built
-    vs = enumerate_vertices(build_relaxed_polytope(H, row_weight_cap), max_dim)
+def lp_pseudocodewords(H: BinaryMatrix) -> PseudocodewordCensus:
+    _check_vertex_dim(H.cols)  # before the rows are built
+    vs = enumerate_vertices(build_relaxed_polytope(H))
     cw, non = [], []
-    for v in vs.vertices:
-        if all(x.denominator == 1 for x in v) and not any(
-            mat_vec_mod2(H, [int(x) for x in v])
-        ):
+    for v, integral in zip(vs.vertices, vs.integral):
+        if integral and not any(mat_vec_mod2(H, [int(x) for x in v])):
             cw.append(v)
         else:
             non.append(v)

@@ -20,7 +20,7 @@ from .gf2 import (
     row_space_contains,
 )
 from .lpdecode import bsc_errors, llr_bsc, lp_decode, ml_decode
-from .polytope import ROW_WEIGHT_CAP, VERTEX_DIM_CAP, lp_pseudocodewords
+from .polytope import lp_pseudocodewords
 
 
 def shift_orbit(c: BinaryVector, n0: int) -> list[BinaryVector]:
@@ -90,7 +90,6 @@ def evaluate_lp_performance(
     p: float,
     trials: int,
     seed: int,
-    row_weight_cap: int = ROW_WEIGHT_CAP,
     ml: bool = False,
 ) -> PerformanceEstimate:
     """LP-decode `trials` BSC(p) corruptions of the zero word.
@@ -102,7 +101,7 @@ def evaluate_lp_performance(
     failures = fractional = ties = mismatches = 0
     for e in bsc_errors(H.cols, p, trials, seed):
         gamma = llr_bsc(e, p)
-        res = lp_decode(H, gamma, row_weight_cap)
+        res = lp_decode(H, gamma)
         if not res.recovers_zero:
             failures += 1
         if res.status == "fractional":
@@ -164,8 +163,6 @@ def improve_representation(
     budget: int,
     seed: int = 0,
     trials: int = 1000,
-    max_dim: int = VERTEX_DIM_CAP,
-    row_weight_cap: int = ROW_WEIGHT_CAP,
 ) -> ImprovementReport:
     """Adjoin dual-word shift orbits until the target is met.
 
@@ -182,11 +179,11 @@ def improve_representation(
 
     def measure(mat: BinaryMatrix):
         if target.max_noncw_vertices is not None:
-            census = lp_pseudocodewords(mat, max_dim, row_weight_cap)
+            census = lp_pseudocodewords(mat)
             noncw = len(census.non_codeword)
             met = noncw <= target.max_noncw_vertices
             return met, len(census.vertex_set), noncw, None
-        est = evaluate_lp_performance(mat, target.p, trials, seed, row_weight_cap)
+        est = evaluate_lp_performance(mat, target.p, trials, seed)
         return est.fer <= target.max_fer, None, None, est.fer
 
     current = H

@@ -42,17 +42,17 @@ def random_vector(rng: random.Random, n: int) -> BinaryVector:
     return BinaryVector(n, rng.getrandbits(n))
 
 
-def assert_compiled_matches_dense(H: BinaryMatrix, cap: int) -> None:
+def assert_compiled_matches_dense(H: BinaryMatrix) -> None:
     """The decode LP that lpdecode compiles from H's sparse rows stores the
     rows, rhs and column index that dense_simplex makes of
     build_relaxed_polytope's dense rows, or both raise one message."""
     try:
-        P = build_relaxed_polytope(H, cap)
+        P = build_relaxed_polytope(H)
     except BoundExceeded as exc:
         with pytest.raises(BoundExceeded) as got:
-            _compiled_system(H, cap)
+            _compiled_system(H)
         assert str(got.value) == str(exc)
         return
     A, b = zip(*P.inequalities)
-    compiled, dense = _compiled_system(H, cap), dense_simplex(A, b, [0] * H.cols)
+    compiled, dense = _compiled_system(H), dense_simplex(A, b, [0] * H.cols)
     assert (compiled._rows, compiled._b, compiled._cols) == (dense._rows, dense._b, dense._cols)

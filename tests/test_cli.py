@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from conedec import BinaryMatrix, parse_alist, parse_dense
-from conedec.cli import main
+from conedec.cli import build_parser, main
 from conedec.gf2 import format_dense
 from conedec.serialize import SCHEMA
 from conedec.constructions import hamming_matrix
@@ -15,6 +15,19 @@ def hamming_path(tmp_path):
     p = tmp_path / "hamming3.txt"
     p.write_text(format_dense(hamming_matrix(3, cyclic=True)))
     return str(p)
+
+
+@pytest.fixture()
+def weight21_path(tmp_path):
+    # One check of weight 21: one above ROW_WEIGHT_CAP, and its 21 columns
+    # are one above RAY_DIM_CAP and five above VERTEX_DIM_CAP.
+    p = tmp_path / "weight21.txt"
+    p.write_text(format_dense(BinaryMatrix(1, 21, [(1 << 21) - 1])))
+    return str(p)
+
+
+ROW_WEIGHT_REFUSAL = "error: row 0 has weight 21, above the expansion cap 20\n"
+VERTEX_DIM_REFUSAL = "error: dimension {} exceeds vertex enumeration cap 16\n"
 
 
 def run(capsys, *argv):
@@ -102,7 +115,7 @@ class TestCone:
         obj = json.loads(out)
         assert obj["ray_count"] == 42
         assert obj["inequality_count"] == 19
-        assert obj["config"] == {"command": "cone", "bound_rays": 20}
+        assert obj["config"] == {"command": "cone"}
 
     def test_zero_matrix_units(self, tmp_path, capsys):
         p = tmp_path / "z.txt"
@@ -113,9 +126,11 @@ class TestCone:
         assert obj["ray_count"] == 3
         assert obj["rays"] == [["0", "0", "1"], ["0", "1", "0"], ["1", "0", "0"]]
 
-    def test_bound_exceeded_exit(self, hamming_path, capsys):
-        code, _ = run(capsys, "cone", hamming_path, "--bound-rays", "3")
-        assert code == 3
+    def test_bound_exceeded_exit(self, weight21_path, capsys):
+        code = main(["cone", weight21_path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == "error: dimension 21 exceeds ray enumeration cap 20\n"
 
     def test_parse_error_exit(self, tmp_path, capsys):
         p = tmp_path / "garbage.txt"
@@ -131,15 +146,16 @@ class TestCone:
             assert exc.value.code == 2
 
     def test_unread_options_not_accepted(self, hamming_path, capsys):
-        # Each subcommand registers only the options it reads.
+        # Each subcommand registers only the options it reads, and none takes
+        # a size cap: the caps are constants.
+        caps = ("--bound-rays", "--bound-vertices", "--row-weight-cap")
         unread = {
-            ("cone",): ("--seed", "--bound-vertices", "--row-weight-cap"),
-            ("vertices",): ("--seed", "--bound-rays"),
-            ("decode", "--random"): ("--bound-rays", "--bound-vertices"),
-            ("genfun", "--box-B", "0"): (
-                "--seed", "--bound-rays", "--bound-vertices", "--row-weight-cap",
-            ),
-            ("improve", "--n0", "1", "--target-noncw", "0"): ("--bound-rays",),
+            ("build",): caps,
+            ("cone",): ("--seed", *caps),
+            ("vertices",): ("--seed", *caps),
+            ("decode", "--random"): caps,
+            ("genfun", "--box-B", "0"): ("--seed", *caps),
+            ("improve", "--n0", "1", "--target-noncw", "0"): caps,
         }
         for argv, flags in unread.items():
             for flag in flags:
@@ -180,6 +196,18 @@ class TestVertices:
         code, out = run(capsys, "vertices", hamming_path, "--format", "csv")
         assert code == 0
         assert out.splitlines()[0].startswith("#")
+
+    def test_bound_exceeded_exit(self, tmp_path, weight21_path, capsys):
+        # 17 columns are one above VERTEX_DIM_CAP; the weight-21 check is
+        # refused by the same cap, which is checked before any row is built.
+        p = tmp_path / "cols17.txt"
+        p.write_text(format_dense(BinaryMatrix(1, 17, [1])))
+        for path, cols in ((str(p), 17), (weight21_path, 21)):
+            for fmt in ("json", "csv"):
+                code = main(["vertices", path, "--format", fmt])
+                captured = capsys.readouterr()
+                assert (code, captured.out) == (3, "")
+                assert captured.err == VERTEX_DIM_REFUSAL.format(cols)
 
 
 class TestDecode:
@@ -261,9 +289,9 @@ class TestDecode:
         gammas = []
         lp_decode = qcimprove.lp_decode
 
-        def recording_decode(H, gamma, cap):
+        def recording_decode(H, gamma):
             gammas.append(gamma)
-            return lp_decode(H, gamma, cap)
+            return lp_decode(H, gamma)
 
         monkeypatch.setattr(qcimprove, "lp_decode", recording_decode)
         for seed in (3, 11):
@@ -341,21 +369,22 @@ class TestDecode:
         )
         assert code == 2 and out == ""
 
-    def test_orbit_row_weight_cap_exit(self, tmp_path, capsys):
-        # The 7x7 rows have weight 4, above the cap; without --orbit-n0 the
-        # same call exits 3 as well.
-        from conedec import add_qc_shifts
-
-        H = hamming_matrix(3, cyclic=True)
-        p = tmp_path / "h7.txt"
-        p.write_text(format_dense(add_qc_shifts(H, H.row(0), 1)))
+    def test_orbit_row_weight_cap_exit(self, weight21_path, capsys):
+        # The all-ones row is closed under rotation by 1, so the orbit run
+        # reaches the decoder; without --orbit-n0 the same call exits 3 too.
         for orbit in (("--orbit-n0", "1"), ()):
-            code, _ = run(
-                capsys,
-                "decode", str(p), "--random", *orbit, "--trials", "2",
-                "--row-weight-cap", "2",
-            )
-            assert code == 3
+            code = main(["decode", weight21_path, "--random", *orbit, "--trials", "2"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (3, "")
+            assert captured.err == ROW_WEIGHT_REFUSAL
+
+    def test_word_row_weight_cap_exit(self, weight21_path, capsys):
+        # The zero word's hard decision is certified, yet the cap comes first.
+        for ml in ((), ("--ml",)):
+            code = main(["decode", weight21_path, "--word", "0" * 21, *ml])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (3, "")
+            assert captured.err == ROW_WEIGHT_REFUSAL
 
     def test_csv_summary(self, hamming_path, capsys):
         code, out = run(
@@ -395,6 +424,12 @@ class TestGenfun:
         obj = json.loads(out)
         assert len(obj["terms"]) == 1
 
+    def test_negative_bound(self, hamming_path, capsys):
+        code = main(["genfun", hamming_path, "--box-B", "-1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: bound must be >= 0\n"
+
     def test_steane_product_count(self, tmp_path, capsys):
         recipe = tmp_path / "steane.json"
         recipe.write_text(json.dumps({"kind": "steane", "r": 3}))
@@ -429,14 +464,17 @@ class TestImprove:
         assert obj["met_target"] is False
         assert obj["iterations"] == []
 
-    def test_row_weight_cap_exit(self, hamming_path, capsys):
-        # The 3x7 rows have weight 4, above the cap.
-        code, _ = run(
-            capsys,
-            "improve", hamming_path, "--n0", "1", "--target-noncw", "0",
-            "--budget", "0", "--row-weight-cap", "2",
-        )
-        assert code == 3
+    def test_row_weight_cap_exit(self, weight21_path, capsys):
+        # The FER target decodes and meets the row-weight cap; the census
+        # target meets the vertex dimension cap first.
+        for target, refusal in (
+            (("--target-fer", "0.1", "--trials", "2"), ROW_WEIGHT_REFUSAL),
+            (("--target-noncw", "0"), VERTEX_DIM_REFUSAL.format(21)),
+        ):
+            code = main(["improve", weight21_path, "--n0", "1", *target, "--budget", "0"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (3, "")
+            assert captured.err == refusal
 
     def test_dual_words_exhausted(self, hamming_path, capsys):
         code, out = run(
@@ -538,3 +576,30 @@ def test_output_contract(tmp_path, capsys, hamming_path, argv):
         assert keys[0] == "schema" and keys[-1] == "config"
         assert obj["schema"] == SCHEMA
         assert obj["config"]["command"] == argv[0]
+
+
+def argv_from_config(cfg: dict, matrix: str) -> list[str]:
+    """The command line a config records: each option's first flag and its
+    value, a bare flag for a set switch, nothing for an unset option."""
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    actions = commands.choices[cfg["command"]]._actions
+    flags = {a.dest: a.option_strings[0] for a in actions if a.option_strings}
+    argv = [cfg["command"], matrix]
+    for dest, value in cfg.items():
+        if dest == "command" or value is None or value is False:
+            continue
+        argv += [flags[dest]] if value is True else [flags[dest], str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("argv", OUTPUTS.values(), ids=OUTPUTS.keys())
+def test_config_repeats_the_run(capsys, hamming_path, argv):
+    # config holds every option the command takes, defaults included, so
+    # the command line rebuilt from it writes the same bytes.
+    code, text = run(capsys, argv[0], hamming_path, *argv[1:])
+    assert code == 0
+    if text.startswith("# config: "):
+        cfg = json.loads(text.partition("\n")[0].removeprefix("# config: "))
+    else:
+        cfg = json.loads(text)["config"]
+    assert run(capsys, *argv_from_config(cfg, hamming_path)) == (0, text)

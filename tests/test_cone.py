@@ -170,9 +170,16 @@ class TestExtremeRays:
             assert K.contains(tuple(2 * x for x in r))
             assert K.contains(tuple(Fraction(x, 2) for x in r))
 
-    def test_dimension_cap(self, hamming7):
-        with pytest.raises(BoundExceeded):
-            extreme_rays(build_fundamental_cone(hamming7), max_dim=5)
+    def test_dimension_cap(self, monkeypatch):
+        # 21 columns, one more than RAY_DIM_CAP: refused before double
+        # description starts.
+        def refuse(*args, **kwargs):
+            raise AssertionError("double description ran above the ray dimension cap")
+
+        K = build_fundamental_cone(BinaryMatrix(1, 21, [1]))
+        monkeypatch.setattr(dd, "extreme_rays_int", refuse)
+        with pytest.raises(BoundExceeded, match="^dimension 21 exceeds ray enumeration cap 20$"):
+            extreme_rays(K)
 
     def test_rays_are_extremal(self, hamming7):
         # Certificate of extremality in a pointed cone: the inequalities

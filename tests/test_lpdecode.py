@@ -23,10 +23,10 @@ from conedec import (
     ml_decode,
     shift_equivariance_experiment,
 )
-from conedec import lpdecode
+from conedec import lpdecode, polytope
 from conedec.constructions import hagiwara_css_label_matrix, hamming_matrix, steane_matrix
 from conedec.errors import BoundExceeded
-from conedec.lpdecode import _compiled_system, rationalize_llr
+from conedec.lpdecode import _compiled_system, bsc_errors, rationalize_llr
 from conftest import assert_compiled_matches_dense
 from reference_simplex import (
     CondensedSimplex,
@@ -341,19 +341,19 @@ def reference_ml_decode(H, gamma):
     return best
 
 
-def reference_lp_decode(H, gamma, row_weight_cap=20):
+def reference_lp_decode(H, gamma):
     """lp_decode without the hard-decision certificate: every decode solves
     the compiled LP."""
-    res = _compiled_system(H, row_weight_cap).with_objective(rationalize_llr(gamma)).solve()
+    res = _compiled_system(H).with_objective(rationalize_llr(gamma)).solve()
     integral = all(v.denominator == 1 for v in res.x)
     status = "tie" if not res.unique else "codeword" if integral else "fractional"
     return DecodeResult(optimum=res.x, objective=res.objective, integral=integral, status=status)
 
 
-def reference_decode(H, gamma, row_weight_cap=20):
+def reference_decode(H, gamma):
     """Decode without the compiled system: build the polytope afresh and
     solve it from Fraction rows, as lp_decode did before compilation."""
-    P = build_relaxed_polytope(H, row_weight_cap)
+    P = build_relaxed_polytope(H)
     res = dense_simplex(
         [[Fraction(x) for x in a] for a, _ in P.inequalities],
         [Fraction(b) for _, b in P.inequalities],
@@ -364,8 +364,8 @@ def reference_decode(H, gamma, row_weight_cap=20):
     return status, res.x, res.objective
 
 
-def decode_triple(H, gamma, row_weight_cap=20):
-    res = lp_decode(H, gamma, row_weight_cap)
+def decode_triple(H, gamma):
+    res = lp_decode(H, gamma)
     return res.status, res.optimum, res.objective
 
 
@@ -402,7 +402,7 @@ class TestCompiledSystem:
         statuses = set()
         phases = set()
         for H, count in codes:
-            A, b = zip(*build_relaxed_polytope(H, 20).inequalities)
+            A, b = zip(*build_relaxed_polytope(H).inequalities)
             for t in range(count):
                 if t % 2:  # Gaussian LLRs: fractional optima are unique there
                     gamma = [rng.gauss(1.0, 1.2) for _ in range(H.cols)]
@@ -416,7 +416,7 @@ class TestCompiledSystem:
                 # The compiled LP is solved directly: lp_decode skips it on a
                 # certified hard decision.
                 with both_pivot_logs() as (core, condensed, full):
-                    res = _compiled_system(H, 20).with_objective(gr).solve()
+                    res = _compiled_system(H).with_objective(gr).solve()
                     ref = CondensedSimplex(A, b, gr).solve()
                     want = FullTableauSimplex(A, b, gr).solve()
                 got = lp_decode(H, gamma)
@@ -456,9 +456,9 @@ class TestCompiledSystem:
         statuses = set()
         for H, gamma in cases:
             gr = rationalize_llr(gamma)
-            sx = _compiled_system(H, 20).with_objective(gr)
+            sx = _compiled_system(H).with_objective(gr)
             res = sx.solve()
-            A, b = zip(*build_relaxed_polytope(H, 20).inequalities)
+            A, b = zip(*build_relaxed_polytope(H).inequalities)
             ref = CondensedSimplex(A, b, gr)
             ref.solve()
             assert (sx.basis, sx.nonbasic) == (ref.basis, ref.nonbasic)
@@ -467,7 +467,7 @@ class TestCompiledSystem:
             statuses.add("tie" if not res.unique else "codeword" if integral else "fractional")
         assert statuses == {"codeword", "fractional", "tie"}
 
-    def test_shared_rows_are_never_changed(self, hamming7, hamming7_full):
+    def test_shared_rows_are_never_changed(self, monkeypatch, hamming7, hamming7_full):
         # Every decode pivots a fresh instance over the cached template's
         # sparse rows and column index; none of its pivots may change them.
         # test_simplex checks the same on rows with entries other than
@@ -475,20 +475,23 @@ class TestCompiledSystem:
         # must be those of the dense polytope.  test_system_builders checks
         # the same on random H.
         rng = random.Random(63)
-        mats, caps = (hamming7, steane_matrix(3)), (4, 20)
+        mats = (hamming7, steane_matrix(3))
         for t in range(120):
-            H, cap = mats[t % 2], caps[t // 2 % 2]
+            H = mats[t % 2]
             if t % 3:
                 p = rng.choice((0.05, 0.1, 0.2))
                 gamma = llr_bsc(bsc_sample(BinaryVector(H.cols, 0), p, rng), p)
             else:
                 gamma = [rng.gauss(1.0, 1.2) for _ in range(H.cols)]
-            assert decode_triple(H, gamma, cap) == reference_decode(H, gamma, cap)
-        # Cap 4 trips on [15,11] (weight 8) and Hagiwara (weight 6).
+            assert decode_triple(H, gamma) == reference_decode(H, gamma)
+        # Cap 4 trips on [15,11] (weight 8) and Hagiwara (weight 6).  The
+        # compile cache is keyed by H alone, so it is emptied per cap.
         named = (*mats, hamming7_full, hamming_matrix(4), hagiwara_css_label_matrix())
-        for H in named:
-            for cap in caps:
-                assert_compiled_matches_dense(H, cap)
+        for cap in (4, 20):
+            monkeypatch.setattr(polytope, "ROW_WEIGHT_CAP", cap)
+            for H in named:
+                lpdecode._compiled.clear()
+                assert_compiled_matches_dense(H)
 
     def test_alternating_matrices_of_one_shape(self):
         H1, H2 = hamming_matrix(3), hamming_matrix(3, cyclic=True)
@@ -503,31 +506,40 @@ class TestCompiledSystem:
             differ += r1 != r2
         assert differ > 0
 
-    def test_smaller_cap_still_raises(self, hamming7):
-        gamma = llr_bsc(BinaryVector(7, 0), 0.1)
-        assert lp_decode(hamming7, gamma).status == "codeword"
-        with pytest.raises(BoundExceeded):
-            lp_decode(hamming7, gamma, row_weight_cap=3)
-        assert lp_decode(hamming7, gamma, row_weight_cap=4).status == "codeword"
+    def test_over_cap_raises_when_certified(self):
+        # One check of weight 21, one above ROW_WEIGHT_CAP.  All-positive
+        # LLRs certify the zero word, yet the cap is checked first.
+        H = BinaryMatrix(1, 21, [(1 << 21) - 1])
+        with pytest.raises(BoundExceeded, match="^row 0 has weight 21, above the expansion cap 20$"):
+            lp_decode(H, llr_bsc(BinaryVector(21, 0), 0.1))
+
+    def test_one_entry_per_matrix(self, hamming7_full):
+        # Every decode path on one H shares one compiled system.
+        lpdecode._compiled.clear()
+        errors = list(bsc_errors(7, 0.2, 3, seed=1))
+        lp_decode(hamming7_full, llr_bsc(errors[0], 0.2))
+        lp_decode(hamming7_full, llr_bsc(errors[1], 0.2))
+        shift_equivariance_experiment(hamming7_full, 1, errors, 0.2)
+        assert list(lpdecode._compiled) == [hamming7_full]
 
     def test_cache_bounded_by_rows(self, monkeypatch, hamming7, hamming7_full):
         steane = steane_matrix(3)
-        rows = {H: len(build_relaxed_polytope(H, 20).inequalities)
+        rows = {H: len(build_relaxed_polytope(H).inequalities)
                 for H in (hamming7, hamming7_full, steane)}
         lpdecode._compiled.clear()
         monkeypatch.setattr(lpdecode, "COMPILED_ROWS_CAP", rows[hamming7] + rows[steane])
-        a, b = _compiled_system(hamming7, 20), _compiled_system(hamming7_full, 20)
-        assert _compiled_system(hamming7, 20) is a  # 7x7 is now least recently used
-        c = _compiled_system(steane, 20)  # over the cap: 7x7 goes, 3x7 stays
-        assert _compiled_system(hamming7, 20) is a
-        assert _compiled_system(steane, 20) is c
-        assert _compiled_system(hamming7_full, 20) is not b
-        assert list(lpdecode._compiled) == [(hamming7_full, 20)]
+        a, b = _compiled_system(hamming7), _compiled_system(hamming7_full)
+        assert _compiled_system(hamming7) is a  # 7x7 is now least recently used
+        c = _compiled_system(steane)  # over the cap: 7x7 goes, 3x7 stays
+        assert _compiled_system(hamming7) is a
+        assert _compiled_system(steane) is c
+        assert _compiled_system(hamming7_full) is not b
+        assert list(lpdecode._compiled) == [hamming7_full]
         # A system above the cap on its own is still kept while it is newest.
         monkeypatch.setattr(lpdecode, "COMPILED_ROWS_CAP", 1)
-        d = _compiled_system(hamming7, 4)
-        assert _compiled_system(hamming7, 4) is d
-        assert list(lpdecode._compiled) == [(hamming7, 4)]
+        d = _compiled_system(hamming7)
+        assert _compiled_system(hamming7) is d
+        assert list(lpdecode._compiled) == [hamming7]
 
 
 class TestHardDecisionCertificate:
@@ -539,7 +551,7 @@ class TestHardDecisionCertificate:
 
     def test_caps_checked_first(self):
         # All-positive LLRs, so the hard decision 0 is a codeword, on a
-        # matrix with a row of weight 21 (above the LP's default cap) whose
+        # matrix with a row of weight 21 (above ROW_WEIGHT_CAP) whose
         # trellis needs 2^25 states: both decoders still refuse.
         H = BinaryMatrix(27, 52, [1 << j | 1 << (26 + j) for j in range(26)] + [(1 << 21) - 1])
         with pytest.raises(BoundExceeded):

@@ -66,9 +66,14 @@ class TestBuildRelaxedPolytope:
             assert P.contains(v)
 
     def test_row_weight_cap(self):
-        H = BinaryMatrix(1, 8, [(1 << 8) - 1])
-        with pytest.raises(BoundExceeded):
-            build_relaxed_polytope(H, row_weight_cap=7)
+        # One check of weight 21, one above ROW_WEIGHT_CAP: refused before
+        # the first row, box rows included.
+        H = BinaryMatrix(1, 21, [(1 << 21) - 1])
+        message = "^row 0 has weight 21, above the expansion cap 20$"
+        with pytest.raises(BoundExceeded, match=message):
+            next(polytope.relaxed_rows(H))
+        with pytest.raises(BoundExceeded, match=message):
+            build_relaxed_polytope(H)
 
 
 class TestEnumerateVertices:
@@ -111,9 +116,16 @@ class TestEnumerateVertices:
             ]
             assert rational_rank(tight) == P.dim
 
-    def test_dimension_cap(self, hamming7):
-        with pytest.raises(BoundExceeded):
-            enumerate_vertices(build_relaxed_polytope(hamming7), max_dim=5)
+    def test_dimension_cap(self, monkeypatch):
+        # 17 columns, one more than VERTEX_DIM_CAP: refused before double
+        # description starts.
+        def refuse(*args, **kwargs):
+            raise AssertionError("double description ran above the vertex dimension cap")
+
+        P = build_relaxed_polytope(BinaryMatrix(1, 17, [1]))
+        monkeypatch.setattr(polytope.dd, "extreme_rays_int", refuse)
+        with pytest.raises(BoundExceeded, match="^dimension 17 exceeds vertex enumeration cap 16$"):
+            enumerate_vertices(P)
 
     def test_census_checks_the_dimension_cap_first(self, monkeypatch):
         # [31,26] expands to 163,902 rows; the cap refuses it before any.

@@ -70,9 +70,9 @@ class TestEvaluateLpPerformance:
         decode = qcimprove.lp_decode
         drawn = []
 
-        def record(H, gamma, row_weight_cap):
+        def record(H, gamma):
             drawn.append(tuple(g < 0 for g in gamma))
-            return decode(H, [1.0] * H.cols, row_weight_cap)
+            return decode(H, [1.0] * H.cols)
 
         H = BinaryMatrix(1, 24, [1])
         monkeypatch.setattr(qcimprove, "lp_decode", record)

@@ -1,5 +1,6 @@
 """README's examples run as documented: the Python library sketch executes,
-and each recipe the command-line section quotes builds with exit 0."""
+each recipe the command-line section quotes builds with exit 0, and the
+size caps it states are the constants."""
 
 import json
 import re
@@ -8,6 +9,10 @@ from pathlib import Path
 import pytest
 
 from conedec.cli import main
+from conedec.cone import RAY_DIM_CAP
+from conedec.gf2 import ENUMERATION_CAP
+from conedec.pcw import BOX_BUDGET
+from conedec.polytope import ROW_WEIGHT_CAP, VERTEX_DIM_CAP
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 RECIPES = re.findall(r'`(\{"kind"[^`]*\})`', README)
@@ -30,3 +35,23 @@ def test_recipe_builds(tmp_path, capsys, recipe):
     path.write_text(recipe)
     assert main(["build", str(path), "--out", str(tmp_path / "H.txt")]) == 0
     assert capsys.readouterr().out.startswith("built ")
+
+
+def test_size_guards_match_constants():
+    # Each cap is stated as "<value> ... (`module.NAME`".
+    (guards,) = re.findall(r"^Size guards:(.*?)(?:\n\n|\Z)", README, re.S | re.M)
+    stated = re.findall(r"(2\^\d+|\d+)[^()]*\(`\w+\.(\w+)`", " ".join(guards.split()))
+    value = {
+        "ENUMERATION_CAP": 2**ENUMERATION_CAP,
+        "RAY_DIM_CAP": RAY_DIM_CAP,
+        "VERTEX_DIM_CAP": VERTEX_DIM_CAP,
+        "ROW_WEIGHT_CAP": ROW_WEIGHT_CAP,
+        "BOX_BUDGET": BOX_BUDGET,
+    }
+    assert [name for _, name in stated] == [
+        "ENUMERATION_CAP", "ENUMERATION_CAP", "RAY_DIM_CAP", "VERTEX_DIM_CAP",
+        "ROW_WEIGHT_CAP", "BOX_BUDGET",
+    ]
+    for number, name in stated:
+        base, _, exp = number.partition("^")
+        assert (int(base) ** int(exp) if exp else int(base)) == value[name], name

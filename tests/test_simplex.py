@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conedec.errors import NumericalFailure
 from conedec.lpdecode import _compiled_system
-from conedec.polytope import ROW_WEIGHT_CAP
 from conedec.simplex import MAX_PIVOTS, ExactSimplex
 from reference_simplex import (
     CondensedSimplex,
@@ -282,7 +281,7 @@ def test_column_index_shares_row_entries(hamming7):
     # Row k's columns hold one (k, a) object per distinct coefficient a,
     # in a dense system with mixed coefficients and in the compiled 3x7 LP.
     dense = dense_simplex([[1, 2, 1, -1, 2], [3, 0, 3, 3, 0]], [1, 1], [0] * 5)
-    for sx in (dense, _compiled_system(hamming7, ROW_WEIGHT_CAP)):
+    for sx in (dense, _compiled_system(hamming7)):
         for k, pairs in enumerate(sx._rows):
             entries = [e for col in sx._cols for e in col if e[0] == k]
             assert len(entries) == len(pairs)

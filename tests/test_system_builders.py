@@ -18,6 +18,8 @@ from conedec import (
     build_fundamental_cone,
     build_relaxed_polytope,
     dd,
+    lpdecode,
+    polytope,
 )
 from conedec.constructions import hagiwara_css_label_matrix, hamming_matrix, steane_matrix
 from conedec.errors import BoundExceeded
@@ -36,7 +38,7 @@ def reference_cone(H: BinaryMatrix) -> ConeSystem:
     return ConeSystem.from_rows(n, rows)
 
 
-def reference_polytope(H: BinaryMatrix, row_weight_cap: int = ROW_WEIGHT_CAP) -> PolytopeSystem:
+def reference_polytope(H: BinaryMatrix, cap: int = ROW_WEIGHT_CAP) -> PolytopeSystem:
     n = H.cols
     rows = []
     for i in range(n):
@@ -44,10 +46,8 @@ def reference_polytope(H: BinaryMatrix, row_weight_cap: int = ROW_WEIGHT_CAP) ->
         rows.append((tuple(1 if t == i else 0 for t in range(n)), 1))
     for j in range(H.rows):
         sup = H.row_support(j)
-        if len(sup) > row_weight_cap:
-            raise BoundExceeded(
-                f"row {j} has weight {len(sup)}, above the expansion cap {row_weight_cap}"
-            )
+        if len(sup) > cap:
+            raise BoundExceeded(f"row {j} has weight {len(sup)}, above the expansion cap {cap}")
         for size in range(1, len(sup) + 1, 2):
             for S in combinations(sup, size):
                 a = [0] * n
@@ -94,7 +94,7 @@ def test_builders_match_reference(H):
     P = build_relaxed_polytope(H)
     assert P == reference_polytope(H)
     assert all_int(K) and all_int(P)
-    assert_compiled_matches_dense(H, ROW_WEIGHT_CAP)
+    assert_compiled_matches_dense(H)
 
 
 @pytest.mark.parametrize(
@@ -118,20 +118,24 @@ def test_builders_skip_the_normalizer(monkeypatch, hamming7):
     assert len(build_relaxed_polytope(hamming7).inequalities) == 38
 
 
-def test_row_weight_cap_unchanged():
+def test_row_weight_cap_unchanged(monkeypatch):
+    # Small caps make the refusal cheap to reach.  The compile cache is keyed
+    # by H alone, so it is emptied before each compile under a new cap.
     rng = random.Random(31)
     raised = 0
     for _ in range(300):
         H = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 9))
         cap = rng.randint(0, 9)
+        monkeypatch.setattr(polytope, "ROW_WEIGHT_CAP", cap)
+        lpdecode._compiled.clear()
         try:
             expected = reference_polytope(H, cap)
         except BoundExceeded as exc:
             raised += 1
             with pytest.raises(BoundExceeded) as got:
-                build_relaxed_polytope(H, cap)
+                build_relaxed_polytope(H)
             assert str(got.value) == str(exc)
         else:
-            assert build_relaxed_polytope(H, cap) == expected
-        assert_compiled_matches_dense(H, cap)
+            assert build_relaxed_polytope(H) == expected
+        assert_compiled_matches_dense(H)
     assert 50 < raised < 250
