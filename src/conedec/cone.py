@@ -7,7 +7,10 @@ the support positions of each row contribute inequalities (h_ji = 0 makes
 the condition a consequence of nonnegativity), so the system is
   { Row_j(H) - 2 e_i : j in [r], i in Supp(Row_j) }  ∪  { e_i : i in [n] }.
 Membership of a vector in the cone of H is read from H itself (in_cone);
-the dense system is built only where its rows are the output.
+the dense system is built only where its rows are the output.  Membership
+in a dense system (ConeSystem.contains) integerizes v once and then takes
+exact int dot products with the integer rows: the system is homogeneous,
+so the positive scaling that clears v's denominators keeps every sign.
 The three lift rules (block rows, repeated blocks, an appended block) share
 one premise check, each given vector in its own cone, and one certificate,
 the lifted vector re-checked with in_cone against the composed matrix.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from . import dd
@@ -31,7 +35,14 @@ RAY_DIM_CAP = 20  # dimension bound for extreme-ray enumeration
 @dataclass(frozen=True)
 class ConeSystem:
     """Homogeneous system {v : a . v >= 0 for all rows a}, rows stored as
-    primitive integer vectors (nonnegativity rows included)."""
+    primitive integer vectors.  build_fundamental_cone includes the
+    nonnegativity rows; from_rows adds none.
+
+    contains(v) scales v once to a primitive integer vector with
+    dd.integerize, then tests every row with an exact int dot product.
+    The scale is positive and each row is homogeneous, so the sign of
+    a . v, and with it the answer, is that of the rational v.
+    """
 
     dim: int
     inequalities: tuple[tuple[int, ...], ...]
@@ -54,12 +65,10 @@ class ConeSystem:
         return cls(dim, tuple(seen))
 
     def contains(self, v: Sequence) -> bool:
-        vv = as_fraction_vector(v)
+        vv = dd.integerize(v)
         if len(vv) != self.dim:
             raise ValueError(f"length {len(vv)} != dim {self.dim}")
-        return all(
-            sum(a_i * x for a_i, x in zip(a, vv)) >= 0 for a in self.inequalities
-        )
+        return all(sum(map(mul, a, vv)) >= 0 for a in self.inequalities)
 
 
 @dataclass(frozen=True)

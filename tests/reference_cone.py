@@ -1,11 +1,16 @@
-"""The three cone lift rules as they were before they shared one premise
-check, one re-check and, for the column rule, one appended block; kept as
-the test oracle.
+"""Earlier forms of cone.py code, kept as test oracles.
 
+reference_cone_contains is ConeSystem.contains as it was before it
+integerized v: every entry becomes a Fraction and every row a Fraction dot
+product.
+
+The three lift rules are as they were before they shared one premise
+check, one re-check and, for the column rule, one appended block;
 reference_augment_column_lift runs one code path for an appended column
-s^T and another for an appended permutation block J_sigma.  Each rule
-returns what cone.py's rule of the same name must return, or raises an
-exception of the same type.
+s^T and another for an appended permutation block J_sigma.
+
+Each oracle returns what cone.py's function of the same name must return,
+or raises an exception of the same type.
 """
 
 from __future__ import annotations
@@ -13,8 +18,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from conedec.cone import in_cone
+from conedec.cone import ConeSystem, in_cone
 from conedec.gf2 import BinaryMatrix, BinaryVector, as_fraction_vector, block_matrix
+
+
+def reference_cone_contains(K: ConeSystem, v: Sequence) -> bool:
+    vv = as_fraction_vector(v)
+    if len(vv) != K.dim:
+        raise ValueError(f"length {len(vv)} != dim {K.dim}")
+    return all(
+        sum(a_i * x for a_i, x in zip(a, vv)) >= 0 for a in K.inequalities
+    )
 
 
 def reference_blockrow_embed(

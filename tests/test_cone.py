@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conedec import (
     BinaryMatrix,
     BinaryVector,
+    ConeSystem,
     augment_column_lift,
     blockrow_embed,
     build_fundamental_cone,
@@ -19,12 +20,15 @@ from conedec import (
     repeated_block_membership,
 )
 from conedec import cone, dd
+from conedec.constructions import normalizer_cone
 from conedec.errors import BoundExceeded
+from conedec.serialize import cone_from_obj, cone_to_obj
 
 from conftest import MEMBER, NONMEMBER, random_matrix
 from reference_cone import (
     reference_augment_column_lift,
     reference_blockrow_embed,
+    reference_cone_contains,
     reference_repeated_block_membership,
 )
 
@@ -118,10 +122,8 @@ class TestConeContains:
 
 
 @st.composite
-def matrices_and_vectors(draw):
-    """Random H with empty, weight-1 and repeated rows, and a vector of its
-    length: rationals with negative entries, or a BinaryVector."""
-    n = draw(st.integers(1, 8))
+def matrices(draw, n):
+    """Random H with n columns and empty, weight-1 and repeated rows."""
     row = st.one_of(
         st.just(0),
         st.integers(0, n - 1).map(lambda i: 1 << i),
@@ -129,23 +131,124 @@ def matrices_and_vectors(draw):
     )
     rows = draw(st.lists(row, min_size=1, max_size=5))
     rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    return BinaryMatrix(len(rows), n, rows)
+
+
+@st.composite
+def vectors(draw, n):
+    """A length-n vector: mixed int, Fraction (denominators up to 10^30),
+    float and bool entries, negative ones included; a nonnegative integer
+    vector scaled by a positive rational; the zero vector; or a
+    BinaryVector."""
     entry = st.one_of(
-        st.integers(-1, 3), st.fractions(min_value=-2, max_value=6, max_denominator=4)
+        st.integers(-2, 4),
+        st.fractions(min_value=-2, max_value=6, max_denominator=10**30),
+        st.floats(min_value=-2, max_value=6),
+        st.booleans(),
     )
-    v = draw(
-        st.one_of(
-            st.lists(entry, min_size=n, max_size=n).map(tuple),
-            st.integers(0, (1 << n) - 1).map(lambda b: BinaryVector(n, b)),
-        )
-    )
-    return BinaryMatrix(len(rows), n, rows), v
+    kind = draw(st.sampled_from(["mixed", "scaled", "zero", "binary"]))
+    if kind == "mixed":
+        return tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+    if kind == "scaled":
+        base = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        scale = draw(st.fractions(min_value=Fraction(1, 10**30), max_denominator=10**30))
+        return tuple(x * scale for x in base)
+    if kind == "zero":
+        return (draw(st.sampled_from([0, Fraction(0), 0.0, -0.0, False])),) * n
+    return BinaryVector(n, draw(st.integers(0, (1 << n) - 1)))
+
+
+@st.composite
+def matrices_and_vectors(draw):
+    n = draw(st.integers(1, 8))
+    return draw(matrices(n)), draw(vectors(n))
 
 
 @settings(max_examples=300, deadline=None)
 @given(matrices_and_vectors())
 def test_in_cone_matches_dense_system(Hv):
     H, v = Hv
-    assert in_cone(H, v) == build_fundamental_cone(H).contains(v) == direct_cone_check(H, v)
+    K = build_fundamental_cone(H)
+    assert in_cone(H, v) == K.contains(v) == reference_cone_contains(K, v) == direct_cone_check(H, v)
+
+
+@st.composite
+def rational_systems(draw, n):
+    """ConeSystem.from_rows on rational rows with mixed signs, zero rows and
+    duplicate rows (scaled copies among them)."""
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
+    rows.append([0] * n)
+    for a in draw(st.lists(st.sampled_from(rows), max_size=3)):
+        rows.append([x * draw(st.integers(1, 3)) for x in a])
+    return ConeSystem.from_rows(n, draw(st.permutations(rows)))
+
+
+@st.composite
+def cone_systems(draw):
+    """A ConeSystem from each constructor that makes one, sometimes read
+    back from its JSON object."""
+    kind = draw(st.sampled_from(["fundamental", "rows", "intersect", "product", "normalizer"]))
+    if kind == "fundamental":
+        K = build_fundamental_cone(draw(matrices(draw(st.integers(1, 8)))))
+    elif kind == "rows":
+        K = draw(rational_systems(draw(st.integers(1, 8))))
+    elif kind == "intersect":
+        n = draw(st.integers(1, 8))
+        part = st.one_of(matrices(n).map(build_fundamental_cone), rational_systems(n))
+        K = intersect_cones(draw(st.lists(part, min_size=1, max_size=3)))
+    elif kind == "product":
+        part = st.integers(1, 5).flatmap(
+            lambda n: st.one_of(matrices(n).map(build_fundamental_cone), rational_systems(n))
+        )
+        K = product_cone(draw(st.lists(part, min_size=1, max_size=3)))
+    else:
+        m = draw(st.integers(1, 4))
+        word = st.text(alphabet="IXYZ", min_size=m, max_size=m)
+        K = normalizer_cone(draw(st.lists(word, min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        K = cone_from_obj(cone_to_obj(K))
+    return K
+
+
+@settings(max_examples=400, deadline=None)
+@given(cone_systems(), st.data())
+def test_contains_matches_reference(K, data):
+    v = data.draw(vectors(K.dim))
+    assert K.contains(v) == reference_cone_contains(K, v)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "v, expected",
+    [
+        ((1, 1, 1), ValueError),
+        ((), ValueError),
+        (None, TypeError),
+        ((1, None), TypeError),
+        ((1, float("nan")), ValueError),
+        ((1, float("inf")), OverflowError),
+        ((float("-inf"), 1), OverflowError),
+        ((True, True), True),
+        ((True, False), False),
+        (("3/2", "3/2"), True),
+        (("1/3", "2/3"), False),
+        (("-1/2", "1/2"), False),
+        (("1/x", "1"), ValueError),
+    ],
+)
+def test_contains_input_contract(v, expected):
+    """Every input the Fraction oracle rejects is rejected with the same
+    exception type, and every input it reads gets its answer."""
+    K = build_fundamental_cone(BinaryMatrix.from_rows([[1, 1]]))
+    assert _outcome(reference_cone_contains, K, v) is expected
+    assert _outcome(K.contains, v) is expected
 
 
 class TestExtremeRays:
