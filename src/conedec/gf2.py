@@ -134,12 +134,15 @@ class BinaryMatrix:
         return [[self.entry(j, i) for i in range(self.cols)] for j in range(self.rows)]
 
     def transpose(self) -> "BinaryMatrix":
-        cols = []
-        for i in range(self.cols):
-            bits = 0
-            for j in range(self.rows):
-                bits |= self.entry(j, i) << j
-            cols.append(bits)
+        """Scatters each row's set bits into the columns: O(weight + cols)
+        big-int operations, not rows * cols entry reads."""
+        cols = [0] * self.cols
+        for j, bits in enumerate(self.row_bits):
+            bit = 1 << j
+            while bits:
+                low = bits & -bits
+                cols[low.bit_length() - 1] |= bit
+                bits ^= low
         return BinaryMatrix(self.cols, self.rows, cols)
 
     def weight(self) -> int:

@@ -43,21 +43,33 @@ r and applies the fraction-free Jordan step
 
 to the core rows and the objective row only (the division is known to be
 exact, so every comparison stays exact).  An entering structural's row
-joins the core and a leaving structural's row leaves it.  The ratio test
-builds the entering column through the column index: only the entering
-structural's own column and the columns of basic structurals with a
-nonzero in column s contribute.  The rhs of the slack rows comes from one
-pass that scales b and subtracts the columns of the basic structurals off
-zero.  On the decode LPs that is cheaper than summing the support of each
-row with a positive entry: on Hamming [15,11] about a quarter of the 542
-rows have one, and few structurals are off zero.  A pivot thus costs
-O(n^2 + m) plus the columns it touches, not O(m n), and it takes exactly
-the pivots of the full condensed tableau.
+joins the core and a leaving structural's row leaves it.  A pivot thus
+costs O(n^2) plus its ratio test, not O(m n), and it takes exactly the
+pivots of the full condensed tableau.
+
+The decode LPs are very degenerate, and every rhs is >= 0, so a ratio
+test mostly ends at a row of rhs 0.  The rows of b_k = 0 are recorded
+once, with the column index restricted to them.  At the slack basis, the
+ratio test reads b_k / a_ke straight off the entering column.  When a
+basic structural at zero has a positive entry, the smallest such one
+leaves.  When every basic structural sits at zero, rhs_k = d * b_k, so the
+rows of rhs 0 are the rows of b_k = 0, and the entering column is built
+over those rows only.  Such a pivot costs the rows it touches, not O(m).
+Otherwise the general pass builds the entering column through the column
+index (only the entering structural's own column and the columns of basic
+structurals with a nonzero in column s contribute) and takes the rhs of
+the slack rows from one pass that scales b and subtracts the columns of
+the basic structurals off zero: O(m) plus the columns it touches.  On
+the decode LPs that pass is cheaper than summing the support of each row
+with a positive entry.
 
 The tie check (_optimum_is_unique) runs on the degenerate rows only, those
 whose basic variable sits at zero, as an auxiliary LP in which every pivot
-is degenerate.  One pass over the rhs finds those rows; their entries over
-the zero-reduced-cost columns are then derived row by row, in row order.
+is degenerate.  When every basic structural sits at zero, those rows are
+the basic structurals and the basic slacks of the rows of b_k = 0, and
+their entries over the zero-reduced-cost columns are summed through the
+restricted column index, over the rows those columns touch.  Otherwise
+one rhs pass finds the rows, and their entries are derived row by row.
 
 solve logs one DEBUG line: rows, solve pivots, tie-check pivots, the
 degenerate rows the tie check took, and basic structurals at the optimum.
@@ -89,15 +101,22 @@ class SimplexResult:
 class ExactSimplex:
     def __init__(self, n: int, rows: Sequence, b: Sequence[int], c: Sequence):
         """min c . x over n structurals and the sparse integer rows: rows[k]
-        is a tuple of (j, a_kj) pairs, a_kj != 0, with rhs b[k] >= 0."""
+        is a tuple of (j, a_kj) pairs, with distinct j in range(n) and
+        a_kj != 0, and rhs b[k] >= 0."""
+        columns = set(range(n))
+        for k, pairs in enumerate(rows):
+            js = {j for j, _ in pairs}
+            if len(js) != len(pairs) or not js <= columns or not all(a for _, a in pairs):
+                raise ValueError(f"row {k}: columns must be distinct in range({n}), values nonzero")
         self._store(n, rows, b)
         self._start(c)
 
     def _store(self, n: int, rows: Sequence, b: Sequence[int]) -> None:
-        """Keep n, the sparse rows with their rhs, and the column index
-        built from them.  Row k's columns share one (k, a) entry per
-        distinct coefficient a: an odd-set row has just (k, 1) and (k, -1)."""
-        if any(rhs < 0 for rhs in b):
+        """Keep n, the sparse rows with their rhs, the column index built
+        from them, and the rows of b_k = 0 with the column index restricted
+        to them.  Row k's columns share one (k, a) entry per distinct
+        coefficient a: an odd-set row has just (k, 1) and (k, -1)."""
+        if b and min(b) < 0:
             raise ValueError("slack basis start requires b >= 0")
         cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for k, pairs in enumerate(rows):
@@ -107,6 +126,9 @@ class ExactSimplex:
         self.n, self.m = n, len(rows)
         self._rows, self._b = tuple(rows), tuple(b)
         self._cols = tuple(map(tuple, cols))
+        # The rows of b_k = 0 and the column index restricted to them.
+        self._zero_rows = tuple([k for k, rhs in enumerate(b) if not rhs])
+        self._zero_cols = tuple([tuple([e for e in col if not b[e[0]]]) for col in cols])
 
     def _start(self, c: Sequence) -> None:
         """Objective row c at the slack basis."""
@@ -125,11 +147,12 @@ class ExactSimplex:
 
     def with_objective(self, c: Sequence) -> "ExactSimplex":
         """A fresh simplex at the slack basis on this one's constraint rows
-        with objective c.  The sparse rows and the column index are shared,
-        not copied: no pivot writes into them."""
+        with objective c.  The sparse rows and the column indexes are
+        shared, not copied: no pivot writes into them."""
         sx = object.__new__(ExactSimplex)
         sx.n, sx.m = self.n, self.m
         sx._rows, sx._b, sx._cols = self._rows, self._b, self._cols
+        sx._zero_rows, sx._zero_cols = self._zero_rows, self._zero_cols
         sx._start(c)
         return sx
 
@@ -200,9 +223,47 @@ class ExactSimplex:
     def _leaving(self, s: int) -> int:
         """Bland's ratio test on column s: the position of the leaving
         variable, or -1 if no entry is positive.  Ties in the ratio go to
-        the smallest basic variable index."""
-        n, d, core, cols = self.n, self.d, self.core, self._cols
+        the smallest basic variable index.
+
+        Every rhs is >= 0, so a positive entry in a row of rhs 0 wins
+        unless a smaller basic variable has one too.  Three exact shortcuts
+        settle the test from the rows that column s touches, without the
+        general pass's m-row rhs pass: at the slack basis, when a basic
+        structural at zero has a positive entry, and when every basic
+        structural sits at zero (then only the rows of b_k = 0 have rhs 0).
+        """
+        n, d, core, cols, where = self.n, self.d, self.core, self._cols, self._where
         entering = self.nonbasic[s]
+        if not core:
+            # The slack basis: T_k[s] = d * a_ke and rhs_k = d * b_k, and
+            # column entering lists its rows in row order.
+            b, best, best_a = self._b, -1, 0
+            for k, a in cols[entering]:
+                if a > 0:
+                    if not b[k]:
+                        return where[n + k]
+                    if best < 0 or b[k] * best_a < b[best] * a:
+                        best, best_a = k, a
+            return where[n + best] if best >= 0 else -1
+        # Structurals have the smallest variable indices.
+        at_zero = [j for j, row in core.items() if row[s] > 0 and not row[-1]]
+        if at_zero:
+            return where[min(at_zero)]
+        if self._structurals_at_zero():
+            # Then rhs_k = d * b_k, so the slack rows of rhs 0 are the rows
+            # of b_k = 0; no basic structural has a positive entry there.
+            # Column s over those rows only:
+            zcols = self._zero_cols
+            col = {k: d * a for k, a in zcols[entering]} if entering < n else {}
+            get = col.get
+            for j, row in core.items():
+                t = row[s]
+                if t:
+                    for k, a in zcols[j]:
+                        col[k] = get(k, 0) - a * t
+            ks = [k for k, t in col.items() if t > 0 and where[n + k] >= 0]
+            if ks:
+                return where[n + min(ks)]
         # Column s over the slack rows: T_k[s] keyed by k.
         if entering >= n:
             col = {}
@@ -219,7 +280,6 @@ class ExactSimplex:
                     col[k] = get(k, 0) - a * t
                 if t > 0:
                     cands.append((row[-1], t, j))
-        where = self._where
         slack = [(k, t) for k, t in col.items() if t > 0 and where[n + k] >= 0]
         if slack:
             rhs = self._slack_rhs()
@@ -308,11 +368,7 @@ class ExactSimplex:
         zero_cols = sorted([l for l in range(n) if obj[l] == 0], key=self.nonbasic.__getitem__)
         if not zero_cols:
             return True
-        # One rhs pass, indexed by variable: the degenerate rows in row order.
-        rhs = [0] * n + self._slack_rhs()
-        for j, row in core.items():
-            rhs[j] = row[-1]
-        degenerate = [v for v in self.basis if not rhs[v]]
+        degenerate = self._degenerate()
         # Over zero_cols, slack row k is -sum_j a_kj * part[j] over the
         # support of a_k.  part[j] is sparse, as (t, value) pairs: -d in
         # column t for a nonbasic structural j at zero_cols[t], core[j]
@@ -325,18 +381,53 @@ class ExactSimplex:
                 part[self.nonbasic[l]] = ((t, -d),)
         for j, row in core.items():
             part[j] = tuple([(t, row[l]) for t, l in enumerate(zero_cols) if row[l]])
+        w: dict[int, list[int]] = {}  # slack row k over zero_cols, dense
+        if not self._structurals_at_zero():
+            # Summed by rows, over the degenerate ones.
+            for v in degenerate:
+                if v >= n:
+                    wk = w[v - n] = [0] * z
+                    for j, a in rows[v - n]:
+                        for t, y in part[j]:
+                            wk[t] -= a * y
+        else:
+            # Only rows of b_k = 0 are degenerate: summed by columns, over
+            # the rows of b_k = 0 that the columns with a part touch.
+            zcols = self._zero_cols
+            for j, pj in enumerate(part):
+                if pj:
+                    for k, a in zcols[j]:
+                        wk = w.get(k) or w.setdefault(k, [0] * z)
+                        for t, y in pj:
+                            wk[t] -= a * y
         A = []
         for v in degenerate:
             if v < n:
                 A.append(part[v])
-                continue
-            w = [0] * z
-            for j, a in rows[v - n]:
-                for t, y in part[j]:
-                    w[t] -= a * y
-            A.append(tuple([(t, x) for t, x in enumerate(w) if x]) if any(w) else ())
-        aux = ExactSimplex(z, A, [0] * len(A), [-1] * z)
+            else:
+                wk = w.get(v - n)
+                A.append(tuple([(t, x) for t, x in enumerate(wk) if x]) if wk else ())
+        # A's rows meet __init__'s input contract by construction.
+        aux = object.__new__(ExactSimplex)
+        aux._store(z, A, [0] * len(A))
+        aux._start([-1] * z)
         unique = aux._run(MAX_PIVOTS)
         self._tie_rows, self._tie_pivots = len(A), aux.pivots
         return unique
 
+    def _structurals_at_zero(self) -> bool:
+        """Whether every basic structural sits at zero.  Then each slack row
+        has rhs_k = d * b_k."""
+        return not any(row[-1] for row in self.core.values())
+
+    def _degenerate(self) -> list[int]:
+        """The basic variables at zero, in basis order: the degenerate rows."""
+        n, core, where = self.n, self.core, self._where
+        if self._structurals_at_zero():
+            # The slacks at zero are those of the rows of b_k = 0.
+            zero = [n + k for k in self._zero_rows if where[n + k] >= 0]
+            return sorted([*core, *zero], key=where.__getitem__)
+        rhs = [0] * n + self._slack_rhs()
+        for j, row in core.items():
+            rhs[j] = row[-1]
+        return [v for v in self.basis if not rhs[v]]

@@ -16,6 +16,12 @@ two must reproduce exactly.  Its tie check runs the auxiliary LP over all
 rows, so it pivots differently from the degenerate-row check but must give
 the same answer; all_rows_optimum_is_unique is that all-rows check on a
 solved CondensedSimplex.
+
+reference_leaving and reference_degenerate are ExactSimplex's ratio test
+and its degenerate-row rule as they were before the shortcuts for
+degenerate pivots: both read the rhs of every slack row from one
+_slack_rhs pass.  reference_tie_rows derives the tie check's auxiliary
+rows from reference_degenerate's rows one whole row at a time.
 """
 
 from __future__ import annotations
@@ -306,6 +312,66 @@ class FullTableauSimplex:
         return FullTableauSimplex(A, b, [-1] * len(zero_cols))._run(
             MAX_PIVOTS, stop_below_zero=True
         )
+
+
+def reference_leaving(sx: ExactSimplex, s: int) -> int:
+    """Bland's ratio test on column s of sx by the general pass alone: the
+    column built through the column index, every candidate's rhs from one
+    _slack_rhs pass."""
+    n, d, core, cols = sx.n, sx.d, sx.core, sx._cols
+    entering = sx.nonbasic[s]
+    # Column s over the slack rows: T_k[s] keyed by k.
+    if entering >= n:
+        col = {}
+    elif d == 1:
+        col = dict(cols[entering])
+    else:
+        col = {k: d * a for k, a in cols[entering]}
+    get = col.get
+    cands = []  # (rhs, entry, basic variable) with a positive entry
+    for j, row in core.items():
+        t = row[s]
+        if t:
+            for k, a in cols[j]:
+                col[k] = get(k, 0) - a * t
+            if t > 0:
+                cands.append((row[-1], t, j))
+    where = sx._where
+    slack = [(k, t) for k, t in col.items() if t > 0 and where[n + k] >= 0]
+    if slack:
+        rhs = sx._slack_rhs()
+        cands += [(rhs[k], t, n + k) for k, t in slack]
+    if not cands:
+        return -1
+    b_rhs, b_t, b_var = cands[0]
+    for rhs, t, var in cands:
+        cmp = rhs * b_t - b_rhs * t
+        if cmp < 0 or (cmp == 0 and var < b_var):
+            b_rhs, b_t, b_var = rhs, t, var
+    return where[b_var]
+
+
+def reference_degenerate(sx: ExactSimplex) -> list[int]:
+    """The basic variables of sx at zero, in basis order, from one rhs pass
+    indexed by variable."""
+    rhs = [0] * sx.n + sx._slack_rhs()
+    for j, row in sx.core.items():
+        rhs[j] = row[-1]
+    return [v for v in sx.basis if not rhs[v]]
+
+
+def reference_tie_rows(sx: ExactSimplex) -> list[tuple] | None:
+    """The rows the tie check should hand its auxiliary LP at sx's basis:
+    each of reference_degenerate's rows, a core row or a slack row derived
+    whole by _slack_row, over the zero-reduced-cost columns in variable
+    order, sparse.  None when no reduced cost is zero."""
+    zero_cols = sorted(
+        (l for l in range(sx.n) if sx.obj[l] == 0), key=sx.nonbasic.__getitem__
+    )
+    if not zero_cols:
+        return None
+    rows = [sx.core[v] if v < sx.n else sx._slack_row(v - sx.n) for v in reference_degenerate(sx)]
+    return [tuple((t, row[l]) for t, l in enumerate(zero_cols) if row[l]) for row in rows]
 
 
 def all_rows_optimum_is_unique(sx: CondensedSimplex) -> bool:

@@ -45,6 +45,22 @@ class TestSupport:
             assert v.support() == tuple(i for i in range(v.n) if v[i])
 
 
+def entrywise_transpose(H):
+    """BinaryMatrix.transpose as it was: one entry() read per position."""
+    cols = [sum(H.entry(j, i) << j for j in range(H.rows)) for i in range(H.cols)]
+    return BinaryMatrix(H.cols, H.rows, cols)
+
+
+def test_transpose_matches_entrywise(hamming7):
+    rng = random.Random(71)
+    cases = [hamming7, identity(1), identity(70), BinaryMatrix(3, 65, [0, (1 << 65) - 1, 1 << 64])]
+    cases += [random_matrix(rng, rng.randint(1, 40), rng.randint(1, 90)) for _ in range(200)]
+    for H in cases:
+        T = H.transpose()
+        assert T == entrywise_transpose(H)
+        assert T.transpose() == H
+
+
 class TestMatVecMod2:
     def test_membership_anchor(self, hamming7):
         # Row sums over the integers are 4, 2, 2: all even.

@@ -1,12 +1,18 @@
+import functools
 import logging
+import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conedec import BinaryVector
+from conedec.constructions import hamming_matrix, steane_matrix
 from conedec.errors import NumericalFailure
-from conedec.lpdecode import _compiled_system
+from conedec.lpdecode import _compiled_system, llr_bsc, lp_decode, rationalize_llr
+from conedec.qcimprove import add_qc_shifts
 from conedec.simplex import MAX_PIVOTS, ExactSimplex
 from reference_simplex import (
     CondensedSimplex,
@@ -14,6 +20,9 @@ from reference_simplex import (
     all_rows_optimum_is_unique,
     both_pivot_logs,
     dense_simplex,
+    reference_degenerate,
+    reference_leaving,
+    reference_tie_rows,
     solve_pivots,
 )
 
@@ -75,6 +84,24 @@ def test_negative_rhs_rejected():
 def test_unbounded_raises():
     with pytest.raises(NumericalFailure):
         dense_simplex([[-1]], [0], [-1]).solve()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [((-1, 1),)],  # once filed under the last column
+        [((5, 1),)],  # once an IndexError
+        [((2, 1),)],
+        [((0, 0),)],
+        [((0, 1), (1, 0))],
+        [((0, 1), (0, 1))],
+        [((1, 1),), ((0, 2), (1, 1), (0, -1))],
+    ],
+)
+def test_malformed_rows_rejected(rows):
+    # Columns must be distinct and in range(n), coefficients nonzero.
+    with pytest.raises(ValueError):
+        ExactSimplex(2, rows, [1] * len(rows), [0, -1])
 
 
 @st.composite
@@ -235,6 +262,201 @@ def test_degenerate_row_tie_check_matches_all_rows_check(lp):
     ref.solve()
     assert (sx.basis, sx.nonbasic) == (ref.basis, ref.nonbasic)
     assert res.unique == all_rows_optimum_is_unique(ref)
+
+
+def basis_kind(sx, s):
+    """Which shortcut of the ratio test can settle column s at sx's basis."""
+    if not sx.core:
+        return "slack basis"
+    if any(row[s] > 0 and not row[-1] for row in sx.core.values()):
+        return "structural at ratio 0"
+    if not any(row[-1] for row in sx.core.values()):
+        return "structurals at zero"
+    return "structural off zero"
+
+
+def assert_matches_reference(sx, leaving=ExactSimplex._leaving):
+    """At sx's basis, the ratio test of every column (not only those with a
+    negative reduced cost) and the degenerate rows equal the rhs-pass
+    reference.  Returns the basis_kind of each column."""
+    for s in range(sx.n):
+        assert leaving(sx, s) == reference_leaving(sx, s)
+    assert sx._degenerate() == reference_degenerate(sx)
+    if not sx.core:
+        # d is the determinant of the basis matrix, so 1 at a slack basis.
+        assert sx.d == 1
+    return {basis_kind(sx, s) for s in range(sx.n)}
+
+
+@contextmanager
+def ratio_tests_checked():
+    """While entered, every ExactSimplex checks its basis against the
+    reference (assert_matches_reference) before each ratio test, in the
+    tie check's auxiliary LP too.  Yields the set of basis kinds seen."""
+    leaving, kinds = ExactSimplex._leaving, set()
+
+    def checked(self, s):
+        kinds.update(assert_matches_reference(self, leaving))
+        return leaving(self, s)
+
+    ExactSimplex._leaving = checked
+    try:
+        yield kinds
+    finally:
+        ExactSimplex._leaving = leaving
+
+
+def tie_check_rows(sx):
+    """The rows sx's tie check hands its auxiliary LP, None if it builds
+    none; sx must be at an optimal basis."""
+    taken = []
+    store = ExactSimplex._store
+
+    def recording_store(self, n, rows, b):
+        taken.append(list(rows))
+        store(self, n, rows, b)
+
+    ExactSimplex._store = recording_store
+    try:
+        sx._optimum_is_unique()
+    finally:
+        ExactSimplex._store = store
+    return taken[0] if taken else None
+
+
+def assert_solve_matches_reference(sx):
+    """Solve sx with every basis checked (ratio_tests_checked), then check
+    the tie check's rows at the optimum against reference_tie_rows.
+    Returns the basis kinds seen."""
+    with ratio_tests_checked() as kinds:
+        assert sx._run(MAX_PIVOTS)
+        assert tie_check_rows(sx) == reference_tie_rows(sx)
+    return kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(varied_lps())
+def test_ratio_test_matches_reference_along_path(lp):
+    assert_solve_matches_reference(dense_simplex(*lp))
+
+
+@st.composite
+def degenerate_lps(draw):
+    """Small LPs, not always bounded, with half their rhs 0."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    coef = st.integers(-2, 2)
+    A = [[draw(coef) for _ in range(n)] for _ in range(m)]
+    b = [draw(st.sampled_from((0, 0, 1, 2))) for _ in range(m)]
+    return A, b, [0] * n
+
+
+@settings(max_examples=400, deadline=None)
+@given(varied_lps() | degenerate_lps(), st.lists(st.integers(0, 3), max_size=20))
+def test_ratio_test_matches_reference_on_any_walk(lp, choices):
+    # Feasible bases off Bland's path: each step enters a drawn column,
+    # whatever its reduced cost, so structurals also leave, slacks come
+    # back at other basis positions, and the slack basis returns with the
+    # nonbasic columns permuted.
+    sx = dense_simplex(*lp)
+    for choice in choices:
+        assert_matches_reference(sx)
+        s = choice % sx.n
+        r = sx._leaving(s)
+        if r >= 0:
+            sx._pivot(r, s)
+    assert_matches_reference(sx)
+
+
+def test_ratio_test_ties_by_variable_not_position():
+    # After three pivots, the slacks of rows 0 and 1 (both b_k = 0) are
+    # basic at positions 2 and 1: the tie in ratio 0 goes to the smaller
+    # variable, slack 2, at the larger position.
+    sx = dense_simplex([[0, 1], [0, 1], [1, -1]], [0, 0, 0], [0, 0])
+    for s in (0, 1, 1):
+        sx._pivot(sx._leaving(s), s)
+        assert_matches_reference(sx)
+    assert sx.basis == [1, 3, 2] and sx._leaving(0) == sx._leaving(1) == 2
+
+
+def test_ratio_test_back_at_slack_basis():
+    # Four pivots return to the slack basis with the nonbasic columns in
+    # the order 2, 0, 1.  d is not 1 in between, but it is 1 again there:
+    # no basis without a basic structural has d != 1.
+    sx = dense_simplex([[3, 2, 3], [-1, 2, 0]], [3, 3], [0, 0, 0])
+    ds = []
+    for s in (2, 0, 1, 2):
+        sx._pivot(sx._leaving(s), s)
+        ds.append(sx.d)
+        assert_matches_reference(sx)
+    assert sx.core == {} and sx.nonbasic == [2, 0, 1] and sx.d == 1
+    assert any(d != 1 for d in ds)
+
+
+@functools.cache
+def decode_code(name):
+    H3 = hamming_matrix(3, cyclic=True)
+    return {"3x7": H3, "7x7": add_qc_shifts(H3, H3.row(0), 1), "steane": steane_matrix(3),
+            "15_11": hamming_matrix(4)}[name]
+
+
+def seeded_llrs(H, seed, gaussian):
+    """Gaussian LLRs, or the BSC LLRs of a nonzero error at p in 0.05-0.2."""
+    rng = random.Random(seed)
+    if gaussian:
+        return [rng.gauss(1.0, 1.2) for _ in range(H.cols)]
+    p = rng.choice((0.05, 0.1, 0.2))
+    bits = 0
+    while not bits:
+        bits = sum(1 << i for i in range(H.cols) if rng.random() < p)
+    return llr_bsc(BinaryVector(H.cols, bits), p)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["3x7", "7x7", "steane", "15_11"]), st.integers(0, 2**32), st.booleans())
+def test_ratio_test_matches_reference_on_decode_lps(code, seed, gaussian):
+    # The compiled LP is solved directly: lp_decode skips it on a
+    # certified hard decision.
+    H = decode_code(code)
+    gr = rationalize_llr(seeded_llrs(H, seed, gaussian))
+    assert_solve_matches_reference(_compiled_system(H).with_objective(gr))
+
+
+def test_ratio_test_covers_every_shortcut():
+    kinds = set()
+    for code in ("3x7", "7x7", "steane", "15_11"):
+        H = decode_code(code)
+        for seed in range(12):
+            gr = rationalize_llr(seeded_llrs(H, seed, seed % 2))
+            kinds |= assert_solve_matches_reference(_compiled_system(H).with_objective(gr))
+    assert kinds == {"slack basis", "structural at ratio 0", "structurals at zero",
+                     "structural off zero"}
+
+
+def test_zero_word_decode_makes_no_rhs_pass(monkeypatch):
+    # A weight-1 error on [15,11] has the zero word, the start vertex, as
+    # its optimum (in a tie, as BSC LLRs often give): every pivot is
+    # degenerate and every basic structural stays at zero, so neither the
+    # ratio tests nor the tie check need an m-row rhs pass.  The tie
+    # check's auxiliary LP skips __init__'s row checks.
+    H = hamming_matrix(4)
+    _compiled_system(H)
+    calls = {"rhs": 0, "init": 0, "ratio": 0}
+    slack_rhs, init, leaving = ExactSimplex._slack_rhs, ExactSimplex.__init__, ExactSimplex._leaving
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(ExactSimplex, "_slack_rhs", counted("rhs", slack_rhs))
+    monkeypatch.setattr(ExactSimplex, "__init__", counted("init", init))
+    monkeypatch.setattr(ExactSimplex, "_leaving", counted("ratio", leaving))
+    for i in range(H.cols):
+        res = lp_decode(H, llr_bsc(BinaryVector(H.cols, 1 << i), 0.05))
+        assert not any(res.optimum)
+    assert calls["ratio"] >= H.cols
+    assert calls["rhs"] == calls["init"] == 0
 
 
 def stored_rows(sx):
