@@ -9,8 +9,6 @@ from .cone import (
     build_fundamental_cone,
     extreme_rays,
     in_cone,
-    intersect_cones,
-    product_cone,
     repeated_block_membership,
 )
 from .errors import BoundExceeded, NumericalFailure

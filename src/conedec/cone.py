@@ -14,6 +14,7 @@ so the positive scaling that clears v's denominators keeps every sign.
 The three lift rules (block rows, repeated blocks, an appended block) share
 one premise check, each given vector in its own cone, and one certificate,
 the lifted vector re-checked with in_cone against the composed matrix.
+The cone of a stacked or block-diagonal matrix is built from that matrix.
 
 All arithmetic here is exact; there is no floating-point path.
 """
@@ -35,8 +36,9 @@ RAY_DIM_CAP = 20  # dimension bound for extreme-ray enumeration
 @dataclass(frozen=True)
 class ConeSystem:
     """Homogeneous system {v : a . v >= 0 for all rows a}, rows stored as
-    primitive integer vectors.  build_fundamental_cone includes the
-    nonnegativity rows; from_rows adds none.
+    primitive integer vectors.  build_fundamental_cone emits them with the
+    nonnegativity rows first; the constructor checks only the dimension and
+    the row lengths.
 
     contains(v) scales v once to a primitive integer vector with
     dd.integerize, then tests every row with an exact int dot product.
@@ -53,16 +55,6 @@ class ConeSystem:
         for a in self.inequalities:
             if len(a) != self.dim:
                 raise ValueError("inequality row has wrong length")
-
-    @classmethod
-    def from_rows(cls, dim: int, rows: Sequence[Sequence]) -> "ConeSystem":
-        """Normalize rows (clear denominators, divide by gcd) and dedup."""
-        seen = {}
-        for a in rows:
-            na = dd.integerize(a)
-            if any(na):
-                seen.setdefault(na, None)
-        return cls(dim, tuple(seen))
 
     def contains(self, v: Sequence) -> bool:
         vv = dd.integerize(v)
@@ -123,38 +115,13 @@ def in_cone(H: BinaryMatrix, v: Sequence) -> bool:
 def extreme_rays(K: ConeSystem) -> RayList:
     """Complete set of extreme rays via double description.
 
-    The cone must include its nonnegativity rows (ConeSystem built by this
-    module always does); rays come out sorted and primitive.
+    The cone must include its nonnegativity rows, as build_fundamental_cone's
+    does (ValueError otherwise); rays come out sorted and primitive.
     """
     if K.dim > RAY_DIM_CAP:
         raise BoundExceeded(f"dimension {K.dim} exceeds ray enumeration cap {RAY_DIM_CAP}")
     rays = dd.extreme_rays_int(K.dim, K.inequalities)
     return RayList(K.dim, tuple(rays))
-
-
-def intersect_cones(cones: Sequence[ConeSystem]) -> ConeSystem:
-    """Cone of the row-stacked matrix: concatenate systems, dedup rows."""
-    if not cones:
-        raise ValueError("need at least one cone")
-    dim = cones[0].dim
-    if any(K.dim != dim for K in cones):
-        raise ValueError("dimension mismatch")
-    rows = [a for K in cones for a in K.inequalities]
-    return ConeSystem.from_rows(dim, rows)
-
-
-def product_cone(cones: Sequence[ConeSystem]) -> ConeSystem:
-    """Block-diagonal system: (v_1, ..., v_t) is a member iff each v_k is."""
-    dim = sum(K.dim for K in cones)
-    if dim == 0:
-        raise ValueError("empty product")
-    rows = []
-    offset = 0
-    for K in cones:
-        for a in K.inequalities:
-            rows.append((0,) * offset + a + (0,) * (dim - offset - K.dim))
-        offset += K.dim
-    return ConeSystem.from_rows(dim, rows)
 
 
 def _member(H: BinaryMatrix, v: Sequence, name: str) -> tuple[Fraction, ...]:

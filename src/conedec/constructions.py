@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cone import ConeSystem, build_fundamental_cone
 from .gf2 import BinaryMatrix, block_matrix
 
 # Rows of the cyclic 3x7 representation of the [7,4,3] Hamming code:
@@ -114,13 +113,6 @@ def label_matrix(generators: Sequence[PauliString | str]) -> BinaryMatrix:
     if any(len(g) != n for g in gens):
         raise ValueError("generators must have equal length")
     return BinaryMatrix.from_rows([g.x_part() + g.z_part() for g in gens])
-
-
-def normalizer_cone(generators: Sequence[PauliString | str]) -> ConeSystem:
-    """Fundamental cone of the normalizer label code: the cone of the
-    stacked label matrix, which is the intersection of the single-generator
-    label cones."""
-    return build_fundamental_cone(label_matrix(generators))
 
 
 def circulant_permutation(t: int, shift: int) -> BinaryMatrix:

@@ -8,8 +8,8 @@ subset S of Supp(h),
 
 intersected with the box [0,1]^n.  relaxed_rows generates these rows
 from H in sparse form; the decode LP is compiled from them directly, and
-build_relaxed_polytope makes them dense only for double description,
-membership and JSON.  Vertices are enumerated exactly by running double
+build_relaxed_polytope makes them dense only for double description and
+membership.  Vertices are enumerated exactly by running double
 description on the homogenization (x, t), t >= 0, and scaling the
 resulting rays to t = 1.
 """
@@ -33,24 +33,18 @@ ROW_WEIGHT_CAP = 20  # each row of weight w expands to 2^(w-1) inequalities
 @dataclass(frozen=True)
 class PolytopeSystem:
     """Bounded system {x : a . x <= b}, rows stored as primitive integer
-    (coeffs, bound) pairs; box rows 0 <= x_i <= 1 are part of the system."""
+    (coeffs, bound) pairs; box rows 0 <= x_i <= 1 are part of the system.
+    The constructor checks only the dimension and the row lengths."""
 
     dim: int
     inequalities: tuple[tuple[tuple[int, ...], int], ...]
 
-    @classmethod
-    def from_rows(cls, dim: int, rows: Sequence[tuple[Sequence, object]]) -> "PolytopeSystem":
-        seen = {}
-        for a, b in rows:
-            if len(a) != dim:
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dimension must be >= 1")
+        for a, _ in self.inequalities:
+            if len(a) != self.dim:
                 raise ValueError("inequality row has wrong length")
-            merged = dd.integerize(tuple(a) + (Fraction(b),))
-            na, nb = merged[:-1], merged[-1]
-            if any(na):
-                seen.setdefault((na, nb), None)
-            elif nb < 0:
-                raise ValueError("row 0 . x <= negative bound is infeasible")
-        return cls(dim, tuple(seen))
 
     def contains(self, x: Sequence) -> bool:
         xx = as_fraction_vector(x)
@@ -111,7 +105,7 @@ def relaxed_rows(H: BinaryMatrix):
 
 
 def build_relaxed_polytope(H: BinaryMatrix) -> PolytopeSystem:
-    """relaxed_rows made dense, for double description, membership and JSON."""
+    """relaxed_rows made dense, for double description and membership."""
     n = H.cols
     rows = []
     for pairs, bound in relaxed_rows(H):

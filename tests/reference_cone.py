@@ -11,6 +11,13 @@ s^T and another for an appended permutation block J_sigma.
 
 Each oracle returns what cone.py's function of the same name must return,
 or raises an exception of the same type.
+
+The dense row-system algebra left cone.py and polytope.py because the
+composed cones are built from the composed matrix: intersect_cones of
+K(H1), K(H2) has the rows of K(H1 stacked on H2), and product_cone has the
+rows of K(direct_sum).  cone_from_rows and polytope_from_rows are the
+former ConeSystem.from_rows and PolytopeSystem.from_rows, which clear
+denominators, divide by the gcd and drop repeated rows.
 """
 
 from __future__ import annotations
@@ -18,8 +25,59 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from conedec import dd
 from conedec.cone import ConeSystem, in_cone
 from conedec.gf2 import BinaryMatrix, BinaryVector, as_fraction_vector, block_matrix
+from conedec.polytope import PolytopeSystem
+
+
+def cone_from_rows(dim: int, rows: Sequence[Sequence]) -> ConeSystem:
+    """Normalize rows (clear denominators, divide by gcd) and dedup."""
+    seen = {}
+    for a in rows:
+        na = dd.integerize(a)
+        if any(na):
+            seen.setdefault(na, None)
+    return ConeSystem(dim, tuple(seen))
+
+
+def polytope_from_rows(dim: int, rows: Sequence[tuple[Sequence, object]]) -> PolytopeSystem:
+    seen = {}
+    for a, b in rows:
+        if len(a) != dim:
+            raise ValueError("inequality row has wrong length")
+        merged = dd.integerize(tuple(a) + (Fraction(b),))
+        na, nb = merged[:-1], merged[-1]
+        if any(na):
+            seen.setdefault((na, nb), None)
+        elif nb < 0:
+            raise ValueError("row 0 . x <= negative bound is infeasible")
+    return PolytopeSystem(dim, tuple(seen))
+
+
+def intersect_cones(cones: Sequence[ConeSystem]) -> ConeSystem:
+    """Cone of the row-stacked matrix: concatenate systems, dedup rows."""
+    if not cones:
+        raise ValueError("need at least one cone")
+    dim = cones[0].dim
+    if any(K.dim != dim for K in cones):
+        raise ValueError("dimension mismatch")
+    rows = [a for K in cones for a in K.inequalities]
+    return cone_from_rows(dim, rows)
+
+
+def product_cone(cones: Sequence[ConeSystem]) -> ConeSystem:
+    """Block-diagonal system: (v_1, ..., v_t) is a member iff each v_k is."""
+    dim = sum(K.dim for K in cones)
+    if dim == 0:
+        raise ValueError("empty product")
+    rows = []
+    offset = 0
+    for K in cones:
+        for a in K.inequalities:
+            rows.append((0,) * offset + a + (0,) * (dim - offset - K.dim))
+        offset += K.dim
+    return cone_from_rows(dim, rows)
 
 
 def reference_cone_contains(K: ConeSystem, v: Sequence) -> bool:

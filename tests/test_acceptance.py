@@ -28,14 +28,12 @@ from conedec import (
     generating_function,
     genfun_product,
     genfun_restrict,
-    intersect_cones,
     is_gc_pseudocodeword,
     is_quasi_cyclic,
     llr_bsc,
     lp_decode,
     mat_vec_mod2,
     ml_decode,
-    product_cone,
     repeated_block_membership,
     shift_equivariance_experiment,
 )
@@ -56,6 +54,7 @@ from conedec.constructions import (
 from conedec.lpdecode import rationalize_llr
 
 from conftest import MEMBER, NONMEMBER, random_matrix
+from reference_cone import intersect_cones, product_cone
 
 
 @contextmanager

@@ -2,30 +2,30 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conedec import (
     BinaryMatrix,
     BinaryVector,
-    ConeSystem,
     augment_column_lift,
     blockrow_embed,
     build_fundamental_cone,
     enumerate_codewords,
     extreme_rays,
     in_cone,
-    intersect_cones,
-    product_cone,
     repeated_block_membership,
 )
 from conedec import cone, dd
-from conedec.constructions import normalizer_cone
+from conedec.constructions import direct_sum, label_matrix
 from conedec.errors import BoundExceeded
-from conedec.serialize import cone_from_obj, cone_to_obj
+from conedec.gf2 import block_matrix
 
-from conftest import MEMBER, NONMEMBER, random_matrix
+from conftest import HAMMING7, MEMBER, NONMEMBER, random_matrix
 from reference_cone import (
+    cone_from_rows,
+    intersect_cones,
+    product_cone,
     reference_augment_column_lift,
     reference_blockrow_embed,
     reference_cone_contains,
@@ -174,21 +174,21 @@ def test_in_cone_matches_dense_system(Hv):
 
 @st.composite
 def rational_systems(draw, n):
-    """ConeSystem.from_rows on rational rows with mixed signs, zero rows and
+    """cone_from_rows on rational rows with mixed signs, zero rows and
     duplicate rows (scaled copies among them)."""
     entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
     rows.append([0] * n)
     for a in draw(st.lists(st.sampled_from(rows), max_size=3)):
         rows.append([x * draw(st.integers(1, 3)) for x in a])
-    return ConeSystem.from_rows(n, draw(st.permutations(rows)))
+    return cone_from_rows(n, draw(st.permutations(rows)))
 
 
 @st.composite
 def cone_systems(draw):
-    """A ConeSystem from each constructor that makes one, sometimes read
-    back from its JSON object."""
-    kind = draw(st.sampled_from(["fundamental", "rows", "intersect", "product", "normalizer"]))
+    """A ConeSystem from build_fundamental_cone, from a label matrix, or
+    from the oracles that normalize, intersect and multiply dense systems."""
+    kind = draw(st.sampled_from(["fundamental", "rows", "intersect", "product", "label"]))
     if kind == "fundamental":
         K = build_fundamental_cone(draw(matrices(draw(st.integers(1, 8)))))
     elif kind == "rows":
@@ -205,9 +205,7 @@ def cone_systems(draw):
     else:
         m = draw(st.integers(1, 4))
         word = st.text(alphabet="IXYZ", min_size=m, max_size=m)
-        K = normalizer_cone(draw(st.lists(word, min_size=1, max_size=4)))
-    if draw(st.booleans()):
-        K = cone_from_obj(cone_to_obj(K))
+        K = build_fundamental_cone(label_matrix(draw(st.lists(word, min_size=1, max_size=4))))
     return K
 
 
@@ -216,13 +214,6 @@ def cone_systems(draw):
 def test_contains_matches_reference(K, data):
     v = data.draw(vectors(K.dim))
     assert K.contains(v) == reference_cone_contains(K, v)
-
-
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except Exception as exc:
-        return type(exc)
 
 
 @pytest.mark.parametrize(
@@ -308,58 +299,36 @@ class TestExtremeRays:
             assert set(dd.extreme_rays_int(K.dim, rows, sort_rows=False)) == reference
 
 
-class TestIntersectCones:
-    def test_row_split_equals_whole(self, hamming7):
-        single = [
-            build_fundamental_cone(BinaryMatrix(1, 7, [hamming7.row_bits[j]]))
-            for j in range(3)
-        ]
-        K_split = intersect_cones(single)
-        K_whole = build_fundamental_cone(hamming7)
-        rng = random.Random(8)
-        for _ in range(1000):
-            v = random_rational_vector(rng, 7)
-            assert K_split.contains(v) == K_whole.contains(v)
-
-    def test_single_cone_identity(self, hamming7):
-        K = build_fundamental_cone(hamming7)
-        assert intersect_cones([K]) == K
-
-    def test_idempotence(self, hamming7):
-        K = build_fundamental_cone(hamming7)
-        assert intersect_cones([K, K]) == K
-
-    def test_dim_mismatch(self, hamming7):
-        K = build_fundamental_cone(hamming7)
-        K2 = build_fundamental_cone(BinaryMatrix.from_rows([[1, 1]]))
-        with pytest.raises(ValueError):
-            intersect_cones([K, K2])
+def _row_set(K):
+    return K.dim, frozenset(K.inequalities)
 
 
-class TestProductCone:
-    def test_matches_block_diagonal_matrix(self, hamming7):
-        from conedec.constructions import steane_matrix
+@st.composite
+def composition_cases(draw):
+    """H1 and H2 of one width n <= 6, and H3 of any width up to 8."""
+    n = draw(st.integers(1, 6))
+    return draw(matrices(n)), draw(matrices(n)), draw(st.integers(1, 8).flatmap(matrices))
 
-        K_prod = product_cone(
-            [build_fundamental_cone(hamming7), build_fundamental_cone(hamming7)]
-        )
-        K_steane = build_fundamental_cone(steane_matrix(3))
-        rng = random.Random(17)
-        for _ in range(1000):
-            v = random_rational_vector(rng, 14)
-            assert K_prod.contains(v) == K_steane.contains(v)
 
-    def test_single_factor_identity(self, hamming7):
-        K = build_fundamental_cone(hamming7)
-        assert product_cone([K]) == K
-
-    def test_zero_in_second_factor(self, hamming7):
-        K = build_fundamental_cone(hamming7)
-        prod = product_cone([K, K])
-        rng = random.Random(29)
-        for _ in range(100):
-            v = random_rational_vector(rng, 7)
-            assert prod.contains(v + (Fraction(0),) * 7) == K.contains(v)
+@settings(max_examples=300, deadline=None)
+@given(composition_cases())
+@example((BinaryMatrix.from_rows(HAMMING7),) * 3)  # idempotence; the Steane cone
+def test_composed_cones_are_built_from_the_composed_matrix(case):
+    """Intersecting or multiplying dense cone systems gives, as row sets,
+    the cone of the stacked or block-diagonal matrix, and the intersection
+    of the single-row cones of H is K(H); one factor is left as it is."""
+    H1, H2, H3 = case
+    K1 = build_fundamental_cone(H1)
+    assert intersect_cones([K1]) == product_cone([K1]) == K1
+    stacked = block_matrix([[H1], [H2]])
+    assert _row_set(intersect_cones([K1, build_fundamental_cone(H2)])) == _row_set(
+        build_fundamental_cone(stacked)
+    )
+    assert _row_set(product_cone([K1, build_fundamental_cone(H3)])) == _row_set(
+        build_fundamental_cone(direct_sum(H1, H3))
+    )
+    single = [build_fundamental_cone(BinaryMatrix(1, H1.cols, [b])) for b in H1.row_bits]
+    assert _row_set(intersect_cones(single)) == _row_set(K1)
 
 
 class TestBlockrowEmbed:

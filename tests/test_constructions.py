@@ -10,7 +10,6 @@ from conedec import (
     enumerate_codewords,
     enumerate_pseudocodewords,
     extreme_rays,
-    intersect_cones,
     is_quasi_cyclic,
     mat_vec_mod2,
 )
@@ -28,7 +27,6 @@ from conedec.constructions import (
     hagiwara_css_label_matrix,
     hamming_matrix,
     label_matrix,
-    normalizer_cone,
     qc_from_exponents,
     sc_ldpc,
     steane_matrix,
@@ -36,6 +34,7 @@ from conedec.constructions import (
 from conedec.gf2 import block_matrix, gf2_rank
 
 from conftest import HAMMING7, random_matrix
+from reference_cone import intersect_cones
 
 
 class TestHammingMatrix:
@@ -165,13 +164,13 @@ def _single_generator_intersection(gens):
 
 class TestNormalizerCone:
     def test_single_generator(self):
-        K = normalizer_cone(["XX"])
+        K = build_fundamental_cone(label_matrix(["XX"]))
         K_direct = build_fundamental_cone(BinaryMatrix.from_rows([[1, 1, 0, 0]]))
         assert K == K_direct
 
     def test_steane_generators_match_matrix_cone(self, hamming7):
         gens = _steane_generators(hamming7)
-        K_gen = normalizer_cone(gens)
+        K_gen = build_fundamental_cone(label_matrix(gens))
         # The cone of the stacked label matrix is the intersection of the
         # single-generator cones, row for row.
         assert K_gen == _single_generator_intersection(gens)
@@ -184,10 +183,10 @@ class TestNormalizerCone:
             n = rng.randint(1, 5)
             pool = ["".join(rng.choice("IXYZ") for _ in range(n)) for _ in range(4)]
             gens = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
-            assert normalizer_cone(gens) == _single_generator_intersection(gens)
+            assert build_fundamental_cone(label_matrix(gens)) == _single_generator_intersection(gens)
 
     def test_empty_support_generator(self):
-        K = normalizer_cone(["II"])
+        K = build_fundamental_cone(label_matrix(["II"]))
         assert K.contains((3, 1, 4, 1))
         assert not K.contains((1, -1, 0, 0))
 

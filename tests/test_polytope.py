@@ -76,6 +76,31 @@ class TestBuildRelaxedPolytope:
             build_relaxed_polytope(H)
 
 
+SQUARE = (((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1))  # the box [0, 1]^2
+
+
+@pytest.mark.parametrize(
+    "dim, rows",
+    [
+        (0, ()),
+        (-1, ()),
+        (2, SQUARE + (((1, 1, 1), 1),)),
+        (2, SQUARE + (((1,), 1),)),
+        (2, (((), 0),) + SQUARE),
+    ],
+    ids=["dim-zero", "dim-negative", "long-row", "short-row", "empty-row"],
+)
+def test_malformed_rows_rejected(dim, rows):
+    with pytest.raises(ValueError):
+        PolytopeSystem(dim, rows)
+
+
+def test_square_is_well_formed():
+    P = PolytopeSystem(2, SQUARE)
+    assert len(enumerate_vertices(P)) == 4
+    assert P.contains((1, 0)) and not P.contains((2, 0))
+
+
 class TestEnumerateVertices:
     def test_hamming_96(self, hamming7):
         vs = enumerate_vertices(build_relaxed_polytope(hamming7))

@@ -1,7 +1,8 @@
 """build_fundamental_cone and build_relaxed_polytope emit their primitive
 integer rows directly.  The reference builders below are the plain loops
-normalized through from_rows (Fraction round trip, gcd, dedup); the two
-must agree row for row, in order, because Bland's rule follows the order.
+normalized through the from_rows oracles of reference_cone (Fraction round
+trip, gcd, dedup); the two must agree row for row, in order, because
+Bland's rule follows the order.
 """
 
 import random
@@ -26,6 +27,7 @@ from conedec.errors import BoundExceeded
 from conedec.polytope import ROW_WEIGHT_CAP
 
 from conftest import assert_compiled_matches_dense, random_matrix
+from reference_cone import cone_from_rows, polytope_from_rows
 
 
 def reference_cone(H: BinaryMatrix) -> ConeSystem:
@@ -35,7 +37,7 @@ def reference_cone(H: BinaryMatrix) -> ConeSystem:
         h = [H.entry(j, i) for i in range(n)]
         for i in H.row_support(j):
             rows.append(tuple(h[t] - (2 if t == i else 0) for t in range(n)))
-    return ConeSystem.from_rows(n, rows)
+    return cone_from_rows(n, rows)
 
 
 def reference_polytope(H: BinaryMatrix, cap: int = ROW_WEIGHT_CAP) -> PolytopeSystem:
@@ -56,7 +58,7 @@ def reference_polytope(H: BinaryMatrix, cap: int = ROW_WEIGHT_CAP) -> PolytopeSy
                 for i in S:
                     a[i] = 1
                 rows.append((tuple(a), size - 1))
-    return PolytopeSystem.from_rows(n, rows)
+    return polytope_from_rows(n, rows)
 
 
 def all_int(system) -> bool:
@@ -112,8 +114,6 @@ def test_builders_skip_the_normalizer(monkeypatch, hamming7):
         raise AssertionError("builder rows must not need normalizing")
 
     monkeypatch.setattr(dd, "integerize", refuse)
-    monkeypatch.setattr(ConeSystem, "from_rows", refuse)
-    monkeypatch.setattr(PolytopeSystem, "from_rows", refuse)
     assert len(build_fundamental_cone(hamming7).inequalities) == 19
     assert len(build_relaxed_polytope(hamming7).inequalities) == 38
 
