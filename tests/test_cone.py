@@ -299,6 +299,54 @@ class TestExtremeRays:
             assert set(dd.extreme_rays_int(K.dim, rows, sort_rows=False)) == reference
 
 
+class TestIntersectCones:
+    def test_row_split_equals_whole(self, hamming7):
+        single = [
+            build_fundamental_cone(BinaryMatrix(1, 7, [hamming7.row_bits[j]]))
+            for j in range(3)
+        ]
+        K_split = intersect_cones(single)
+        K_whole = build_fundamental_cone(hamming7)
+        rng = random.Random(8)
+        for _ in range(1000):
+            v = random_rational_vector(rng, 7)
+            assert K_split.contains(v) == K_whole.contains(v)
+
+    def test_single_cone_identity(self, hamming7):
+        K = build_fundamental_cone(hamming7)
+        assert intersect_cones([K]) == K
+
+    def test_idempotence(self, hamming7):
+        K = build_fundamental_cone(hamming7)
+        assert intersect_cones([K, K]) == K
+
+
+class TestProductCone:
+    def test_matches_block_diagonal_matrix(self, hamming7):
+        from conedec.constructions import steane_matrix
+
+        K_prod = product_cone(
+            [build_fundamental_cone(hamming7), build_fundamental_cone(hamming7)]
+        )
+        K_steane = build_fundamental_cone(steane_matrix(3))
+        rng = random.Random(17)
+        for _ in range(1000):
+            v = random_rational_vector(rng, 14)
+            assert K_prod.contains(v) == K_steane.contains(v)
+
+    def test_single_factor_identity(self, hamming7):
+        K = build_fundamental_cone(hamming7)
+        assert product_cone([K]) == K
+
+    def test_zero_in_second_factor(self, hamming7):
+        K = build_fundamental_cone(hamming7)
+        prod = product_cone([K, K])
+        rng = random.Random(29)
+        for _ in range(100):
+            v = random_rational_vector(rng, 7)
+            assert prod.contains(v + (Fraction(0),) * 7) == K.contains(v)
+
+
 def _row_set(K):
     return K.dim, frozenset(K.inequalities)
 
