@@ -16,7 +16,8 @@ coordinate rotations of a quasi-cyclic instance.
 
 The relaxed polytope's rows are compiled once per H, straight from H's
 sparse odd-set rows (polytope.relaxed_rows) with no dense system, into an
-ExactSimplex at its slack basis.  Its sparse integer rows
+ExactSimplex at its slack basis.  The lower box rows -x_i <= 0 are left
+out, since the simplex keeps x >= 0 itself.  Its sparse integer rows
 and column index are held in a cache bounded by the total number of rows
 it stores; repeated decodes on one matrix (a Monte Carlo run, a shift
 orbit) share them and only bring their own objective row.
@@ -57,9 +58,9 @@ from .simplex import ExactSimplex
 LLR_DENOMINATOR_CAP = 10**6
 
 # Constraint rows kept across the cached compiled systems; the newest one is
-# kept whatever its size.  The 163,902 rows of [31,26] (weight 16) hold
+# kept whatever its size.  The 163,871 rows of [31,26] (weight 16) hold
 # about 87 MB (tracemalloc, CPython 3.11), so 2^14 such rows hold some
-# 9 MB; 3x7, 7x7, Steane, [15,11] and Hagiwara together take 2238 rows.
+# 9 MB; 3x7, 7x7, Steane, [15,11] and Hagiwara together take 2111 rows.
 COMPILED_ROWS_CAP = 1 << 14
 
 logger = logging.getLogger(__name__)
@@ -141,15 +142,17 @@ def _compiled_system(H: BinaryMatrix) -> ExactSimplex:
     objective; each decode starts from it with with_objective, which shares
     its sparse integer rows and column index.
 
-    The rows are relaxed_rows(H), in its order: Bland's rule follows it, so
-    it fixes the pivot path and the vertex returned in a tie.
+    The rows are relaxed_rows(H) without its lower box rows -x_i <= 0 (its
+    only one-entry rows with a negative entry), which the simplex's own
+    x >= 0 implies, in its order: Bland's rule follows it, so it fixes the
+    pivot path and the vertex returned in a tie.
     Systems are cached least recently used first out, until the rows of the
     rest fit in COMPILED_ROWS_CAP.
     """
     if H in _compiled:
         _compiled.move_to_end(H)
         return _compiled[H]
-    A, b = zip(*relaxed_rows(H))
+    A, b = zip(*[row for row in relaxed_rows(H) if len(row[0]) > 1 or row[0][0][1] > 0])
     sx = _compiled[H] = ExactSimplex(H.cols, A, b, [0] * H.cols)
     rows = sum(s.m for s in _compiled.values())
     while rows > COMPILED_ROWS_CAP and len(_compiled) > 1:

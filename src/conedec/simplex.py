@@ -48,8 +48,8 @@ costs O(n^2) plus its ratio test, not O(m n), and it takes exactly the
 pivots of the full condensed tableau.
 
 The decode LPs are very degenerate, and every rhs is >= 0, so a ratio
-test mostly ends at a row of rhs 0.  The rows of b_k = 0 are recorded
-once, with the column index restricted to them.  At the slack basis, the
+test mostly ends at a row of rhs 0.  The column index restricted to the
+rows of b_k = 0 is recorded once.  At the slack basis, the
 ratio test reads b_k / a_ke straight off the entering column.  When a
 basic structural at zero has a positive entry, the smallest such one
 leaves.  When every basic structural sits at zero, rhs_k = d * b_k, so the
@@ -63,16 +63,22 @@ the basic structurals off zero: O(m) plus the columns it touches.  On
 the decode LPs that pass is cheaper than summing the support of each row
 with a positive entry.
 
-The tie check (_optimum_is_unique) runs on the degenerate rows only, those
-whose basic variable sits at zero, as an auxiliary LP in which every pivot
-is degenerate.  When every basic structural sits at zero, those rows are
-the basic structurals and the basic slacks of the rows of b_k = 0, and
-their entries over the zero-reduced-cost columns are summed through the
-restricted column index, over the rows those columns touch.  Otherwise
-one rhs pass finds the rows, and their entries are derived row by row.
+The tie check (_optimum_is_unique) is an auxiliary LP in which every pivot
+is degenerate, over the zero-reduced-cost columns u and the binding
+degenerate rows: those whose basic variable sits at zero and that have a
+positive entry over u.  Its feasible set is the cone {u >= 0 : W_D u <= 0}
+of the degenerate rows D, and a row of D with no positive entry holds for
+every u >= 0, so leaving it out keeps the cone, and the answer, unchanged.
+On the decode LPs most degenerate rows are such rows.  The binding rows
+are built sparse in basis order, with their column index, in one pass.
+When every basic structural sits at zero, the degenerate rows are the
+basic structurals and the basic slacks of the rows of b_k = 0, and the
+slack rows' entries over u are summed through the restricted column
+index, over the rows those columns touch.  Otherwise one rhs pass finds
+the degenerate rows, and their entries are derived row by row.
 
 solve logs one DEBUG line: rows, solve pivots, tie-check pivots, the
-degenerate rows the tie check took, and basic structurals at the optimum.
+binding rows the tie check took, and basic structurals at the optimum.
 """
 
 from __future__ import annotations
@@ -113,8 +119,8 @@ class ExactSimplex:
 
     def _store(self, n: int, rows: Sequence, b: Sequence[int]) -> None:
         """Keep n, the sparse rows with their rhs, the column index built
-        from them, and the rows of b_k = 0 with the column index restricted
-        to them.  Row k's columns share one (k, a) entry per distinct
+        from them, and that index restricted to the rows of b_k = 0.
+        Row k's columns share one (k, a) entry per distinct
         coefficient a: an odd-set row has just (k, 1) and (k, -1)."""
         if b and min(b) < 0:
             raise ValueError("slack basis start requires b >= 0")
@@ -126,8 +132,7 @@ class ExactSimplex:
         self.n, self.m = n, len(rows)
         self._rows, self._b = tuple(rows), tuple(b)
         self._cols = tuple(map(tuple, cols))
-        # The rows of b_k = 0 and the column index restricted to them.
-        self._zero_rows = tuple([k for k, rhs in enumerate(b) if not rhs])
+        # The column index restricted to the rows of b_k = 0.
         self._zero_cols = tuple([tuple([e for e in col if not b[e[0]]]) for col in cols])
 
     def _start(self, c: Sequence) -> None:
@@ -152,7 +157,7 @@ class ExactSimplex:
         sx = object.__new__(ExactSimplex)
         sx.n, sx.m = self.n, self.m
         sx._rows, sx._b, sx._cols = self._rows, self._b, self._cols
-        sx._zero_rows, sx._zero_cols = self._zero_rows, self._zero_cols
+        sx._zero_cols = self._zero_cols
         sx._start(c)
         return sx
 
@@ -330,7 +335,7 @@ class ExactSimplex:
         )
         logger.debug(
             "solve: %d rows, %d solve pivots, %d tie-check pivots, "
-            "%d degenerate rows, %d basic structurals",
+            "%d binding rows, %d basic structurals",
             self.m, self.pivots, self._tie_pivots, self._tie_rows, len(self.core),
         )
         return res
@@ -358,41 +363,59 @@ class ExactSimplex:
         (unique) or on an unbounded ray (a tie).  This makes the answer a
         property of the geometry, not of the pivot path that got here.
 
-        The degenerate rows are the ones the tie check reports taking; it
+        Only the binding rows of W_D enter it, those with a positive entry.
+        A row with no positive entry holds for every u >= 0, so dropping it
+        leaves the cone {u >= 0 : W_D u <= 0}, and so the answer, unchanged.
+        The binding rows are the ones the tie check reports taking; it
         takes none when no reduced cost is zero.
         """
-        n, d, core, rows = self.n, self.d, self.core, self._rows
         # Ordered by variable index, so the auxiliary LP and its pivots
         # depend on the optimal basis alone, not on the exchange order.
-        obj = self.obj
+        obj, n = self.obj, self.n
         zero_cols = sorted([l for l in range(n) if obj[l] == 0], key=self.nonbasic.__getitem__)
         if not zero_cols:
             return True
-        degenerate = self._degenerate()
-        # Over zero_cols, slack row k is -sum_j a_kj * part[j] over the
-        # support of a_k.  part[j] is sparse, as (t, value) pairs: -d in
-        # column t for a nonbasic structural j at zero_cols[t], core[j]
-        # over zero_cols for a basic one (its own row when it is degenerate),
-        # nothing otherwise.
+        z = len(zero_cols)
+        rows, cols = self._binding_rows(zero_cols)
+        # The rows meet __init__'s input contract by construction.  Every
+        # rhs is 0, so the column index restricted to the rows of b_k = 0
+        # is the column index.
+        aux = object.__new__(ExactSimplex)
+        aux.n, aux.m, aux._rows, aux._b = z, len(rows), rows, (0,) * len(rows)
+        aux._cols = aux._zero_cols = cols
+        aux._start([-1] * z)
+        unique = aux._run(MAX_PIVOTS)
+        self._tie_rows, self._tie_pivots = len(rows), aux.pivots
+        return unique
+
+    def _binding_rows(self, zero_cols: list[int]) -> tuple[tuple, tuple]:
+        """The degenerate rows with a positive entry over the columns
+        zero_cols, sparse and in basis order, and the column index built
+        from them (column t lists its (row, entry) pairs in row order).
+
+        Over zero_cols, slack row k is -sum_j a_kj * part[j] over the
+        support of a_k.  part[j] is sparse, as (t, value) pairs: -d in
+        column t for a nonbasic structural j at zero_cols[t], core[j] over
+        zero_cols for a basic one (its own row when it is degenerate),
+        nothing otherwise.
+        """
+        n, d, core, nonbasic, where = self.n, self.d, self.core, self.nonbasic, self._where
         z = len(zero_cols)
         part: list = [()] * n
         for t, l in enumerate(zero_cols):
-            if self.nonbasic[l] < n:
-                part[self.nonbasic[l]] = ((t, -d),)
+            if nonbasic[l] < n:
+                part[nonbasic[l]] = ((t, -d),)
         for j, row in core.items():
             part[j] = tuple([(t, row[l]) for t, l in enumerate(zero_cols) if row[l]])
-        w: dict[int, list[int]] = {}  # slack row k over zero_cols, dense
-        if not self._structurals_at_zero():
-            # Summed by rows, over the degenerate ones.
-            for v in degenerate:
-                if v >= n:
-                    wk = w[v - n] = [0] * z
-                    for j, a in rows[v - n]:
-                        for t, y in part[j]:
-                            wk[t] -= a * y
-        else:
-            # Only rows of b_k = 0 are degenerate: summed by columns, over
-            # the rows of b_k = 0 that the columns with a part touch.
+        taken = {}  # basis position -> the row there, if it binds
+        if self._structurals_at_zero():
+            # Every basic structural is degenerate, and the degenerate slack
+            # rows are rows of b_k = 0: summed by columns, over the rows of
+            # b_k = 0 that the columns with a part touch.
+            for j in core:
+                if any(y > 0 for _, y in part[j]):
+                    taken[where[j]] = part[j]
+            w: dict[int, list[int]] = {}  # slack row k over zero_cols, dense
             zcols = self._zero_cols
             for j, pj in enumerate(part):
                 if pj:
@@ -400,34 +423,36 @@ class ExactSimplex:
                         wk = w.get(k) or w.setdefault(k, [0] * z)
                         for t, y in pj:
                             wk[t] -= a * y
-        A = []
-        for v in degenerate:
-            if v < n:
-                A.append(part[v])
-            else:
-                wk = w.get(v - n)
-                A.append(tuple([(t, x) for t, x in enumerate(wk) if x]) if wk else ())
-        # A's rows meet __init__'s input contract by construction.
-        aux = object.__new__(ExactSimplex)
-        aux._store(z, A, [0] * len(A))
-        aux._start([-1] * z)
-        unique = aux._run(MAX_PIVOTS)
-        self._tie_rows, self._tie_pivots = len(A), aux.pivots
-        return unique
+            for k, wk in w.items():
+                if max(wk) > 0 and where[n + k] >= 0:
+                    taken[where[n + k]] = _sparse(wk)
+        else:
+            # One rhs pass finds the degenerate rows, summed row by row.
+            rhs, rows = self._slack_rhs(), self._rows
+            for r, v in enumerate(self.basis):
+                if v < n:
+                    if not core[v][-1] and any(y > 0 for _, y in part[v]):
+                        taken[r] = part[v]
+                elif not rhs[v - n]:
+                    wk = [0] * z
+                    for j, a in rows[v - n]:
+                        for t, y in part[j]:
+                            wk[t] -= a * y
+                    if max(wk) > 0:
+                        taken[r] = _sparse(wk)
+        A = tuple([taken[r] for r in sorted(taken)])
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(z)]
+        for k, row in enumerate(A):
+            for t, x in row:
+                cols[t].append((k, x))
+        return A, tuple(map(tuple, cols))
 
     def _structurals_at_zero(self) -> bool:
         """Whether every basic structural sits at zero.  Then each slack row
         has rhs_k = d * b_k."""
         return not any(row[-1] for row in self.core.values())
 
-    def _degenerate(self) -> list[int]:
-        """The basic variables at zero, in basis order: the degenerate rows."""
-        n, core, where = self.n, self.core, self._where
-        if self._structurals_at_zero():
-            # The slacks at zero are those of the rows of b_k = 0.
-            zero = [n + k for k in self._zero_rows if where[n + k] >= 0]
-            return sorted([*core, *zero], key=where.__getitem__)
-        rhs = [0] * n + self._slack_rhs()
-        for j, row in core.items():
-            rhs[j] = row[-1]
-        return [v for v in self.basis if not rhs[v]]
+
+def _sparse(row: list[int]) -> tuple:
+    """The (t, x) pairs of the nonzero entries of a dense row."""
+    return tuple([(t, x) for t, x in enumerate(row) if x])

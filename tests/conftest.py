@@ -42,17 +42,24 @@ def random_vector(rng: random.Random, n: int) -> BinaryVector:
     return BinaryVector(n, rng.getrandbits(n))
 
 
+def decode_rows(H: BinaryMatrix) -> tuple[tuple, tuple]:
+    """(A, b): build_relaxed_polytope's dense rows and bounds, in order,
+    without the lower box rows -x_i <= 0, as the decode LP takes them."""
+    lower_box = {(tuple(-(t == i) for t in range(H.cols)), 0) for i in range(H.cols)}
+    return tuple(zip(*[row for row in build_relaxed_polytope(H).inequalities
+                       if row not in lower_box]))
+
+
 def assert_compiled_matches_dense(H: BinaryMatrix) -> None:
     """The decode LP that lpdecode compiles from H's sparse rows stores the
-    rows, rhs and column index that dense_simplex makes of
-    build_relaxed_polytope's dense rows, or both raise one message."""
+    rows, rhs and column index that dense_simplex makes of decode_rows(H),
+    or both raise one message."""
     try:
-        P = build_relaxed_polytope(H)
+        A, b = decode_rows(H)
     except BoundExceeded as exc:
         with pytest.raises(BoundExceeded) as got:
             _compiled_system(H)
         assert str(got.value) == str(exc)
         return
-    A, b = zip(*P.inequalities)
     compiled, dense = _compiled_system(H), dense_simplex(A, b, [0] * H.cols)
     assert (compiled._rows, compiled._b, compiled._cols) == (dense._rows, dense._b, dense._cols)

@@ -5,8 +5,10 @@ rows (the package itself builds only sparse integer rows).
 CondensedSimplex is the condensed-tableau simplex that the core-row
 ExactSimplex replaced: it stores every row of the condensed tableau (the
 nonbasic columns and the rhs, m + 1 rows of n + 1 integers) and pivots all
-of them.  ExactSimplex must reproduce its results and its whole pivot log,
-tie check included.
+of them.  Its tie check takes the same binding rows as ExactSimplex's (the
+degenerate rows with a positive entry over the zero-reduced-cost columns),
+read off its own tableau.  ExactSimplex must reproduce its results and its
+whole pivot log, tie check included.
 
 FullTableauSimplex is the full-tableau simplex that the condensed one
 replaced.  It stores a column for every variable, basic ones included
@@ -20,8 +22,13 @@ solved CondensedSimplex.
 reference_leaving and reference_degenerate are ExactSimplex's ratio test
 and its degenerate-row rule as they were before the shortcuts for
 degenerate pivots: both read the rhs of every slack row from one
-_slack_rhs pass.  reference_tie_rows derives the tie check's auxiliary
-rows from reference_degenerate's rows one whole row at a time.
+_slack_rhs pass.  reference_tie_rows derives every degenerate row over the
+zero-reduced-cost columns from reference_degenerate's rows one whole row
+at a time; binding_tie_rows keeps those with a positive entry, the rows
+the tie check takes.  degenerate_rows_optimum_is_unique is the tie check
+that gave its auxiliary LP every degenerate row; condensed_tableau reads
+the condensed tableau at an ExactSimplex's basis, so that the all-rows
+check also runs on LPs too large for CondensedSimplex to pivot.
 """
 
 from __future__ import annotations
@@ -204,6 +211,9 @@ class CondensedSimplex:
         if not zero_cols:
             return True
         A = [[row[j] for j in zero_cols] for row in T[: self.m] if row[-1] == 0]
+        # The binding rows only: a row with no positive entry holds for
+        # every u >= 0.
+        A = [a for a in A if max(a) > 0]
         return CondensedSimplex(A, [0] * len(A), [-1] * len(zero_cols))._run(MAX_PIVOTS)
 
 
@@ -372,6 +382,81 @@ def reference_tie_rows(sx: ExactSimplex) -> list[tuple] | None:
         return None
     rows = [sx.core[v] if v < sx.n else sx._slack_row(v - sx.n) for v in reference_degenerate(sx)]
     return [tuple((t, row[l]) for t, l in enumerate(zero_cols) if row[l]) for row in rows]
+
+
+def binding_tie_rows(sx: ExactSimplex) -> list[tuple] | None:
+    """reference_tie_rows(sx) without the rows that have no positive
+    entry: the rows the tie check keeps."""
+    rows = reference_tie_rows(sx)
+    return None if rows is None else [row for row in rows if any(x > 0 for _, x in row)]
+
+
+def degenerate_rows_optimum_is_unique(sx: ExactSimplex) -> bool:
+    """The tie check as it was before it kept only the binding rows, at
+    sx's basis: the auxiliary LP takes every degenerate row over the
+    zero-reduced-cost columns, those with no positive entry too, and goes
+    in through _store.  sx is left as it was."""
+    n, d, core, rows = sx.n, sx.d, sx.core, sx._rows
+    obj = sx.obj
+    zero_cols = sorted([l for l in range(n) if obj[l] == 0], key=sx.nonbasic.__getitem__)
+    if not zero_cols:
+        return True
+    degenerate = reference_degenerate(sx)
+    # Over zero_cols, slack row k is -sum_j a_kj * part[j] over the
+    # support of a_k.  part[j] is sparse, as (t, value) pairs: -d in
+    # column t for a nonbasic structural j at zero_cols[t], core[j]
+    # over zero_cols for a basic one, nothing otherwise.
+    z = len(zero_cols)
+    part: list = [()] * n
+    for t, l in enumerate(zero_cols):
+        if sx.nonbasic[l] < n:
+            part[sx.nonbasic[l]] = ((t, -d),)
+    for j, row in core.items():
+        part[j] = tuple([(t, row[l]) for t, l in enumerate(zero_cols) if row[l]])
+    w: dict[int, list[int]] = {}  # slack row k over zero_cols, dense
+    if not sx._structurals_at_zero():
+        # Summed by rows, over the degenerate ones.
+        for v in degenerate:
+            if v >= n:
+                wk = w[v - n] = [0] * z
+                for j, a in rows[v - n]:
+                    for t, y in part[j]:
+                        wk[t] -= a * y
+    else:
+        # Only rows of b_k = 0 are degenerate: summed by columns, over
+        # the rows of b_k = 0 that the columns with a part touch.
+        zcols = sx._zero_cols
+        for j, pj in enumerate(part):
+            if pj:
+                for k, a in zcols[j]:
+                    wk = w.get(k) or w.setdefault(k, [0] * z)
+                    for t, y in pj:
+                        wk[t] -= a * y
+    A = []
+    for v in degenerate:
+        if v < n:
+            A.append(part[v])
+        else:
+            wk = w.get(v - n)
+            A.append(tuple([(t, x) for t, x in enumerate(wk) if x]) if wk else ())
+    aux = object.__new__(ExactSimplex)
+    aux._store(z, A, [0] * len(A))
+    aux._start([-1] * z)
+    return aux._run(MAX_PIVOTS)
+
+
+def condensed_tableau(sx: ExactSimplex) -> CondensedSimplex:
+    """A CondensedSimplex at sx's basis: its rows are sx's core rows and
+    the rows derived for its basic slacks, in basis order, which are the
+    condensed tableau's rows there exactly.  For oracles that read the
+    tableau of an LP too large to pivot whole."""
+    ref = object.__new__(CondensedSimplex)
+    ref.n, ref.m, ref.d = sx.n, sx.m, sx.d
+    ref.basis, ref.nonbasic = list(sx.basis), list(sx.nonbasic)
+    ref.c = tuple(Fraction(x) for x in sx.c)
+    ref.T = [sx.core[v] if v < sx.n else sx._slack_row(v - sx.n) for v in sx.basis]
+    ref.T.append(list(sx.obj))
+    return ref
 
 
 def all_rows_optimum_is_unique(sx: CondensedSimplex) -> bool:

@@ -27,7 +27,7 @@ from conedec import lpdecode, polytope
 from conedec.constructions import hagiwara_css_label_matrix, hamming_matrix, steane_matrix
 from conedec.errors import BoundExceeded
 from conedec.lpdecode import _compiled_system, bsc_errors, rationalize_llr
-from conftest import assert_compiled_matches_dense
+from conftest import assert_compiled_matches_dense, decode_rows
 from reference_simplex import (
     CondensedSimplex,
     FullTableauSimplex,
@@ -392,17 +392,17 @@ class TestCompiledSystem:
 
     def test_matches_full_tableau_on_seeded_corpus(self, hamming7, hamming7_full):
         # The core-row simplex decodes every error exactly as the condensed
-        # tableau does, along the same pivots in the solve and in the tie
-        # check, and as the full tableau does, along the same pivots in the
-        # solve.  The full tableau's tie check pivots differently by design
-        # and must agree on its answer.
+        # tableau on the same rows (decode_rows) does, along the same pivots
+        # in the solve and in the tie check, and as the full tableau does,
+        # along the same pivots in the solve.  The full tableau's tie check
+        # pivots differently by design and must agree on its answer.
         rng = random.Random(61)
         codes = [(hamming7, 12), (hamming7_full, 12), (steane_matrix(3), 12),
                  (hamming_matrix(4), 4)]
         statuses = set()
         phases = set()
         for H, count in codes:
-            A, b = zip(*build_relaxed_polytope(H).inequalities)
+            A, b = decode_rows(H)
             for t in range(count):
                 if t % 2:  # Gaussian LLRs: fractional optima are unique there
                     gamma = [rng.gauss(1.0, 1.2) for _ in range(H.cols)]
@@ -431,7 +431,7 @@ class TestCompiledSystem:
         assert phases == {"solve", "tie"}
 
     def test_tie_check_matches_all_rows_check(self, hamming7, hamming7_full):
-        # The degenerate-row tie check against the all-rows check it
+        # The binding-row tie check against the all-rows check it
         # replaced, at the optimal basis of each decode: the condensed
         # oracle solved on the same LP ends at the same basis, and the
         # all-rows check runs on its tableau.
@@ -458,8 +458,7 @@ class TestCompiledSystem:
             gr = rationalize_llr(gamma)
             sx = _compiled_system(H).with_objective(gr)
             res = sx.solve()
-            A, b = zip(*build_relaxed_polytope(H).inequalities)
-            ref = CondensedSimplex(A, b, gr)
+            ref = CondensedSimplex(*decode_rows(H), gr)
             ref.solve()
             assert (sx.basis, sx.nonbasic) == (ref.basis, ref.nonbasic)
             assert res.unique == all_rows_optimum_is_unique(ref)
@@ -472,8 +471,8 @@ class TestCompiledSystem:
         # sparse rows and column index; none of its pivots may change them.
         # test_simplex checks the same on rows with entries other than
         # -1, 0 and 1.  The rows are compiled from H's sparse rows; they
-        # must be those of the dense polytope.  test_system_builders checks
-        # the same on random H.
+        # must be those of the dense polytope without its lower box rows
+        # (decode_rows).  test_system_builders checks the same on random H.
         rng = random.Random(63)
         mats = (hamming7, steane_matrix(3))
         for t in range(120):
@@ -524,10 +523,10 @@ class TestCompiledSystem:
 
     def test_cache_bounded_by_rows(self, monkeypatch, hamming7, hamming7_full):
         steane = steane_matrix(3)
-        rows = {H: len(build_relaxed_polytope(H).inequalities)
-                for H in (hamming7, hamming7_full, steane)}
+        rows = {H: len(decode_rows(H)[0]) for H in (hamming7, hamming7_full, steane)}
         lpdecode._compiled.clear()
-        monkeypatch.setattr(lpdecode, "COMPILED_ROWS_CAP", rows[hamming7] + rows[steane])
+        # The cap holds 3x7 and 7x7 (31 + 63 rows), and 3x7 and Steane (62).
+        monkeypatch.setattr(lpdecode, "COMPILED_ROWS_CAP", rows[hamming7] + rows[hamming7_full])
         a, b = _compiled_system(hamming7), _compiled_system(hamming7_full)
         assert _compiled_system(hamming7) is a  # 7x7 is now least recently used
         c = _compiled_system(steane)  # over the cap: 7x7 goes, 3x7 stays

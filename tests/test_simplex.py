@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conedec import BinaryVector
-from conedec.constructions import hamming_matrix, steane_matrix
+from conedec.constructions import hagiwara_css_label_matrix, hamming_matrix, steane_matrix
 from conedec.errors import NumericalFailure
 from conedec.lpdecode import _compiled_system, llr_bsc, lp_decode, rationalize_llr
 from conedec.qcimprove import add_qc_shifts
@@ -18,9 +18,11 @@ from reference_simplex import (
     CondensedSimplex,
     FullTableauSimplex,
     all_rows_optimum_is_unique,
+    binding_tie_rows,
     both_pivot_logs,
+    condensed_tableau,
+    degenerate_rows_optimum_is_unique,
     dense_simplex,
-    reference_degenerate,
     reference_leaving,
     reference_tie_rows,
     solve_pivots,
@@ -158,7 +160,7 @@ def test_condensed_tableau_matches_full_tableau(lp):
     # The core-row simplex must make every pivot the condensed tableau
     # makes, in the tie check too, and the same pivots as the full tableau
     # in the main solve.  The full tableau's tie check pivots differently
-    # by design (all rows against degenerate rows); got == want compares
+    # by design (all rows against binding rows); got == want compares
     # their answers.
     A, b, c = lp
     with both_pivot_logs() as (core, condensed, full):
@@ -221,35 +223,59 @@ def test_derived_rows_equal_condensed_tableau(lp):
             break
 
 
+def recorded_tie_check(sx):
+    """Run sx's tie check and return its answer and the rows it hands its
+    auxiliary LP, None if it builds none; sx must be at an optimal basis.
+    The column index handed along with the rows must be the one _store
+    builds from them, over one column per zero reduced cost."""
+    taken = []
+    binding_rows = ExactSimplex._binding_rows
+
+    def recording(self, zero_cols):
+        rows = binding_rows(self, zero_cols)
+        if self is sx:
+            taken.append(rows)
+        return rows
+
+    ExactSimplex._binding_rows = recording
+    try:
+        unique = sx._optimum_is_unique()
+    finally:
+        ExactSimplex._binding_rows = binding_rows
+    if not taken:
+        return unique, None
+    [(rows, cols)] = taken
+    ref = object.__new__(ExactSimplex)
+    ref._store(len(cols), rows, [0] * len(rows))
+    assert cols == ref._cols == ref._zero_cols
+    assert len(cols) == sx.obj[:-1].count(0)
+    return unique, list(rows)
+
+
+def tie_check_rows(sx):
+    """The rows sx's tie check hands its auxiliary LP (recorded_tie_check)."""
+    return recorded_tie_check(sx)[1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(varied_lps())
 def test_tie_check_rows_equal_condensed_degenerate_rows(lp):
-    # The auxiliary LP takes the condensed tableau's degenerate rows over
-    # the zero-reduced-cost columns, in row order, as sparse rows.
+    # The auxiliary LP takes the condensed tableau's degenerate rows with a
+    # positive entry over the zero-reduced-cost columns, in row order, as
+    # sparse rows.
     sx, ref = dense_simplex(*lp), CondensedSimplex(*lp)
     assert sx._run(MAX_PIVOTS) and ref._run(MAX_PIVOTS)
-    taken = []
-    store = ExactSimplex._store
-
-    def recording_store(self, n, rows, b):
-        taken.append((n, list(rows), list(b)))
-        store(self, n, rows, b)
-
-    ExactSimplex._store = recording_store
-    try:
-        sx._optimum_is_unique()
-    finally:
-        ExactSimplex._store = store
+    taken = tie_check_rows(sx)
     T = ref.T
     zero_cols = sorted(
         (j for j in range(ref.n) if T[-1][j] == 0), key=ref.nonbasic.__getitem__
     )
     if not zero_cols:
-        assert taken == []
+        assert taken is None
         return
     want = [[row[j] for j in zero_cols] for row in T[:-1] if row[-1] == 0]
-    sparse = [tuple((t, x) for t, x in enumerate(row) if x) for row in want]
-    assert taken == [(len(zero_cols), sparse, [0] * len(want))]
+    sparse = [tuple((t, x) for t, x in enumerate(row) if x) for row in want if max(row) > 0]
+    assert taken == sparse
 
 
 @settings(max_examples=500, deadline=None)
@@ -277,11 +303,14 @@ def basis_kind(sx, s):
 
 def assert_matches_reference(sx, leaving=ExactSimplex._leaving):
     """At sx's basis, the ratio test of every column (not only those with a
-    negative reduced cost) and the degenerate rows equal the rhs-pass
-    reference.  Returns the basis_kind of each column."""
+    negative reduced cost) equals the rhs-pass reference, and the binding
+    rows the tie check would take there are the reference's degenerate rows
+    with a positive entry.  Returns the basis_kind of each column."""
     for s in range(sx.n):
         assert leaving(sx, s) == reference_leaving(sx, s)
-    assert sx._degenerate() == reference_degenerate(sx)
+    zero_cols = sorted([l for l in range(sx.n) if sx.obj[l] == 0], key=sx.nonbasic.__getitem__)
+    if zero_cols:
+        assert list(sx._binding_rows(zero_cols)[0]) == binding_tie_rows(sx)
     if not sx.core:
         # d is the determinant of the basis matrix, so 1 at a slack basis.
         assert sx.d == 1
@@ -306,31 +335,13 @@ def ratio_tests_checked():
         ExactSimplex._leaving = leaving
 
 
-def tie_check_rows(sx):
-    """The rows sx's tie check hands its auxiliary LP, None if it builds
-    none; sx must be at an optimal basis."""
-    taken = []
-    store = ExactSimplex._store
-
-    def recording_store(self, n, rows, b):
-        taken.append(list(rows))
-        store(self, n, rows, b)
-
-    ExactSimplex._store = recording_store
-    try:
-        sx._optimum_is_unique()
-    finally:
-        ExactSimplex._store = store
-    return taken[0] if taken else None
-
-
 def assert_solve_matches_reference(sx):
     """Solve sx with every basis checked (ratio_tests_checked), then check
-    the tie check's rows at the optimum against reference_tie_rows.
+    the tie check's rows at the optimum against binding_tie_rows.
     Returns the basis kinds seen."""
     with ratio_tests_checked() as kinds:
         assert sx._run(MAX_PIVOTS)
-        assert tie_check_rows(sx) == reference_tie_rows(sx)
+        assert tie_check_rows(sx) == binding_tie_rows(sx)
     return kinds
 
 
@@ -396,7 +407,7 @@ def test_ratio_test_back_at_slack_basis():
 def decode_code(name):
     H3 = hamming_matrix(3, cyclic=True)
     return {"3x7": H3, "7x7": add_qc_shifts(H3, H3.row(0), 1), "steane": steane_matrix(3),
-            "15_11": hamming_matrix(4)}[name]
+            "15_11": hamming_matrix(4), "hagiwara": hagiwara_css_label_matrix()}[name]
 
 
 def seeded_llrs(H, seed, gaussian):
@@ -419,6 +430,70 @@ def test_ratio_test_matches_reference_on_decode_lps(code, seed, gaussian):
     H = decode_code(code)
     gr = rationalize_llr(seeded_llrs(H, seed, gaussian))
     assert_solve_matches_reference(_compiled_system(H).with_objective(gr))
+
+
+def decode_lp(code, seed, gaussian):
+    """The compiled decode LP of a named code with seeded LLRs, unsolved.
+    It is solved directly: lp_decode skips it on a certified hard
+    decision."""
+    H = decode_code(code)
+    return _compiled_system(H).with_objective(rationalize_llr(seeded_llrs(H, seed, gaussian)))
+
+
+def assert_tie_check_matches_oracles(sx):
+    """At sx's optimal basis, the tie check takes binding_tie_rows(sx) and
+    answers as the check that takes every degenerate row and as the check
+    that takes every row.  Returns the number of degenerate rows dropped."""
+    unique, rows = recorded_tie_check(sx)
+    assert rows == binding_tie_rows(sx)
+    assert unique == degenerate_rows_optimum_is_unique(sx)
+    assert unique == all_rows_optimum_is_unique(condensed_tableau(sx))
+    return len(reference_tie_rows(sx) or ()) - len(rows or ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    varied_lps()
+    | degenerate_lps()
+    | st.tuples(st.sampled_from(["3x7", "7x7", "steane", "15_11", "hagiwara"]),
+                st.integers(0, 2**32), st.booleans())
+)
+def test_binding_row_tie_check_matches_oracles(lp):
+    sx = decode_lp(*lp) if isinstance(lp[0], str) else dense_simplex(*lp)
+    if sx._run(MAX_PIVOTS):  # a degenerate_lps draw may be unbounded
+        assert_tie_check_matches_oracles(sx)
+
+
+def test_binding_row_tie_check_drops_rows_on_decode_lps():
+    # The dropped rows are most of the degenerate rows of the decode LPs,
+    # and the seeded corpus has both answers.
+    dropped, answers = 0, set()
+    for code in ("3x7", "steane", "15_11", "hagiwara"):
+        for seed in range(6):
+            sx = decode_lp(code, seed, seed % 2)
+            assert sx._run(MAX_PIVOTS)
+            dropped += assert_tie_check_matches_oracles(sx)
+            answers.add(sx._optimum_is_unique())
+    assert dropped > 0 and answers == {True, False}
+
+
+def test_dropped_row_gains_a_positive_entry():
+    # With a zero objective the slack basis is optimal, both columns have
+    # a zero reduced cost, and rows 0 and 1 are degenerate.  Row 0,
+    # -x1 <= 0, has no positive entry, so the tie check drops it.  In the
+    # auxiliary LP over both degenerate rows, the first pivot (x1 enters
+    # at row 1, x1 + x2 <= 0) gives row 0 a positive entry in x2's column:
+    # -x1 = x2 + s1.  The cone {u >= 0 : W_D u <= 0} is {0} either way.
+    lp = [[-1, 0], [1, 1], [1, 0], [0, 1]], [0, 0, 1, 1], [0, 0]
+    sx = dense_simplex(*lp)
+    assert sx._run(MAX_PIVOTS) and sx.core == {}
+    assert reference_tie_rows(sx) == [((0, -1),), ((0, 1), (1, 1))]
+    assert assert_tie_check_matches_oracles(sx) == 1
+    assert tie_check_rows(sx) == [((0, 1), (1, 1))]
+    aux = ExactSimplex(2, reference_tie_rows(sx), [0, 0], [-1, -1])
+    assert one_pivot(aux) is None and aux.basis == [2, 0]
+    assert max(aux._slack_row(0)[:-1]) > 0
+    assert sx.solve().unique
 
 
 def test_ratio_test_covers_every_shortcut():
@@ -521,6 +596,8 @@ def test_column_index_shares_row_entries(hamming7):
         ([[1, 0], [0, 1], [1, 1]], [1, 1, 2], [-1, -2]),
         # Zero objective: every column has a zero reduced cost.
         ([[2, 1, 0], [0, 1, 3], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [2, 0, 1, 1, 1], [0, 0, 0]),
+        # Zero objective, and one degenerate row with no positive entry.
+        ([[-1, 0], [1, 1], [1, 0], [0, 1]], [0, 0, 1, 1], [0, 0]),
     ],
 )
 def test_debug_line_counts_match_pivot_log(lp, caplog):
@@ -530,19 +607,18 @@ def test_debug_line_counts_match_pivot_log(lp, caplog):
             sx.solve()
     (rec,) = caplog.records
     assert rec.levelno == logging.DEBUG and rec.name == "conedec.simplex"
-    rows, solve, tie, degenerate, basic = (
+    rows, solve, tie, binding, basic = (
         int(w) for w in rec.getMessage().split() if w.isdigit()
     )
     assert rows == len(lp[0])
     assert solve == len(solve_pivots(core))
     assert tie == len(core) - solve
     assert basic == len(sx.core) == sum(v < sx.n for v in sx.basis)
-    # The oracle's tableau at the same basis: the degenerate rows the tie
-    # check took, none when no reduced cost is zero.
+    # The oracle's tableau at the same basis: the binding rows the tie
+    # check took (rhs 0 and a positive entry over the zero-reduced-cost
+    # columns), none when no reduced cost is zero.
     ref = CondensedSimplex(*lp)
     ref.solve()
     T = ref.T
-    if 0 in T[-1][:-1]:
-        assert degenerate == sum(row[-1] == 0 for row in T[:-1])
-    else:
-        assert degenerate == 0
+    zero_cols = [j for j in range(ref.n) if T[-1][j] == 0]
+    assert binding == sum(row[-1] == 0 and any(row[j] > 0 for j in zero_cols) for row in T[:-1])
