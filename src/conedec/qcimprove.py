@@ -170,7 +170,8 @@ def improve_representation(
     (ties broken by lexicographically smallest coordinate tuple), adds its
     full n0-shift orbit, and re-evaluates.  The loop also stops, with
     met_target False, once every dual word is a row.  Deterministic given
-    (H, n0, target, budget, seed).
+    (H, n0, target, budget), and for an FER target also given seed and
+    trials, which fix the Monte Carlo errors.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")

@@ -48,20 +48,22 @@ costs O(n^2) plus its ratio test, not O(m n), and it takes exactly the
 pivots of the full condensed tableau.
 
 The decode LPs are very degenerate, and every rhs is >= 0, so a ratio
-test mostly ends at a row of rhs 0.  The column index restricted to the
-rows of b_k = 0 is recorded once.  At the slack basis, the
-ratio test reads b_k / a_ke straight off the entering column.  When a
-basic structural at zero has a positive entry, the smallest such one
-leaves.  When every basic structural sits at zero, rhs_k = d * b_k, so the
-rows of rhs 0 are the rows of b_k = 0, and the entering column is built
-over those rows only.  Such a pivot costs the rows it touches, not O(m).
-Otherwise the general pass builds the entering column through the column
-index (only the entering structural's own column and the columns of basic
-structurals with a nonzero in column s contribute) and takes the rhs of
-the slack rows from one pass that scales b and subtracts the columns of
-the basic structurals off zero: O(m) plus the columns it touches.  On
+test mostly ends at a row of rhs 0.  One predicate, the origin
+(_at_origin: every basic structural sits at zero, so x = 0 and
+rhs_k = d * b_k), picks the cheap path of both the ratio test and the tie
+check.  The ratio test takes three steps.  A basic structural at zero
+with a positive entry in the entering column wins first.  At the origin
+the rows of rhs 0 are the rows of b_k = 0, so the entering column is
+built over those rows only, through the column index restricted to them
+(recorded once): such a pivot costs the rows it touches, not O(m).
+Otherwise the general pass builds the entering column through the whole
+column index (only the entering structural's own column and the columns
+of basic structurals with a nonzero in it contribute) and compares the
+ratios.  At the origin its candidates are all slack rows, and b gives
+their ratios.  Away from it one pass scales b and subtracts the columns
+of the basic structurals off zero: O(m) plus the columns it touches.  On
 the decode LPs that pass is cheaper than summing the support of each row
-with a positive entry.
+with a positive entry.  So an rhs pass runs only away from the origin.
 
 The tie check (_optimum_is_unique) is an auxiliary LP in which every pivot
 is degenerate, over the zero-reduced-cost columns u and the binding
@@ -71,11 +73,11 @@ of the degenerate rows D, and a row of D with no positive entry holds for
 every u >= 0, so leaving it out keeps the cone, and the answer, unchanged.
 On the decode LPs most degenerate rows are such rows.  The binding rows
 are built sparse in basis order, with their column index, in one pass.
-When every basic structural sits at zero, the degenerate rows are the
-basic structurals and the basic slacks of the rows of b_k = 0, and the
-slack rows' entries over u are summed through the restricted column
-index, over the rows those columns touch.  Otherwise one rhs pass finds
-the degenerate rows, and their entries are derived row by row.
+At the origin, the degenerate rows are the basic structurals and the
+basic slacks of the rows of b_k = 0, and the slack rows' entries over u
+are summed through the restricted column index, over the rows those
+columns touch.  Away from it one rhs pass finds the degenerate rows, and
+their entries are derived row by row.
 
 solve logs one DEBUG line: rows, solve pivots, tie-check pivots, the
 binding rows the tie check took, and basic structurals at the optimum.
@@ -107,59 +109,64 @@ class SimplexResult:
 class ExactSimplex:
     def __init__(self, n: int, rows: Sequence, b: Sequence[int], c: Sequence):
         """min c . x over n structurals and the sparse integer rows: rows[k]
-        is a tuple of (j, a_kj) pairs, with distinct j in range(n) and
-        a_kj != 0, and rhs b[k] >= 0."""
+        is a tuple of (j, a_kj) pairs, with distinct int j in range(n) and
+        int a_kj != 0, and one int rhs b[k] >= 0 per row.
+
+        Builds the column index from the rows: row k's columns share one
+        (k, a) entry per distinct coefficient a, so an odd-set row has just
+        (k, 1) and (k, -1)."""
+        if len(b) != len(rows):
+            raise ValueError(f"{len(b)} rhs for {len(rows)} rows")
         columns = set(range(n))
         for k, pairs in enumerate(rows):
             js = {j for j, _ in pairs}
-            if len(js) != len(pairs) or not js <= columns or not all(a for _, a in pairs):
-                raise ValueError(f"row {k}: columns must be distinct in range({n}), values nonzero")
-        self._store(n, rows, b)
-        self._start(c)
-
-    def _store(self, n: int, rows: Sequence, b: Sequence[int]) -> None:
-        """Keep n, the sparse rows with their rhs, the column index built
-        from them, and that index restricted to the rows of b_k = 0.
-        Row k's columns share one (k, a) entry per distinct
-        coefficient a: an odd-set row has just (k, 1) and (k, -1)."""
-        if b and min(b) < 0:
-            raise ValueError("slack basis start requires b >= 0")
+            if (len(js) != len(pairs) or not js <= columns
+                    or not all(isinstance(j, int) and isinstance(a, int) and a for j, a in pairs)):
+                raise ValueError(
+                    f"row {k}: columns must be distinct ints in range({n}), values nonzero ints"
+                )
+            if not isinstance(b[k], int) or b[k] < 0:
+                raise ValueError(f"row {k}: the slack basis start requires an int rhs >= 0")
         cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for k, pairs in enumerate(rows):
             entry: dict[int, tuple[int, int]] = {}
             for j, a in pairs:
                 cols[j].append(entry.setdefault(a, (k, a)))
-        self.n, self.m = n, len(rows)
-        self._rows, self._b = tuple(rows), tuple(b)
-        self._cols = tuple(map(tuple, cols))
-        # The column index restricted to the rows of b_k = 0.
-        self._zero_cols = tuple([tuple([e for e in col if not b[e[0]]]) for col in cols])
+        zero_cols = tuple([tuple([e for e in col if not b[e[0]]]) for col in cols])
+        self._at_slack_basis(tuple(rows), tuple(b), tuple(map(tuple, cols)), zero_cols, c, self)
 
-    def _start(self, c: Sequence) -> None:
-        """Objective row c at the slack basis."""
-        if len(c) != self.n:
+    @staticmethod
+    def _at_slack_basis(rows: tuple, b: tuple, cols: tuple, zero_cols: tuple, c: Sequence,
+                        sx: "ExactSimplex | None" = None) -> "ExactSimplex":
+        """sx, or else a new instance that skips __init__'s checks, at the
+        slack basis with objective c, over the sparse rows with their rhs
+        b, their column index cols (one column per structural) and that
+        index restricted to the rows of b_k = 0.  These four are kept, not
+        copied: no pivot writes into them."""
+        n, m = len(cols), len(rows)
+        if len(c) != n:
             raise ValueError("objective has wrong length")
-        self.obj: list[int] = [*dd.integerize(c), 0]
-        self.c = tuple(c)
-        self.d = 1
-        self.basis = list(range(self.n, self.n + self.m))
-        self.nonbasic = list(range(self.n))
-        self.core: dict[int, list[int]] = {}
+        if sx is None:
+            sx = object.__new__(ExactSimplex)
+        sx.n, sx.m = n, m
+        sx._rows, sx._b, sx._cols, sx._zero_cols = rows, b, cols, zero_cols
+        sx.obj = [*dd.integerize(c), 0]
+        sx.c = tuple(c)
+        sx.d = 1
+        sx.basis = list(range(n, n + m))
+        sx.nonbasic = list(range(n))
+        sx.core = {}
         # Position in basis of a basic variable, ~column of a nonbasic one.
-        self._where = [~j for j in range(self.n)] + list(range(self.m))
-        self.pivots = 0
-        self._tie_rows = self._tie_pivots = 0
+        sx._where = [~j for j in range(n)] + list(range(m))
+        sx.pivots = 0
+        sx._tie_rows = sx._tie_pivots = 0
+        return sx
 
     def with_objective(self, c: Sequence) -> "ExactSimplex":
         """A fresh simplex at the slack basis on this one's constraint rows
         with objective c.  The sparse rows and the column indexes are
-        shared, not copied: no pivot writes into them."""
-        sx = object.__new__(ExactSimplex)
-        sx.n, sx.m = self.n, self.m
-        sx._rows, sx._b, sx._cols = self._rows, self._b, self._cols
-        sx._zero_cols = self._zero_cols
-        sx._start(c)
-        return sx
+        shared, not copied."""
+        return self._at_slack_basis(self._rows, self._b, self._cols, self._zero_cols, c)
 
     def _slack_rhs(self) -> list[int]:
         """rhs_k of every slack row k, as if its slack were basic.
@@ -231,63 +238,33 @@ class ExactSimplex:
         the smallest basic variable index.
 
         Every rhs is >= 0, so a positive entry in a row of rhs 0 wins
-        unless a smaller basic variable has one too.  Three exact shortcuts
-        settle the test from the rows that column s touches, without the
-        general pass's m-row rhs pass: at the slack basis, when a basic
-        structural at zero has a positive entry, and when every basic
-        structural sits at zero (then only the rows of b_k = 0 have rhs 0).
+        unless a smaller basic variable has one too.  Three steps:
+          1. A basic structural at zero with a positive entry wins: the
+             structurals have the smallest variable indices.
+          2. At the origin (_at_origin), rhs_k = d * b_k, so the slack rows
+             of rhs 0 are the rows of b_k = 0: column s is built over those
+             rows only, and the smallest one with a positive entry wins.
+          3. The general pass compares the ratios of every row with a
+             positive entry.  At the origin these are all slack rows, with
+             rhs_k = d * b_k, so b gives their ratios; away from it one
+             _slack_rhs pass gives their rhs.
         """
-        n, d, core, cols, where = self.n, self.d, self.core, self._cols, self._where
-        entering = self.nonbasic[s]
-        if not core:
-            # The slack basis: T_k[s] = d * a_ke and rhs_k = d * b_k, and
-            # column entering lists its rows in row order.
-            b, best, best_a = self._b, -1, 0
-            for k, a in cols[entering]:
-                if a > 0:
-                    if not b[k]:
-                        return where[n + k]
-                    if best < 0 or b[k] * best_a < b[best] * a:
-                        best, best_a = k, a
-            return where[n + best] if best >= 0 else -1
-        # Structurals have the smallest variable indices.
+        n, core, where = self.n, self.core, self._where
         at_zero = [j for j, row in core.items() if row[s] > 0 and not row[-1]]
         if at_zero:
             return where[min(at_zero)]
-        if self._structurals_at_zero():
-            # Then rhs_k = d * b_k, so the slack rows of rhs 0 are the rows
-            # of b_k = 0; no basic structural has a positive entry there.
-            # Column s over those rows only:
-            zcols = self._zero_cols
-            col = {k: d * a for k, a in zcols[entering]} if entering < n else {}
-            get = col.get
-            for j, row in core.items():
-                t = row[s]
-                if t:
-                    for k, a in zcols[j]:
-                        col[k] = get(k, 0) - a * t
+        origin = self._at_origin()
+        if origin:
+            col = self._column(s, self._zero_cols)
             ks = [k for k, t in col.items() if t > 0 and where[n + k] >= 0]
             if ks:
                 return where[n + min(ks)]
-        # Column s over the slack rows: T_k[s] keyed by k.
-        if entering >= n:
-            col = {}
-        elif d == 1:
-            col = dict(cols[entering])
-        else:
-            col = {k: d * a for k, a in cols[entering]}
-        get = col.get
-        cands = []  # (rhs, entry, basic variable) with a positive entry
-        for j, row in core.items():
-            t = row[s]
-            if t:
-                for k, a in cols[j]:
-                    col[k] = get(k, 0) - a * t
-                if t > 0:
-                    cands.append((row[-1], t, j))
+        # (rhs, entry, basic variable) with a positive entry
+        cands = [(row[-1], row[s], j) for j, row in core.items() if row[s] > 0]
+        col = self._column(s, self._cols)
         slack = [(k, t) for k, t in col.items() if t > 0 and where[n + k] >= 0]
         if slack:
-            rhs = self._slack_rhs()
+            rhs = self._b if origin else self._slack_rhs()
             cands += [(rhs[k], t, n + k) for k, t in slack]
         if not cands:
             return -1
@@ -297,6 +274,26 @@ class ExactSimplex:
             if cmp < 0 or (cmp == 0 and var < b_var):
                 b_rhs, b_t, b_var = rhs, t, var
         return where[b_var]
+
+    def _column(self, s: int, cols: tuple) -> dict[int, int]:
+        """Column s over the slack rows that the column index cols lists
+        (the whole index or its rows of b_k = 0): T_k[s] keyed by k.  Only
+        the entering structural's own column and the columns of basic
+        structurals with a nonzero in column s contribute."""
+        d, entering = self.d, self.nonbasic[s]
+        if entering >= self.n:
+            col = {}
+        elif d == 1:
+            col = dict(cols[entering])
+        else:
+            col = {k: d * a for k, a in cols[entering]}
+        get = col.get
+        for j, row in self.core.items():
+            t = row[s]
+            if t:
+                for k, a in cols[j]:
+                    col[k] = get(k, 0) - a * t
+        return col
 
     def _run(self, max_pivots: int) -> bool:
         """Bland's-rule pivots until no reduced cost is negative.
@@ -380,10 +377,7 @@ class ExactSimplex:
         # The rows meet __init__'s input contract by construction.  Every
         # rhs is 0, so the column index restricted to the rows of b_k = 0
         # is the column index.
-        aux = object.__new__(ExactSimplex)
-        aux.n, aux.m, aux._rows, aux._b = z, len(rows), rows, (0,) * len(rows)
-        aux._cols = aux._zero_cols = cols
-        aux._start([-1] * z)
+        aux = self._at_slack_basis(rows, (0,) * len(rows), cols, cols, [-1] * z)
         unique = aux._run(MAX_PIVOTS)
         self._tie_rows, self._tie_pivots = len(rows), aux.pivots
         return unique
@@ -408,7 +402,7 @@ class ExactSimplex:
         for j, row in core.items():
             part[j] = tuple([(t, row[l]) for t, l in enumerate(zero_cols) if row[l]])
         taken = {}  # basis position -> the row there, if it binds
-        if self._structurals_at_zero():
+        if self._at_origin():
             # Every basic structural is degenerate, and the degenerate slack
             # rows are rows of b_k = 0: summed by columns, over the rows of
             # b_k = 0 that the columns with a part touch.
@@ -447,9 +441,9 @@ class ExactSimplex:
                 cols[t].append((k, x))
         return A, tuple(map(tuple, cols))
 
-    def _structurals_at_zero(self) -> bool:
-        """Whether every basic structural sits at zero.  Then each slack row
-        has rhs_k = d * b_k."""
+    def _at_origin(self) -> bool:
+        """Whether every basic structural sits at zero, so that x is the
+        origin and each slack row has rhs_k = d * b_k."""
         return not any(row[-1] for row in self.core.values())
 
 

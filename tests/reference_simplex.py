@@ -395,7 +395,7 @@ def degenerate_rows_optimum_is_unique(sx: ExactSimplex) -> bool:
     """The tie check as it was before it kept only the binding rows, at
     sx's basis: the auxiliary LP takes every degenerate row over the
     zero-reduced-cost columns, those with no positive entry too, and goes
-    in through _store.  sx is left as it was."""
+    in through __init__.  sx is left as it was."""
     n, d, core, rows = sx.n, sx.d, sx.core, sx._rows
     obj = sx.obj
     zero_cols = sorted([l for l in range(n) if obj[l] == 0], key=sx.nonbasic.__getitem__)
@@ -414,7 +414,7 @@ def degenerate_rows_optimum_is_unique(sx: ExactSimplex) -> bool:
     for j, row in core.items():
         part[j] = tuple([(t, row[l]) for t, l in enumerate(zero_cols) if row[l]])
     w: dict[int, list[int]] = {}  # slack row k over zero_cols, dense
-    if not sx._structurals_at_zero():
+    if not sx._at_origin():
         # Summed by rows, over the degenerate ones.
         for v in degenerate:
             if v >= n:
@@ -439,10 +439,7 @@ def degenerate_rows_optimum_is_unique(sx: ExactSimplex) -> bool:
         else:
             wk = w.get(v - n)
             A.append(tuple([(t, x) for t, x in enumerate(wk) if x]) if wk else ())
-    aux = object.__new__(ExactSimplex)
-    aux._store(z, A, [0] * len(A))
-    aux._start([-1] * z)
-    return aux._run(MAX_PIVOTS)
+    return ExactSimplex(z, A, [0] * len(A), [-1] * z)._run(MAX_PIVOTS)
 
 
 def condensed_tableau(sx: ExactSimplex) -> CondensedSimplex:

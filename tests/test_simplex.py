@@ -88,22 +88,37 @@ def test_unbounded_raises():
         dense_simplex([[-1]], [0], [-1]).solve()
 
 
+MALFORMED_ROWS = [
+    [((-1, 1),)],  # once filed under the last column
+    [((5, 1),)],  # once an IndexError
+    [((2, 1),)],
+    [((0, 0),)],
+    [((0, 1), (1, 0))],
+    [((0, 1), (0, 1))],
+    [((1, 1),), ((0, 2), (1, 1), (0, -1))],
+]
+
+
 @pytest.mark.parametrize(
-    "rows",
-    [
-        [((-1, 1),)],  # once filed under the last column
-        [((5, 1),)],  # once an IndexError
-        [((2, 1),)],
-        [((0, 0),)],
-        [((0, 1), (1, 0))],
-        [((0, 1), (0, 1))],
-        [((1, 1),), ((0, 2), (1, 1), (0, -1))],
+    "rows, b",
+    [pytest.param(rows, [1] * len(rows), id=f"rows{i}") for i, rows in enumerate(MALFORMED_ROWS)]
+    + [
+        # Once solved with floored Fractions: x = (0, 3/4), not (3/4, 3/4).
+        pytest.param([((0, Fraction(1, 3)), (1, 1)), ((0, 1), (1, Fraction(1, 3)))], [1, 1],
+                     id="fraction-coefficient"),
+        pytest.param([((0, 1.5),)], [1], id="float-coefficient"),
+        pytest.param([((1.0, 1),)], [1], id="float-column"),  # once a TypeError
+        pytest.param([((0, 1),)], [Fraction(1, 2)], id="fraction-rhs"),
+        pytest.param([((0, 1),)], [1.0], id="float-rhs"),
+        pytest.param([((0, 1),)], [1, 1], id="long-b"),  # once accepted
+        pytest.param([((0, 1),), ((1, 1),)], [1], id="short-b"),  # once an IndexError
     ],
 )
-def test_malformed_rows_rejected(rows):
-    # Columns must be distinct and in range(n), coefficients nonzero.
+def test_malformed_rows_rejected(rows, b):
+    # Columns must be distinct ints in range(n), coefficients nonzero ints,
+    # and each row has one int rhs.
     with pytest.raises(ValueError):
-        ExactSimplex(2, rows, [1] * len(rows), [0, -1])
+        ExactSimplex(2, rows, b, [0, -1])
 
 
 @st.composite
@@ -226,7 +241,7 @@ def test_derived_rows_equal_condensed_tableau(lp):
 def recorded_tie_check(sx):
     """Run sx's tie check and return its answer and the rows it hands its
     auxiliary LP, None if it builds none; sx must be at an optimal basis.
-    The column index handed along with the rows must be the one _store
+    The column index handed along with the rows must be the one __init__
     builds from them, over one column per zero reduced cost."""
     taken = []
     binding_rows = ExactSimplex._binding_rows
@@ -245,8 +260,7 @@ def recorded_tie_check(sx):
     if not taken:
         return unique, None
     [(rows, cols)] = taken
-    ref = object.__new__(ExactSimplex)
-    ref._store(len(cols), rows, [0] * len(rows))
+    ref = ExactSimplex(len(cols), rows, [0] * len(rows), [0] * len(cols))
     assert cols == ref._cols == ref._zero_cols
     assert len(cols) == sx.obj[:-1].count(0)
     return unique, list(rows)
@@ -291,7 +305,10 @@ def test_degenerate_row_tie_check_matches_all_rows_check(lp):
 
 
 def basis_kind(sx, s):
-    """Which shortcut of the ratio test can settle column s at sx's basis."""
+    """The kind of sx's basis that the ratio test meets in column s: the
+    slack basis, a basic structural at zero with a positive entry (ratio
+    0), every basic structural at zero (the origin), or some basic
+    structural off zero."""
     if not sx.core:
         return "slack basis"
     if any(row[s] > 0 and not row[-1] for row in sx.core.values()):
@@ -532,6 +549,35 @@ def test_zero_word_decode_makes_no_rhs_pass(monkeypatch):
         assert not any(res.optimum)
     assert calls["ratio"] >= H.cols
     assert calls["rhs"] == calls["init"] == 0
+
+
+def test_no_rhs_pass_at_the_origin(monkeypatch):
+    # At the origin every basic structural sits at zero, so rhs_k = d * b_k:
+    # neither the ratio test nor the tie check makes an rhs pass there.
+    # The corpus holds ratio tests at the origin, off the slack basis, that
+    # no row of b_k = 0 settles: the general pass picks a row of b_k > 0.
+    calls = {"rhs at origin": 0, "general pass at origin": 0}
+    slack_rhs, leaving = ExactSimplex._slack_rhs, ExactSimplex._leaving
+
+    def counted_rhs(self):
+        calls["rhs at origin"] += self._at_origin()
+        return slack_rhs(self)
+
+    def counted_leaving(self, s):
+        origin = bool(self.core) and self._at_origin()
+        r = leaving(self, s)
+        v = self.basis[r] - self.n if r >= 0 else -1
+        calls["general pass at origin"] += origin and v >= 0 and self._b[v] > 0
+        return r
+
+    monkeypatch.setattr(ExactSimplex, "_slack_rhs", counted_rhs)
+    monkeypatch.setattr(ExactSimplex, "_leaving", counted_leaving)
+    for code in ("3x7", "7x7", "steane", "15_11", "hagiwara"):
+        for seed in range(6):
+            for gaussian in (False, True):
+                decode_lp(code, seed, gaussian).solve()
+    assert calls["rhs at origin"] == 0
+    assert calls["general pass at origin"] > 0
 
 
 def stored_rows(sx):
