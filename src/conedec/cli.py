@@ -258,12 +258,14 @@ def _decode_trials(args, H: BinaryMatrix) -> tuple[dict | str, str]:
     est = evaluate_lp_performance(H, args.crossover, args.trials, args.seed, ml=args.ml)
     summary = f"fer {est.fer:.4g}"
     if args.format == "csv":
-        csv = (
-            "seed,p,trials,failures,fer,fractional_count,tie_count\n"
+        header = "seed,p,trials,failures,fer,fractional_count,tie_count"
+        row = (
             f"{args.seed},{args.crossover},{args.trials},{est.failures},"
-            f"{est.fer:.12g},{est.fractional},{est.ties}\n"
+            f"{est.fer:.12g},{est.fractional},{est.ties}"
         )
-        return csv, summary
+        if args.ml:
+            header, row = header + ",ml_mismatches", f"{row},{est.ml_mismatches}"
+        return f"{header}\n{row}\n", summary
     obj = {
         "type": "decode-trials",
         "seed": args.seed,

@@ -223,38 +223,39 @@ def mat_vec_mod2(H: BinaryMatrix, v: Sequence[int]) -> BinaryVector:
     return BinaryVector(H.rows, out)
 
 
-def gf2_row_echelon(row_bits: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form over GF(2); returns (rows, pivot columns)."""
-    rows = [b for b in row_bits]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> c) & 1:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> c) & 1:
-                rows[i] ^= rows[r]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[: len(pivots)], pivots
+def gf2_row_echelon(row_bits: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form over GF(2); returns (rows, pivot columns),
+    both in pivot order, a row's pivot being its lowest set bit.
+
+    The rows are inserted one at a time.  Each is cleared of the pivots
+    found so far; a nonzero remainder becomes a pivot row at its lowest set
+    bit, and that bit is then cleared from the other pivot rows.  The
+    reduced form of a row space is unique, so the order of insertion does
+    not change the result.
+    """
+    basis: dict[int, int] = {}  # pivot column -> its row
+    for r in row_bits:
+        for p, b in basis.items():
+            if r >> p & 1:
+                r ^= b
+        if r:
+            low = r & -r
+            for p, b in basis.items():
+                if b & low:
+                    basis[p] = b ^ r  # a new value, no new key
+            basis[low.bit_length() - 1] = r
+    pivots = sorted(basis)
+    return [basis[p] for p in pivots], pivots
 
 
 def gf2_rank(H: BinaryMatrix) -> int:
-    _, pivots = gf2_row_echelon(H.row_bits, H.cols)
+    _, pivots = gf2_row_echelon(H.row_bits)
     return len(pivots)
 
 
 def gf2_nullspace_basis(H: BinaryMatrix) -> list[BinaryVector]:
     """Basis of {v : H v^T = 0} over GF(2)."""
-    rows, pivots = gf2_row_echelon(H.row_bits, H.cols)
+    rows, pivots = gf2_row_echelon(H.row_bits)
     pivot_set = set(pivots)
     basis = []
     for free in range(H.cols):
@@ -272,7 +273,7 @@ def row_space_contains(H: BinaryMatrix, w: BinaryVector) -> bool:
     """Whether w lies in the GF(2) span of the rows of H."""
     if w.n != H.cols:
         raise ValueError("length mismatch")
-    rows, pivots = gf2_row_echelon(H.row_bits, H.cols)
+    rows, pivots = gf2_row_echelon(H.row_bits)
     bits = w.bits
     for r, p in zip(rows, pivots):
         if (bits >> p) & 1:
@@ -292,17 +293,17 @@ def enumerate_codewords(H: BinaryMatrix) -> list[BinaryVector]:
         raise BoundExceeded(
             f"code has 2^{k} codewords, above the 2^{ENUMERATION_CAP} enumeration cap"
         )
-    words = _span(basis)
+    words = _span([v.bits for v in basis])
     return [BinaryVector(H.cols, b) for b in sorted(words)]
 
 
-def _span(basis: Sequence[BinaryVector]) -> list[int]:
+def _span(basis: Sequence[int]) -> list[int]:
     # Gray-code walk over all 2^k combinations.
     k = len(basis)
     words = [0]
     cur = 0
     for g in range(1, 1 << k):
-        cur ^= basis[(g & -g).bit_length() - 1].bits
+        cur ^= basis[(g & -g).bit_length() - 1]
         words.append(cur)
     return words
 
@@ -316,14 +317,14 @@ def enumerate_dual_words(
     C(H)^perp).  The sweep is exhaustive over the span; results are sorted
     by (weight, coordinates); refuses when the span exceeds 2^ENUMERATION_CAP.
     """
-    reduced, pivots = gf2_row_echelon(H.row_bits, H.cols)
+    reduced, pivots = gf2_row_echelon(H.row_bits)
     if len(pivots) > ENUMERATION_CAP:
         raise BoundExceeded(
             f"dual span has 2^{len(pivots)} words, above the 2^{ENUMERATION_CAP} cap"
         )
     row_set = set(H.row_bits)
     out = []
-    for bits in _span([BinaryVector(H.cols, b) for b in reduced]):
+    for bits in _span(reduced):
         if bits == 0:
             continue
         if bits.bit_count() <= max_weight:

@@ -49,6 +49,7 @@ from .gf2 import (
     BinaryMatrix,
     BinaryVector,
     cyclic_shift,
+    gf2_row_echelon,
     is_quasi_cyclic,
     mat_vec_mod2,
 )
@@ -217,11 +218,13 @@ def ml_decode(H: BinaryMatrix, gamma: LlrVector) -> BinaryVector:
         raise ValueError(f"LLR length {len(gamma)} != cols {n}")
     gr = rationalize_llr(gamma)
     last = _last_coordinate_rows(H.row_bits)
-    first = _last_coordinate_rows([_reverse(b, n) for b in H.row_bits])
-    # The state count doubles where the later columns span column i (both
-    # bits stay live) and halves where the earlier ones do (states merge);
-    # first is last with the coordinates reversed.
-    width = max(accumulate((i not in last) - (n - 1 - i not in first) for i in range(n)))
+    first = set(gf2_row_echelon(H.row_bits)[1])
+    # Some dual word starts at i iff i is an echelon pivot (in first), and
+    # some dual word ends at i iff i is in last.  The state count doubles
+    # where none ends, as the later columns span column i (both bits stay
+    # live), and halves where none starts, as the earlier ones do (states
+    # merge).
+    width = max(accumulate((i not in last) - (i not in first) for i in range(n)))
     if width > ENUMERATION_CAP:
         raise BoundExceeded(
             f"ML trellis needs 2^{width} states, above the 2^{ENUMERATION_CAP} cap"
@@ -300,18 +303,36 @@ def bsc_errors(n: int, p: float, trials: int, seed: int) -> Iterator[BinaryVecto
 class OrbitRecord:
     error: tuple[int, ...]
     statuses: tuple[str, ...]
-    status_uniform: bool
     outputs_shift_consistent: bool | None  # None when the orbit contains ties
     failed: bool  # the error itself (rotation 0) is not decoded to the zero word
+
+    @property
+    def status_uniform(self) -> bool:
+        return len(set(self.statuses)) == 1
 
 
 @dataclass(frozen=True)
 class ShiftReport:
+    """The orbit records of one shift experiment, with the counts derived
+    from them: violations are the indices of the orbits whose statuses are
+    not uniform or whose tie-free outputs are not rotations of each other,
+    and tie_orbits counts the orbits that contain a tie (those whose
+    outputs_shift_consistent is None)."""
+
     n0: int
     p: float
     orbits: tuple[OrbitRecord, ...]
-    violations: tuple[int, ...]  # orbit indices with a failed check
-    tie_orbits: int
+
+    @property
+    def violations(self) -> tuple[int, ...]:
+        return tuple(
+            idx for idx, r in enumerate(self.orbits)
+            if not r.status_uniform or r.outputs_shift_consistent is False
+        )
+
+    @property
+    def tie_orbits(self) -> int:
+        return sum(r.outputs_shift_consistent is None for r in self.orbits)
 
     @property
     def ok(self) -> bool:
@@ -335,38 +356,17 @@ def shift_equivariance_experiment(
     if not is_quasi_cyclic(H, n0):
         raise ValueError(f"matrix is not quasi-cyclic with shifting constraint {n0}")
     n = H.cols
-    orbit_len = n // math.gcd(n, n0)
+    shifts = [n0 * i for i in range(n // math.gcd(n, n0))]
     records = []
-    violations = []
-    tie_orbits = 0
-    for idx, e in enumerate(errors):
+    for e in errors:
         if e.n != n:
             raise ValueError("error vector length mismatch")
-        results = []
-        for i in range(orbit_len):
-            shifted = cyclic_shift(e, n0 * i)
-            results.append(lp_decode(H, llr_bsc(shifted, p)))
+        results = [lp_decode(H, llr_bsc(cyclic_shift(e, s), p)) for s in shifts]
         statuses = tuple(r.status for r in results)
-        uniform = len(set(statuses)) == 1
-        if "tie" in statuses:
-            tie_orbits += 1
-            consistent = None
-        else:
-            base = results[0].optimum
-            consistent = all(
-                results[i].optimum == cyclic_shift(base, n0 * i)
-                for i in range(orbit_len)
-            )
-        rec = OrbitRecord(
-            e.to_tuple(), statuses, uniform, consistent, not results[0].recovers_zero
+        consistent = None if "tie" in statuses else all(
+            r.optimum == cyclic_shift(results[0].optimum, s) for r, s in zip(results, shifts)
         )
-        records.append(rec)
-        if not uniform or consistent is False:
-            violations.append(idx)
-    return ShiftReport(
-        n0=n0,
-        p=p,
-        orbits=tuple(records),
-        violations=tuple(violations),
-        tie_orbits=tie_orbits,
-    )
+        records.append(
+            OrbitRecord(e.to_tuple(), statuses, consistent, not results[0].recovers_zero)
+        )
+    return ShiftReport(n0=n0, p=p, orbits=tuple(records))

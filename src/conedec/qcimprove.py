@@ -3,9 +3,12 @@
 Adding rows from the dual code leaves the code unchanged but shrinks the
 relaxed polytope; adding whole shift orbits keeps the representation
 quasi-cyclic.  The loop here repeatedly adjoins the orbit of the lightest
-missing dual word and re-measures decoder quality (exact vertex census
-when the dimension allows it, Monte Carlo frame error rate otherwise)
-until a target is met or the budget runs out.
+missing dual word and re-measures decoder quality until a target is met or
+the budget runs out.  The kind of target decides the measure: a census
+target takes the exact vertex census, and an FER target a Monte Carlo
+frame error rate.  A census target on more than VERTEX_DIM_CAP columns
+raises BoundExceeded (exit 3 on the command line) rather than falling back
+to Monte Carlo.
 """
 
 from __future__ import annotations

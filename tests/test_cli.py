@@ -5,7 +5,7 @@ import pytest
 
 from conedec import BinaryMatrix, parse_alist, parse_dense
 from conedec.cli import build_parser, main
-from conedec.gf2 import format_dense
+from conedec.gf2 import format_alist, format_dense
 from conedec.serialize import SCHEMA
 from conedec.constructions import hamming_matrix
 
@@ -397,6 +397,17 @@ class TestDecode:
         assert lines[0].startswith("# config:")
         assert lines[1] == "seed,p,trials,failures,fer,fractional_count,tie_count"
 
+    def test_csv_ml_mismatches(self, hamming_path, capsys):
+        # --ml appends the cross-check's count, as the JSON output has it.
+        argv = ("decode", hamming_path, "--random", "--ml", "--trials", "20", "--seed", "1")
+        code, out = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, row = out.splitlines()[1:]
+        assert header == "seed,p,trials,failures,fer,fractional_count,tie_count,ml_mismatches"
+        code, text = run(capsys, *argv)
+        assert code == 0
+        assert row.split(",")[-1] == str(json.loads(text)["ml_mismatches"])
+
 
     @pytest.mark.parametrize("argv", [
         ("decode", "--word", "1000000"),
@@ -532,6 +543,34 @@ class TestRoundTrips:
         assert json.loads(out)["ray_count"] == 42
 
 
+class TestInFormat:
+    @pytest.fixture()
+    def alist_text(self):
+        return format_alist(hamming_matrix(3, cyclic=True))
+
+    def test_alist_by_flag_matches_by_extension(self, tmp_path, capsys, alist_text):
+        by_ext, by_flag = tmp_path / "h.alist", tmp_path / "h.txt"
+        by_ext.write_text(alist_text)
+        by_flag.write_text(alist_text)
+        code, expected = run(capsys, "cone", str(by_ext))
+        assert code == 0
+        assert run(capsys, "cone", str(by_flag), "--in-format", "alist") == (0, expected)
+
+    def test_dense_flag_overrides_extension(self, tmp_path, capsys, alist_text):
+        p = tmp_path / "h.alist"
+        p.write_text(alist_text)
+        code = main(["cone", str(p), "--in-format", "dense"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+
+    def test_not_in_config(self, hamming_path, capsys):
+        # The input format says how to read the matrix, not what to run.
+        for argv in OUTPUTS.values():
+            code, text = run(capsys, argv[0], hamming_path, *argv[1:], "--in-format", "dense")
+            assert code == 0
+            assert "in_format" not in text
+
+
 # Every command that reads a matrix, in each output mode it has.
 OUTPUTS = {
     "cone": ("cone",),
@@ -543,6 +582,8 @@ OUTPUTS = {
     "decode-trials-ml": ("decode", "--random", "--trials", "20", "--seed", "3", "--ml"),
     "decode-trials-csv": ("decode", "--random", "--trials", "20", "--seed", "3",
                           "--format", "csv"),
+    "decode-trials-csv-ml": ("decode", "--random", "--trials", "20", "--seed", "3",
+                             "--format", "csv", "--ml"),
     "decode-orbits": ("decode", "--random", "--orbit-n0", "7", "--trials", "3"),
     "genfun": ("genfun", "--box-B", "1"),
     "improve-noncw": ("improve", "--n0", "1", "--target-noncw", "0", "--budget", "5"),

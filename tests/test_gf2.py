@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conedec import (
@@ -19,8 +19,9 @@ from conedec import (
     parse_dense,
 )
 from conedec.errors import BoundExceeded
-from conedec.gf2 import gf2_rank, row_space_contains
+from conedec.gf2 import gf2_rank, gf2_row_echelon, row_space_contains
 
+import reference_gf2
 from conftest import MEMBER, random_matrix
 
 
@@ -124,6 +125,41 @@ class TestEnumerateCodewords:
         H = BinaryMatrix(1, 30, [1])
         with pytest.raises(BoundExceeded):
             enumerate_codewords(H)
+
+
+@st.composite
+def echelon_inputs(draw):
+    """(rows, cols): 0-12 rows on 1-70 columns, each row fresh, sparse,
+    zero, a copy of an earlier row or the sum of earlier rows."""
+    cols = draw(st.integers(1, 70))
+    rows: list[int] = []
+    for _ in range(draw(st.integers(0, 12))):
+        kinds = ["fresh", "sparse", "zero"] + (["copy", "sum"] if rows else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "fresh":
+            row = draw(st.integers(0, (1 << cols) - 1))
+        elif kind == "sparse":
+            row = sum(1 << c for c in draw(st.sets(st.integers(0, cols - 1), max_size=3)))
+        elif kind == "zero":
+            row = 0
+        elif kind == "copy":
+            row = draw(st.sampled_from(rows))
+        else:
+            row = 0
+            for r in draw(st.lists(st.sampled_from(rows), min_size=2, max_size=4)):
+                row ^= r
+        rows.append(row)
+    return rows, cols
+
+
+@settings(max_examples=500, deadline=None)
+@given(echelon_inputs())
+@example(([], 1))
+@example(([0, 0], 3))
+@example(([0b011, 0b110, 0b101], 3))
+def test_row_echelon_matches_per_column_reference(case):
+    rows, cols = case
+    assert gf2_row_echelon(rows) == reference_gf2.gf2_row_echelon(rows, cols)
 
 
 class TestDualWords:

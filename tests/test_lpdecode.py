@@ -24,7 +24,15 @@ from conedec import (
     shift_equivariance_experiment,
 )
 from conedec import lpdecode, polytope
-from conedec.constructions import hagiwara_css_label_matrix, hamming_matrix, steane_matrix
+from conedec.constructions import (
+    HAGIWARA_EXPONENTS_C,
+    ExponentMatrix,
+    blockcirculant_from_circulant,
+    hagiwara_css_label_matrix,
+    hamming_matrix,
+    qc_from_exponents,
+    steane_matrix,
+)
 from conedec.errors import BoundExceeded
 from conedec.lpdecode import _compiled_system, bsc_errors, rationalize_llr
 from conftest import assert_compiled_matches_dense, decode_rows
@@ -652,3 +660,18 @@ class TestShiftEquivariance:
                   BinaryVector.from_bits((1, 0, 1, 0, 0, 0, 0))]
         rep = shift_equivariance_experiment(hamming7_full, 1, errors, 0.05)
         assert rep.ok
+
+    def test_block_circulant_hagiwara_half(self):
+        # 21x42 and block circulant with 3x6 blocks: quasi-cyclic for n0 = 6
+        # (and so 12), not for n0 = 1.  Both shifts have orbits of 7.
+        H = blockcirculant_from_circulant(
+            qc_from_exponents(ExponentMatrix.from_rows(HAGIWARA_EXPONENTS_C, 7)), 3, 6, 7
+        )
+        errors = list(bsc_errors(42, 0.05, 30, 1))
+        for n0 in (6, 12):
+            rep = shift_equivariance_experiment(H, n0, errors, 0.05)
+            assert rep.ok
+            assert all(len(r.statuses) == 7 for r in rep.orbits)
+            assert 0 < rep.tie_orbits == sum("tie" in r.statuses for r in rep.orbits)
+        with pytest.raises(ValueError):
+            shift_equivariance_experiment(H, 1, errors, 0.05)
