@@ -22,6 +22,13 @@ and column index are held in a cache bounded by the total number of rows
 it stores; repeated decodes on one matrix (a Monte Carlo run, a shift
 orbit) share them and only bring their own objective row.
 
+Next to each compiled system sits a memo of its tie-check answers, keyed
+by the optimal basis and the zero-reduced-cost variables (see simplex): on
+the BSC, where every LLR has one magnitude, decodes meet few distinct
+keys.  Over 2000 trials, [15,11] at p = 0.05 met 181 keys and Hagiwara at
+p = 0.01 met 499.  The memo is evicted with its system, and the memos of
+all systems together hold at most TIE_MEMO_CAP entries.
+
 Hard-decision certificate (Feldman, Wainwright & Karger, IEEE T-IT 2005):
 when no rationalized LLR is 0 and the hard decision y (y_i = 1 iff
 gamma_i < 0) is a codeword, both decoders return y without an LP or a
@@ -63,6 +70,13 @@ LLR_DENOMINATOR_CAP = 10**6
 # about 87 MB (tracemalloc, CPython 3.11), so 2^14 such rows hold some
 # 9 MB; 3x7, 7x7, Steane, [15,11] and Hagiwara together take 2111 rows.
 COMPILED_ROWS_CAP = 1 << 14
+
+# Tie-check answers kept across the memos of all compiled systems.  An entry
+# is a key tuple of k ints that the basis lists already hold, 40 + 8k bytes,
+# plus a dict slot of about 36 bytes (sys.getsizeof, CPython 3.11).  The mean
+# k was 16.4 on [15,11] and 17.9 on Hagiwara, about 210 bytes per entry and
+# some 0.9 MB at the cap; the longest Hagiwara key seen, k = 94, takes 830.
+TIE_MEMO_CAP = 4096
 
 logger = logging.getLogger(__name__)
 
@@ -135,30 +149,51 @@ class DecodeResult:
         return BinaryVector.from_bits(int(x) for x in self.optimum)
 
 
-_compiled: OrderedDict[BinaryMatrix, ExactSimplex] = OrderedDict()
+class _TieMemo(dict):
+    """The tie-check answers of one compiled system, keyed as
+    ExactSimplex.solve keys them.  The memos of all compiled systems hold at
+    most TIE_MEMO_CAP entries together: an insert that finds them full
+    empties every one first."""
+
+    def __setitem__(self, key: tuple, unique: bool) -> None:
+        memos = [ties for _, ties in _compiled.values()]
+        if sum(map(len, memos)) >= TIE_MEMO_CAP:
+            for ties in memos:
+                ties.clear()
+        super().__setitem__(key, unique)
 
 
-def _compiled_system(H: BinaryMatrix) -> ExactSimplex:
+_compiled: OrderedDict[BinaryMatrix, tuple[ExactSimplex, _TieMemo]] = OrderedDict()
+
+
+def _compiled_lp(H: BinaryMatrix) -> tuple[ExactSimplex, _TieMemo]:
     """The relaxed polytope of H as a simplex at its slack basis with a zero
-    objective; each decode starts from it with with_objective, which shares
-    its sparse integer rows and column index.
+    objective, and the memo of its tie-check answers.  Each decode starts
+    from the simplex with with_objective, which shares its sparse integer
+    rows and column index and copies its slack basis.
 
     The rows are relaxed_rows(H) without its lower box rows -x_i <= 0 (its
     only one-entry rows with a negative entry), which the simplex's own
     x >= 0 implies, in its order: Bland's rule follows it, so it fixes the
     pivot path and the vertex returned in a tie.
     Systems are cached least recently used first out, until the rows of the
-    rest fit in COMPILED_ROWS_CAP.
+    rest fit in COMPILED_ROWS_CAP; a system's memo goes with it.
     """
-    if H in _compiled:
+    entry = _compiled.get(H)
+    if entry is not None:
         _compiled.move_to_end(H)
-        return _compiled[H]
+        return entry
     A, b = zip(*[row for row in relaxed_rows(H) if len(row[0]) > 1 or row[0][0][1] > 0])
-    sx = _compiled[H] = ExactSimplex(H.cols, A, b, [0] * H.cols)
-    rows = sum(s.m for s in _compiled.values())
+    entry = _compiled[H] = ExactSimplex(H.cols, A, b, [0] * H.cols), _TieMemo()
+    rows = sum(sx.m for sx, _ in _compiled.values())
     while rows > COMPILED_ROWS_CAP and len(_compiled) > 1:
-        rows -= _compiled.popitem(last=False)[1].m
-    return sx
+        rows -= _compiled.popitem(last=False)[1][0].m
+    return entry
+
+
+def _compiled_system(H: BinaryMatrix) -> ExactSimplex:
+    """The compiled simplex of _compiled_lp(H), without its memo."""
+    return _compiled_lp(H)[0]
 
 
 def lp_decode(H: BinaryMatrix, gamma: LlrVector) -> DecodeResult:
@@ -173,7 +208,7 @@ def lp_decode(H: BinaryMatrix, gamma: LlrVector) -> DecodeResult:
     if len(gamma) != H.cols:
         raise ValueError(f"LLR length {len(gamma)} != cols {H.cols}")
     gr = rationalize_llr(gamma)
-    system = _compiled_system(H)  # raises over the cap, certified or not
+    system, ties = _compiled_lp(H)  # raises over the cap, certified or not
     hard = _certified_codeword(H, gr)
     if hard is not None:
         logger.debug("lp_decode: hard decision of weight %d is a codeword, no LP", hard.bit_count())
@@ -184,7 +219,7 @@ def lp_decode(H: BinaryMatrix, gamma: LlrVector) -> DecodeResult:
             integral=True,
             status="codeword",
         )
-    res = system.with_objective(gr).solve()
+    res = system.with_objective(gr).solve(ties)
     y = res.x
     integral = all(v.denominator == 1 for v in y)
     if not res.unique:

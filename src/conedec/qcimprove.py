@@ -175,11 +175,25 @@ def improve_representation(
     met_target False, once every dual word is a row.  Deterministic given
     (H, n0, target, budget), and for an FER target also given seed and
     trials, which fix the Monte Carlo errors.
+
+    The n0 shift must map the code to itself: before the first measure,
+    every row's n0-shift must lie in the row space of H (the dual code),
+    or ValueError is raised.  The shifted dual is then the dual, so every
+    orbit the loop adds stays in it.  The rule holds whether or not the
+    target is met at the start, and it refuses a matrix whose chosen
+    orbits would happen to stay in the dual.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
+    for j in range(H.rows):
+        w = cyclic_shift(H.row(j), n0)
+        if not row_space_contains(H, w):
+            raise ValueError(
+                f"the n0 = {n0} shift of row {j}, {w.to01()}, is not in the dual code; "
+                "the shift does not map the code to itself"
+            )
 
     def measure(mat: BinaryMatrix):
         if target.max_noncw_vertices is not None:

@@ -79,8 +79,29 @@ are summed through the restricted column index, over the rows those
 columns touch.  Away from it one rhs pass finds the degenerate rows, and
 their entries are derived row by row.
 
+The tie check's answer is fixed by two sets: the optimal basis, and the
+nonbasic variables of zero reduced cost (the columns u).  It does not
+depend on c or on the pivot path.  The condensed tableau is fixed by the
+basis up to the order of its columns and the scale d > 0 (above).  Which
+rows are degenerate is fixed by the basis and b.  Neither a row order, a
+column order nor a positive scale changes whether the cone
+{u >= 0 : W_D u <= 0} is {0}.  So solve takes an optional mapping, ties,
+that memoises the answer under _tie_key(): the basic structurals and the
+nonbasic slacks (which fix the basis), then the zero-reduced-cost
+variables, in one flat tuple of the ints the basis lists hold.  A key met
+before answers without _optimum_is_unique.  The mapping must serve one
+constraint system (rows and b) only; lpdecode keeps one per compiled
+system.  Without it, every solve runs the check.
+
+Each instance pivots its own basis, nonbasic and _where lists.
+with_objective copies them from tuples built once per constraint system:
+for [15,11]'s 542 variables a copy takes about 3 us where building them
+again took 17 us (CPython 3.11).
+
 solve logs one DEBUG line: rows, solve pivots, tie-check pivots, the
-binding rows the tie check took, and basic structurals at the optimum.
+binding rows the tie check took, basic structurals at the optimum, and
+whether the tie answer came from the memo.  A memo hit takes no tie-check
+pivot and no binding row.
 """
 
 from __future__ import annotations
@@ -89,7 +110,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence
+from typing import MutableMapping, Sequence
 
 from . import dd
 from .errors import NumericalFailure
@@ -137,12 +158,15 @@ class ExactSimplex:
 
     @staticmethod
     def _at_slack_basis(rows: tuple, b: tuple, cols: tuple, zero_cols: tuple, c: Sequence,
-                        sx: "ExactSimplex | None" = None) -> "ExactSimplex":
+                        sx: "ExactSimplex | None" = None,
+                        start: "tuple[tuple, tuple, tuple] | None" = None) -> "ExactSimplex":
         """sx, or else a new instance that skips __init__'s checks, at the
         slack basis with objective c, over the sparse rows with their rhs
         b, their column index cols (one column per structural) and that
         index restricted to the rows of b_k = 0.  These four are kept, not
-        copied: no pivot writes into them."""
+        copied: no pivot writes into them.  start is the slack basis's
+        (basis, nonbasic, _where) as tuples, built here when not given; each
+        instance pivots its own list copies."""
         n, m = len(cols), len(rows)
         if len(c) != n:
             raise ValueError("objective has wrong length")
@@ -153,11 +177,14 @@ class ExactSimplex:
         sx.obj = [*dd.integerize(c), 0]
         sx.c = tuple(c)
         sx.d = 1
-        sx.basis = list(range(n, n + m))
-        sx.nonbasic = list(range(n))
+        if start is None:
+            # _where: position in basis of a basic variable, ~column of a
+            # nonbasic one.
+            start = (tuple(range(n, n + m)), tuple(range(n)),
+                     tuple([~j for j in range(n)] + list(range(m))))
+        sx._start = start
+        sx.basis, sx.nonbasic, sx._where = map(list, start)
         sx.core = {}
-        # Position in basis of a basic variable, ~column of a nonbasic one.
-        sx._where = [~j for j in range(n)] + list(range(m))
         sx.pivots = 0
         sx._tie_rows = sx._tie_pivots = 0
         return sx
@@ -165,8 +192,10 @@ class ExactSimplex:
     def with_objective(self, c: Sequence) -> "ExactSimplex":
         """A fresh simplex at the slack basis on this one's constraint rows
         with objective c.  The sparse rows and the column indexes are
-        shared, not copied."""
-        return self._at_slack_basis(self._rows, self._b, self._cols, self._zero_cols, c)
+        shared, not copied, and the slack basis is copied from this one's
+        (O(n + m) list copies, no rebuild)."""
+        return self._at_slack_basis(self._rows, self._b, self._cols, self._zero_cols, c,
+                                    start=self._start)
 
     def _slack_rhs(self) -> list[int]:
         """rhs_k of every slack row k, as if its slack were basic.
@@ -320,22 +349,55 @@ class ExactSimplex:
             self._pivot(r, s)
         raise NumericalFailure("pivot limit hit")
 
-    def solve(self) -> SimplexResult:
+    def solve(self, ties: "MutableMapping[tuple, bool] | None" = None) -> SimplexResult:
+        """Pivot to an optimal basis and run the tie check there.
+
+        ties, if given, memoises the tie check's answer by _tie_key(): a
+        key met before answers without _optimum_is_unique, and a new key
+        stores its answer.  Its keys are those of one constraint system
+        (rows and b), so one mapping must serve only the instances that
+        with_objective makes of one system.  Without it, every solve runs
+        the tie check."""
         if not self._run(MAX_PIVOTS):
             raise NumericalFailure("LP is unbounded; expected a boxed region")
         x = self._solution()
+        key = None if ties is None else self._tie_key()
+        unique = None if key is None else ties.get(key)
+        hit = unique is not None
+        if not hit:
+            unique = self._optimum_is_unique()
+            if key is not None:
+                ties[key] = unique
         res = SimplexResult(
             # Only basic structurals can be nonzero.
             objective=sum((Fraction(self.c[j]) * x[j] for j in self.core), Fraction(0)),
             x=x,
-            unique=self._optimum_is_unique(),
+            unique=unique,
         )
         logger.debug(
             "solve: %d rows, %d solve pivots, %d tie-check pivots, "
-            "%d binding rows, %d basic structurals",
+            "%d binding rows, %d basic structurals, tie answer %s",
             self.m, self.pivots, self._tie_pivots, self._tie_rows, len(self.core),
+            "from the memo" if hit else "checked",
         )
         return res
+
+    def _tie_key(self) -> tuple | None:
+        """The tie check's memo key at this optimal basis, or None when no
+        reduced cost is zero (the optimum is then unique, with no check).
+
+        One flat tuple: the basic structurals and the nonbasic slacks in
+        increasing order (structurals < n <= slacks, and these two sets fix
+        the basis), then -1, then the nonbasic variables of zero reduced
+        cost in increasing order.  Every entry is an int the basis lists
+        already hold, so the key allocates only its tuple."""
+        n, obj, nonbasic = self.n, self.obj, self.nonbasic
+        zero = [nonbasic[l] for l in range(n) if obj[l] == 0]
+        if not zero:
+            return None
+        zero.sort()
+        basis = sorted(chain(self.core, [v for v in nonbasic if v >= n]))
+        return (*basis, -1, *zero)
 
     def _solution(self) -> tuple[Fraction, ...]:
         vals = [Fraction(0)] * self.n

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ from conedec import BinaryMatrix, parse_alist, parse_dense
 from conedec.cli import build_parser, main
 from conedec.gf2 import format_alist, format_dense
 from conedec.serialize import SCHEMA
-from conedec.constructions import hamming_matrix
+from conedec.constructions import hamming_matrix, steane_matrix
 
 
 @pytest.fixture()
@@ -497,6 +498,26 @@ class TestImprove:
         obj = json.loads(out)
         assert obj["met_target"] is False
         assert len(obj["iterations"]) == 1
+
+    @pytest.mark.parametrize("target", [
+        ("--target-noncw", "0", "--budget", "2"), ("--target-noncw", "1000"),
+        ("--target-fer", "0.5", "--trials", "20"),
+    ], ids=["noncw", "noncw-met", "fer"])
+    def test_shift_outside_the_code_exit(self, tmp_path, capsys, target):
+        # Rotating Steane 6x14 by 1 does not map the code to itself: exit 2
+        # before any census or Monte Carlo run (the census alone took 15 s).
+        path = tmp_path / "steane.txt"
+        path.write_text(format_dense(steane_matrix(3)))
+        start = time.perf_counter()
+        code = main(["improve", str(path), "--n0", "1", *target])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: the n0 = 1 shift of row 2, 00010111000000, is not in the dual code; "
+            "the shift does not map the code to itself\n"
+        )
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("target", ["1000", "0"])
     @pytest.mark.parametrize("n0", ["0", "-2"])

@@ -13,6 +13,7 @@ from conedec import (
     improve_representation,
     is_quasi_cyclic,
 )
+from conedec.constructions import hamming_matrix, steane_matrix
 from conedec.qcimprove import ImproveTarget, shift_orbit
 
 
@@ -209,6 +210,44 @@ class TestImproveRepresentation:
     ], ids=["noncw-zero", "fer-zero", "fer-one"])
     def test_target_range_ends(self, kwargs):
         ImproveTarget(**kwargs)
+
+
+class TestShiftMustMapCodeToItself:
+    # improve_representation checks every row's n0-shift against the row
+    # space of H before its first measure.
+
+    def test_refused_before_the_census(self, monkeypatch):
+        # Rotating Steane 6x14 by 1 takes row 2 out of the dual.  The census
+        # (some 15 s) is never started.
+        census = []
+        monkeypatch.setattr(qcimprove, "lp_pseudocodewords", census.append)
+        with pytest.raises(ValueError, match=(
+            "^the n0 = 1 shift of row 2, 00010111000000, is not in the dual code; "
+            "the shift does not map the code to itself$"
+        )):
+            improve_representation(steane_matrix(3), 1, ImproveTarget(max_noncw_vertices=0), budget=2)
+        assert census == []
+
+    def test_target_met_at_the_start_is_refused(self):
+        # The systematic Hamming 3x7 meets 1000 non-codeword vertices at
+        # once, and the loop used to return met_target with no iteration.
+        with pytest.raises(ValueError, match="shift of row 0, 1101010, is not in the dual code"):
+            improve_representation(hamming_matrix(3), 1, ImproveTarget(max_noncw_vertices=1000), budget=2)
+
+    def test_orbits_that_stay_in_the_dual_are_refused(self):
+        # The lightest missing dual word, 110110, is its own 3-shift, so the
+        # loop used to adjoin it and meet the target in one iteration, though
+        # row 0's 3-shift, 111101, is outside the dual.
+        H = BinaryMatrix.from_rows([[1, 0, 1, 1, 1, 1], [0, 1, 1, 0, 0, 1]])
+        word = BinaryVector.from_bits([1, 1, 0, 1, 1, 0])
+        assert shift_orbit(word, 3) == [word]
+        assert add_qc_shifts(H, word, 3).rows == 3
+        with pytest.raises(ValueError, match="shift of row 0, 111101, is not in the dual code"):
+            improve_representation(H, 3, ImproveTarget(max_noncw_vertices=0), budget=3)
+
+    def test_n0_checked_first(self):
+        with pytest.raises(ValueError, match="n0 must be >= 1"):
+            improve_representation(steane_matrix(3), 0, ImproveTarget(max_noncw_vertices=0), budget=2)
 
 
 class TestRepresentationMonotonicity:

@@ -8,10 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conedec import BinaryVector
+from conedec import BinaryVector, dd, lpdecode
 from conedec.constructions import hagiwara_css_label_matrix, hamming_matrix, steane_matrix
 from conedec.errors import NumericalFailure
-from conedec.lpdecode import _compiled_system, llr_bsc, lp_decode, rationalize_llr
+from conedec.lpdecode import (
+    _compiled_lp,
+    _compiled_system,
+    bsc_errors,
+    llr_bsc,
+    lp_decode,
+    rationalize_llr,
+)
 from conedec.qcimprove import add_qc_shifts
 from conedec.simplex import MAX_PIVOTS, ExactSimplex
 from reference_simplex import (
@@ -668,3 +675,161 @@ def test_debug_line_counts_match_pivot_log(lp, caplog):
     T = ref.T
     zero_cols = [j for j in range(ref.n) if T[-1][j] == 0]
     assert binding == sum(row[-1] == 0 and any(row[j] > 0 for j in zero_cols) for row in T[:-1])
+
+
+@contextmanager
+def tie_checks_run():
+    """The instances whose _optimum_is_unique runs inside the block."""
+    ran = []
+    tie_check = ExactSimplex._optimum_is_unique
+
+    def counted(self):
+        ran.append(self)
+        return tie_check(self)
+
+    ExactSimplex._optimum_is_unique = counted
+    try:
+        yield ran
+    finally:
+        ExactSimplex._optimum_is_unique = tie_check
+
+
+def raised_cost(sx, gr):
+    """gr with the cost of every nonbasic structural of positive reduced
+    cost at sx's optimal basis raised by one.  The basis stays optimal with
+    the same zero-reduced-cost set, and a pivot path on which none of these
+    columns entered is unchanged, as Bland's rule enters the smallest
+    variable of negative reduced cost."""
+    up = {v for v, r in zip(sx.nonbasic, sx.obj) if v < sx.n and r > 0}
+    return tuple(g + 1 if j in up else g for j, g in enumerate(gr))
+
+
+def assert_memo_answers(system, ties, c, free, ref):
+    """Solve c on system with the memo ties, and check the optimum and the
+    answer against free, a memo-free solve of an objective with c's integer
+    row: a key already in the memo answers without a tie check, and a new
+    one is stored.  Returns whether the solve ended at the basis of ref, a
+    memo-free instance, and so at its key."""
+    known = set(ties)
+    sx = system.with_objective(c)
+    with tie_checks_run() as ran:
+        res = sx.solve(ties)
+    assert (res.x, res.unique) == (free.x, free.unique)
+    key = sx._tie_key()
+    assert key is None or ties[key] is res.unique
+    assert (ran == []) == (key in known)
+    same = (sx.basis, sx.nonbasic) == (ref.basis, ref.nonbasic)
+    assert not same or key == ref._tie_key()
+    return same
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["3x7", "7x7", "steane", "15_11", "hagiwara"]), st.integers(0, 2**32),
+       st.booleans(), st.integers(2, 9))
+def test_tie_memo_matches_memo_free_check(code, seed, gaussian, scale):
+    # lp_decode's memo of a compiled system answers as the tie check of a
+    # memo-free instance and as the all-rows check at the same basis.  The
+    # objective is solved twice, so the second solve finds its key, then
+    # scaled: integerize divides the scale out, so the memo-free answer is
+    # the same and so is the path.  Where some reduced cost is zero, raised
+    # costs are solved too; they may end at another basis.
+    H = decode_code(code)
+    system, ties = _compiled_lp(H)
+    gr = rationalize_llr(seeded_llrs(H, seed, gaussian))
+    ref = system.with_objective(gr)
+    want = ref.solve()
+    assert want.unique == ref._optimum_is_unique()
+    assert want.unique == all_rows_optimum_is_unique(condensed_tableau(ref))
+    scaled = tuple(scale * g for g in gr)
+    assert dd.integerize(scaled) == dd.integerize(gr)
+    for c in (gr, gr, scaled):
+        assert assert_memo_answers(system, ties, c, want, ref)
+    key = ref._tie_key()
+    if key is not None:
+        assert ties[key] is want.unique
+        raised = raised_cost(ref, gr)
+        assert_memo_answers(system, ties, raised, system.with_objective(raised).solve(), ref)
+
+
+def test_tie_memo_serves_distinct_objectives():
+    # Objectives whose integer rows differ reach one optimal basis, and the
+    # second is answered from the memo, on every code.
+    for code in ("3x7", "steane", "15_11", "hagiwara"):
+        H = decode_code(code)
+        system = _compiled_system(H)
+        served = 0
+        for seed in range(12):
+            ties = {}
+            gr = rationalize_llr(seeded_llrs(H, seed, False))
+            ref = system.with_objective(gr)
+            want = ref.solve(ties)
+            raised = raised_cost(ref, gr)
+            if ref._tie_key() is not None and raised != gr:
+                free = system.with_objective(raised).solve()
+                served += assert_memo_answers(system, ties, raised, free, ref)
+        assert served > 0, code
+
+
+def test_solve_without_memo_runs_every_tie_check():
+    sx = decode_lp("15_11", 3, False)
+    with tie_checks_run() as ran:
+        for _ in range(3):
+            sx.with_objective(sx.c).solve()
+    assert len(ran) == 3
+
+
+def test_tie_memo_bound(monkeypatch):
+    # The memos of all compiled systems together hold at most
+    # TIE_MEMO_CAP entries, and the answers stay right when they empty.
+    monkeypatch.setattr(lpdecode, "TIE_MEMO_CAP", 5)
+    lpdecode._compiled.clear()
+    sizes = []
+    for code, p in (("3x7", 0.1), ("steane", 0.1), ("15_11", 0.05)):
+        H = decode_code(code)
+        for e in bsc_errors(H.cols, p, 60, seed=4):
+            gamma = llr_bsc(e, p)
+            got = lp_decode(H, gamma)
+            free = _compiled_system(H).with_objective(rationalize_llr(gamma)).solve()
+            assert (got.status == "tie") == (not free.unique)
+            sizes.append(sum(len(ties) for _, ties in lpdecode._compiled.values()))
+    assert max(sizes) == 5
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+
+def test_evicted_system_drops_its_memo(monkeypatch):
+    H3, steane = decode_code("3x7"), decode_code("steane")
+    lpdecode._compiled.clear()
+    monkeypatch.setattr(lpdecode, "COMPILED_ROWS_CAP", _compiled_system(H3).m)
+    for e in bsc_errors(7, 0.2, 30, seed=2):
+        lp_decode(H3, llr_bsc(e, 0.2))
+    old = _compiled_lp(H3)[1]
+    assert old
+    lp_decode(steane, llr_bsc(BinaryVector(14, 1), 0.1))  # over the cap: 3x7 goes
+    assert list(lpdecode._compiled) == [steane]
+    assert all(ties is not old for _, ties in lpdecode._compiled.values())
+    assert _compiled_lp(H3)[1] == {}
+
+
+@pytest.mark.parametrize("lp", [
+    # Tied at a degenerate vertex: the tie check pivots.
+    ([[-1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1, 1], [1, -1, -1]),
+    # Zero objective: every column has a zero reduced cost.
+    ([[2, 1, 0], [0, 1, 3], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [2, 0, 1, 1, 1], [0, 0, 0]),
+])
+def test_debug_line_says_memo_hit(lp, caplog):
+    # The first solve checks and stores the answer; the second takes it
+    # from the memo, with no tie-check pivot and no binding row.
+    sx, ties = dense_simplex(*lp), {}
+    lines = []
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="conedec.simplex"):
+            res = sx.with_objective(lp[2]).solve(ties)
+        (rec,) = caplog.records
+        lines.append(rec.getMessage())
+        assert not res.unique
+    checked, hit = lines
+    counts = [int(w) for w in checked.split() if w.isdigit()]
+    assert checked.endswith(", tie answer checked") and counts[3] > 0
+    assert hit.endswith(", tie answer from the memo")
+    assert [int(w) for w in hit.split() if w.isdigit()] == [*counts[:2], 0, 0, counts[4]]
