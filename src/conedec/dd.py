@@ -25,6 +25,25 @@ adjacent iff common = live & AND_{k in z} tight[k] is exactly the pair, so
 the test costs |z| big-integer ANDs (stopping once only the pair is left)
 instead of a scan of every ray.
 
+Candidate pairs: each insertion walks the smaller of the two sides ray by
+ray.  For a walked ray with tight-row mask mo and t = |mo| - (dim - 2), a
+ray of the other (inner) side makes a candidate pair iff it is tight on all
+but at most t rows of mo.  Where the inner side is small the test is one
+popcount per pair, |mo & masks[i]| >= dim - 2.  Where it is large,
+`near_rays` answers it for the whole side at once with t + 1 saturating
+miss counters, bit-sliced over the tight[] bitsets (one bitset per level):
+each row of mo moves the inner rays it misses one level up, and the rays
+that never reach level t + 1 are the candidates.  A ray misses row k iff
+its bit is off in tight[k], the same fact as bit k off in its mask, so the
+filter keeps exactly the pairs the popcount keeps, and the same pairs go on
+to the witness memo and the AND chain.  The filter costs about |mo| (t + 1)
+big-integer operations against one popcount per inner ray, and it runs
+where |inner| > FILTER_RATIO |mo| (t + 1); the factor leaves the loop to
+the small 3x7 and 7x7 systems, where one popcount per pair is cheaper than
+its bookkeeping.  It pays on the [15,11] cone, whose late insertions put
+1177-2815 rays on one side against 50-57 on the other: one popcount per
+pair would test 818,883 pairs there, of which 15,821 pass.
+
 Witness memo: common always holds the pair, so the pair is not adjacent iff
 common ⊋ pair, that is iff some live ray w outside the pair has z ⊆
 masks[w] (the rows tight at w).  Such a w is a non-adjacency witness.
@@ -55,6 +74,7 @@ from typing import Sequence
 logger = logging.getLogger(__name__)
 
 MEMO = 4  # non-adjacency witnesses kept per insertion
+FILTER_RATIO = 4  # filter when |inner| > FILTER_RATIO * |mo| * (t + 1)
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -74,6 +94,29 @@ def integerize(row: Sequence) -> tuple[int, ...]:
     fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     den = lcm(*[x.denominator for x in fr])
     return primitive([x.numerator * (den // x.denominator) for x in fr])
+
+
+def near_rays(inner: int, rows: int, t: int, tight: Sequence[int]) -> int:
+    """The rays of the bitset `inner` tight on all but at most t of the
+    rows in the bitset `rows` (tight[r] is the bitset of rays tight on row
+    r), by t + 1 saturating miss counters; t >= 0.
+
+    lv[j] holds the rays that miss at least j + 1 of the rows read so far.
+    A row's misses, inner & ~tight[r], move each of its rays one level up,
+    and a ray already in lv[t] stays there.  Once lv[t] holds every ray of
+    `inner` none can pass, and the walk stops."""
+    lv = [0] * (t + 1)
+    while rows:
+        low = rows & -rows
+        miss = inner & ~tight[low.bit_length() - 1]
+        rows ^= low
+        if miss:
+            for j in range(t, 0, -1):
+                lv[j] |= lv[j - 1] & miss
+            lv[0] |= miss
+            if lv[t] == inner:
+                return 0
+    return inner & ~lv[t]
 
 
 def extreme_rays_int(
@@ -128,28 +171,51 @@ def extreme_rays_int(
             if d > 0:
                 pos.append((i, d))
             elif d < 0:
-                neg.append((i, d))
+                neg.append((i, -d))
             else:
                 zero.append(i)
                 masks[i] |= bit
                 tight[k] |= 1 << i
+        # Walk the smaller side; each pair's new ray is |d_inner| * r_outer
+        # + |d_outer| * r_inner, whichever side is walked.
+        outer, inner = (neg, pos) if len(neg) < len(pos) else (pos, neg)
+        inner_d: dict[int, int] | None = None  # built for the first filter
         born = []
         # Recent non-adjacency witnesses (w, ~masks[w]), newest first.
         memo: list[tuple[int, int]] = []
-        for ip, dp in pos:
-            mp, rp = masks[ip], rays[ip]
-            for im, dm in neg:
-                z = mp & masks[im]
+        for io, do in outer:
+            mo, ro = masks[io], rays[io]
+            size = mo.bit_count()
+            t = size - need  # >= 1: an extreme ray is tight on dim - 1 rows
+            if len(inner) > FILTER_RATIO * size * (t + 1):
+                if inner_d is None:
+                    inner_d = dict(inner)
+                    outer_bits = 0
+                    for i, _ in outer:
+                        outer_bits |= 1 << i
+                    # The live rays off the hyperplane, less the outer side.
+                    inner_bits = (live & ~tight[k]) ^ outer_bits
+                cand = near_rays(inner_bits, mo, t, tight)
+                pairs = []
+                while cand:
+                    low = cand & -cand
+                    i = low.bit_length() - 1
+                    pairs.append((i, inner_d[i]))
+                    cand ^= low
+            else:
+                pairs = inner
+            for ii, di in pairs:
+                z = mo & masks[ii]
                 if z.bit_count() < need:
                     continue
                 tests += 1
                 # Adjacent iff no other live ray is tight on every row of z.
                 for w, off in memo:
-                    if not z & off and w != ip and w != im:
+                    if not z & off and w != io and w != ii:
                         hits += 1
                         break
                 else:
-                    pair = (1 << ip) | (1 << im)
+                    pair = (1 << io) | (1 << ii)
                     common, rest = live, z
                     while rest:
                         low = rest & -rest
@@ -164,7 +230,7 @@ def extreme_rays_int(
                         del memo[MEMO:]
                         continue
                     j = len(rays)
-                    rays.append(primitive([dp * y - dm * x for x, y in zip(rp, rays[im])]))
+                    rays.append(primitive([di * x + do * y for x, y in zip(ro, rays[ii])]))
                     masks.append(z | bit)
                     born.append(j)
         if born:

@@ -208,18 +208,19 @@ def block_matrix(grid: Sequence[Sequence[BinaryMatrix | None]]) -> BinaryMatrix:
 def mat_vec_mod2(H: BinaryMatrix, v: Sequence[int]) -> BinaryVector:
     """H @ v reduced mod 2, with the dot products taken over the integers.
 
-    Entries of v may be any nonnegative integers, not just bits.
+    Entries of v may be any nonnegative integers, not just bits.  Only the
+    odd entries change a parity, so their bitmask is built once and each
+    row's parity is that of its overlap with it.
     """
     if len(v) != H.cols:
         raise ValueError(f"length {len(v)} != cols {H.cols}")
+    odd = 0
+    for i, x in enumerate(v):
+        if x & 1:
+            odd |= 1 << i
     out = 0
     for j, bits in enumerate(H.row_bits):
-        s = 0
-        while bits:
-            i = (bits & -bits).bit_length() - 1
-            s += v[i]
-            bits &= bits - 1
-        out |= (s & 1) << j
+        out |= ((bits & odd).bit_count() & 1) << j
     return BinaryVector(H.rows, out)
 
 

@@ -225,7 +225,8 @@ def lp_decode(H: BinaryMatrix, gamma: LlrVector) -> DecodeResult:
     if not res.unique:
         status = "tie"
     elif integral:
-        if any(mat_vec_mod2(H, [int(v) for v in y])):
+        # The integral optimum lies in [0, 1]^n: its numerators are its bits.
+        if any(mat_vec_mod2(H, [v.numerator for v in y])):
             raise AssertionError("integral optimum violates parity")
         status = "codeword"
     else:

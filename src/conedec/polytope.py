@@ -161,7 +161,7 @@ def lp_pseudocodewords(H: BinaryMatrix) -> PseudocodewordCensus:
     vs = enumerate_vertices(build_relaxed_polytope(H))
     cw, non = [], []
     for v, integral in zip(vs.vertices, vs.integral):
-        if integral and not any(mat_vec_mod2(H, [int(x) for x in v])):
+        if integral and not any(mat_vec_mod2(H, [x.numerator for x in v])):
             cw.append(v)
         else:
             non.append(v)

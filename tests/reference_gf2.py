@@ -1,15 +1,22 @@
-"""The per-column GF(2) row reduction that row insertion replaced in
-gf2.gf2_row_echelon, kept as its test oracle.
+"""The GF(2) routines that faster ones replaced in gf2, kept as their test
+oracles.
 
-For each column in turn it looks for an unused row with that bit set,
-swaps it up, and clears the bit from every other row.  Its (rows, pivots)
-are the reduced row echelon form that gf2_row_echelon must reproduce
-exactly.
+gf2_row_echelon is the per-column row reduction that row insertion
+replaced.  For each column in turn it looks for an unused row with that
+bit set, swaps it up, and clears the bit from every other row.  Its (rows,
+pivots) are the reduced row echelon form that gf2.gf2_row_echelon must
+reproduce exactly.
+
+mat_vec_mod2 is the per-entry parity check that the odd-entry bitmask
+replaced: each row sums the entries of v on its support over the integers
+and keeps the low bit.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+from conedec.gf2 import BinaryMatrix, BinaryVector
 
 
 def gf2_row_echelon(row_bits: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
@@ -34,3 +41,18 @@ def gf2_row_echelon(row_bits: Sequence[int], cols: int) -> tuple[list[int], list
         if r == len(rows):
             break
     return rows[: len(pivots)], pivots
+
+
+def mat_vec_mod2(H: BinaryMatrix, v: Sequence[int]) -> BinaryVector:
+    """H @ v reduced mod 2, with the dot products taken over the integers."""
+    if len(v) != H.cols:
+        raise ValueError(f"length {len(v)} != cols {H.cols}")
+    out = 0
+    for j, bits in enumerate(H.row_bits):
+        s = 0
+        while bits:
+            i = (bits & -bits).bit_length() - 1
+            s += v[i]
+            bits &= bits - 1
+        out |= (s & 1) << j
+    return BinaryVector(H.rows, out)

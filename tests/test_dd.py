@@ -5,6 +5,7 @@ integerize against the Fraction-based version it replaced."""
 import logging
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -168,3 +169,120 @@ def test_integerize_matches_fraction_reference(row, zero):
     got = dd.integerize(row)
     assert got == reference_integerize(row)
     assert all(type(x) is int for x in got)
+
+
+def popcount_near_rays(inner, rows, t, tight):
+    """near_rays by one popcount per ray: ray i passes iff it is tight on
+    at least |rows| - t of the rows."""
+    need = rows.bit_count() - t
+    out = 0
+    for i in range(inner.bit_length()):
+        if inner >> i & 1:
+            mask = sum(1 << r for r in range(len(tight)) if tight[r] >> i & 1)
+            if (rows & mask).bit_count() >= need:
+                out |= 1 << i
+    return out
+
+
+@st.composite
+def filter_inputs(draw):
+    """(inner, rows, t, tight): up to 12 rows over up to 40 ray indices, the
+    rays outside `inner` standing for dead rays and for the walked side."""
+    n_rays = draw(st.integers(0, 40))
+    n_rows = draw(st.integers(1, 12))
+    tight = draw(st.lists(st.integers(0, (1 << n_rays) - 1), min_size=n_rows, max_size=n_rows))
+    inner = draw(st.integers(0, (1 << n_rays) - 1))
+    rows = draw(st.integers(0, (1 << n_rows) - 1))
+    t = draw(st.integers(0, rows.bit_count()))
+    return inner, rows, t, tight
+
+
+@settings(max_examples=500, deadline=None)
+@given(filter_inputs())
+@example((0b1011, 0b111, 0, [0b1111, 0b0011, 0b1001]))  # t = 0
+@example((0, 0b11, 1, [0b1, 0b10]))  # empty inner side
+@example((0b111, 0b111, 1, [0b101, 0, 0b111]))  # a row tight at no ray
+@example((0b0101, 0b11, 0, [0b1111, 0b1110]))  # dead rays 1 and 3 in tight[]
+@example((0b11, 0b11, 2, [0, 0]))  # t = |rows|: every inner ray passes
+def test_near_rays_matches_popcount(args):
+    inner, rows, t, tight = args
+    assert dd.near_rays(inner, rows, t, tight) == popcount_near_rays(inner, rows, t, tight)
+
+
+@st.composite
+def parity_checks(draw, max_cols=10, max_rows=5):
+    """H with up to max_rows rows over n <= max_cols columns, with a
+    weight-0 row, a weight-1 row or a repeated row on coin flips."""
+    n = draw(st.integers(2, max_cols))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=max_rows))
+    if draw(st.booleans()):
+        rows.append(0)
+    if draw(st.booleans()):
+        rows.append(1 << draw(st.integers(0, n - 1)))
+    if draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    return BinaryMatrix(len(rows), n, draw(st.permutations(rows)))
+
+
+@pytest.mark.parametrize("ratio", [dd.FILTER_RATIO, 0], ids=["rule", "always-filter"])
+@settings(max_examples=100, deadline=None)
+@given(parity_checks(), st.randoms(use_true_random=False))
+def test_random_cones_match_reference(ratio, H, rng):
+    # Ratio 0 sends every walked ray with a nonempty inner side through
+    # near_rays; the default rule mostly keeps the popcount loop here.
+    dim, rows = cone_rows(H)
+    rows = list(rows)
+    rows.extend(rng.sample(rows, 2))  # repeated cone rows
+    want = reference_extreme_rays_int(dim, rows)
+    with patch.object(dd, "FILTER_RATIO", ratio):
+        assert dd.extreme_rays_int(dim, rows) == want
+        assert dd.extreme_rays_int(dim, rows, sort_rows=False) == want
+
+
+def counting_near_rays(monkeypatch):
+    """Wrap dd.near_rays; the returned list collects one entry per call."""
+    calls = []
+    inner_fn = dd.near_rays
+
+    def wrapped(*args):
+        calls.append(args[2])
+        return inner_fn(*args)
+
+    monkeypatch.setattr(dd, "near_rays", wrapped)
+    return calls
+
+
+def test_filter_path_runs_and_matches_reference(monkeypatch):
+    # With ratio 0 the 3x7 cone and polytope run every candidate search
+    # through the filter; the rays stay those of the scan reference.
+    calls = counting_near_rays(monkeypatch)
+    monkeypatch.setattr(dd, "FILTER_RATIO", 0)
+    for name in ("cone 3x7", "polytope 3x7"):
+        dim, rows = INSTANCES[name]()
+        del calls[:]
+        assert dd.extreme_rays_int(dim, rows) == reference_extreme_rays_int(dim, rows)
+        assert calls
+
+
+def run_counted(caplog, name):
+    dim, rows = INSTANCES[name]()
+    with caplog.at_level(logging.DEBUG, logger="conedec.dd"):
+        dd.extreme_rays_int(dim, rows)
+    (rec,) = caplog.records
+    return debug_counts(rec)
+
+
+# An exact filter hands the same pairs to the adjacency test, so these
+# counts do not depend on how the candidates are found.  Memo hits depend
+# on the pair order and are not pinned.
+PINNED_TESTS = {"cone [15,11]": (3440, 15_821), "polytope SC L=4": (548, 63_588),
+                "polytope 3x7": (96, 858)}
+
+
+@pytest.mark.parametrize("name", PINNED_TESTS)
+def test_adjacency_test_counts_pinned(caplog, monkeypatch, name):
+    calls = counting_near_rays(monkeypatch)
+    _, _, tests, out, _ = run_counted(caplog, name)
+    assert (out, tests) == PINNED_TESTS[name]
+    if name == "cone [15,11]":
+        assert calls  # the late insertions go through the filter

@@ -162,6 +162,34 @@ def test_row_echelon_matches_per_column_reference(case):
     assert gf2_row_echelon(rows) == reference_gf2.gf2_row_echelon(rows, cols)
 
 
+
+@st.composite
+def parity_inputs(draw):
+    """(H, v): a 1-8 x 1-70 matrix and a vector of nonnegative ints, small
+    or far past a machine word, of the right length or one off."""
+    cols = draw(st.integers(1, 70))
+    rows = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=1, max_size=8))
+    entry = st.one_of(st.integers(0, 3), st.integers(0, 10**40))
+    length = cols + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    v = draw(st.lists(entry, min_size=length, max_size=length))
+    return BinaryMatrix(len(rows), cols, rows), v
+
+
+@settings(max_examples=500, deadline=None)
+@given(parity_inputs())
+@example((BinaryMatrix(1, 2, [0b11]), [2**64 + 1, 2**70]))
+@example((BinaryMatrix(2, 3, [0b101, 0]), [1, 1]))
+def test_mat_vec_mod2_matches_per_entry_reference(case):
+    H, v = case
+    if len(v) != H.cols:
+        with pytest.raises(ValueError, match=f"length {len(v)} != cols {H.cols}"):
+            mat_vec_mod2(H, v)
+        with pytest.raises(ValueError):
+            reference_gf2.mat_vec_mod2(H, v)
+    else:
+        assert mat_vec_mod2(H, v) == reference_gf2.mat_vec_mod2(H, v)
+
+
 class TestDualWords:
     def test_hamming_weight4_words(self, hamming7):
         words = enumerate_dual_words(hamming7, 4)
