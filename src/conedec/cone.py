@@ -6,11 +6,9 @@ with Row_j(H) . v >= 2 h_ji v_i for every row j and coordinate i.  Only
 the support positions of each row contribute inequalities (h_ji = 0 makes
 the condition a consequence of nonnegativity), so the system is
   { Row_j(H) - 2 e_i : j in [r], i in Supp(Row_j) }  ∪  { e_i : i in [n] }.
-Membership of a vector in the cone of H is read from H itself (in_cone);
-the dense system is built only where its rows are the output.  Membership
-in a dense system (ConeSystem.contains) integerizes v once and then takes
-exact int dot products with the integer rows: the system is homogeneous,
-so the positive scaling that clears v's denominators keeps every sign.
+A ConeSystem is a record of H: its dense rows are made from H when the
+system is, for double description and serialization, and no constructor
+takes rows.  Membership has one rule, in_cone, read from H itself.
 The three lift rules (block rows, repeated blocks, an appended block) share
 one premise check, each given vector in its own cone, and one certificate,
 the lifted vector re-checked with in_cone against the composed matrix.
@@ -21,9 +19,8 @@ All arithmetic here is exact; there is no floating-point path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from . import dd
@@ -35,32 +32,38 @@ RAY_DIM_CAP = 20  # dimension bound for extreme-ray enumeration
 
 @dataclass(frozen=True)
 class ConeSystem:
-    """Homogeneous system {v : a . v >= 0 for all rows a}, rows stored as
-    primitive integer vectors.  build_fundamental_cone emits them with the
-    nonnegativity rows first; the constructor checks only the dimension and
-    the row lengths.
+    """The fundamental cone of H, {v : a . v >= 0 for all rows a}.
 
-    contains(v) scales v once to a primitive integer vector with
-    dd.integerize, then tests every row with an exact int dot product.
-    The scale is positive and each row is homogeneous, so the sign of
-    a . v, and with it the answer, is that of the rational v.
+    The rows are made from H with the system: the nonnegativity rows e_i
+    first, then Row_j(H) - 2 e_i for each row j and i in its support, in
+    row order, repeated rows dropped.  Every row has entries in {-1, 0, 1}
+    and one of them nonzero, so it is already primitive.  Equality and
+    hash follow H.
     """
 
-    dim: int
-    inequalities: tuple[tuple[int, ...], ...]
+    H: BinaryMatrix
+    inequalities: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-        for a in self.inequalities:
-            if len(a) != self.dim:
-                raise ValueError("inequality row has wrong length")
+        H, n = self.H, self.H.cols
+        rows = [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
+        for j in range(H.rows):
+            sup = H.row_support(j)
+            h = [0] * n
+            for i in sup:
+                h[i] = 1
+            for i in sup:
+                h[i] = -1
+                rows.append(tuple(h))
+                h[i] = 1
+        object.__setattr__(self, "inequalities", tuple(dict.fromkeys(rows)))
+
+    @property
+    def dim(self) -> int:
+        return self.H.cols
 
     def contains(self, v: Sequence) -> bool:
-        vv = dd.integerize(v)
-        if len(vv) != self.dim:
-            raise ValueError(f"length {len(vv)} != dim {self.dim}")
-        return all(sum(map(mul, a, vv)) >= 0 for a in self.inequalities)
+        return in_cone(self.H, v)
 
 
 @dataclass(frozen=True)
@@ -75,30 +78,17 @@ class RayList:
 
 
 def build_fundamental_cone(H: BinaryMatrix) -> ConeSystem:
-    # Every row has entries in {-1, 0, 1}, one of them nonzero: it is
-    # already primitive, so only duplicates are dropped.
-    n = H.cols
-    rows = [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
-    for j in range(H.rows):
-        sup = H.row_support(j)
-        h = [0] * n
-        for i in sup:
-            h[i] = 1
-        for i in sup:
-            h[i] = -1
-            rows.append(tuple(h))
-            h[i] = 1
-    return ConeSystem(n, tuple(dict.fromkeys(rows)))
+    return ConeSystem(H)
 
 
 def in_cone(H: BinaryMatrix, v: Sequence) -> bool:
     """Membership in the fundamental cone of H, read from the rows of H.
 
-    Equivalent to build_fundamental_cone(H).contains(v) without building the
-    system: v >= 0 and, on every row, the support sum is at least twice the
-    largest support entry.  A weight-0 row imposes nothing; a weight-1 row
-    forces its entry to 0.  The cone is closed under positive scaling, so v
-    is first scaled to a primitive integer vector.
+    v >= 0 and, on every row, the support sum is at least twice the
+    largest support entry; no dense row is built.  A weight-0 row imposes
+    nothing; a weight-1 row forces its entry to 0.  The cone is closed
+    under positive scaling, so v is first scaled to a primitive integer
+    vector.
     """
     vv = dd.integerize(v)
     if len(vv) != H.cols:
@@ -113,11 +103,8 @@ def in_cone(H: BinaryMatrix, v: Sequence) -> bool:
 
 
 def extreme_rays(K: ConeSystem) -> RayList:
-    """Complete set of extreme rays via double description.
-
-    The cone must include its nonnegativity rows, as build_fundamental_cone's
-    does (ValueError otherwise); rays come out sorted and primitive.
-    """
+    """Complete set of extreme rays via double description, seeded by the
+    cone's nonnegativity rows; rays come out sorted and primitive."""
     if K.dim > RAY_DIM_CAP:
         raise BoundExceeded(f"dimension {K.dim} exceeds ray enumeration cap {RAY_DIM_CAP}")
     rays = dd.extreme_rays_int(K.dim, K.inequalities)

@@ -15,9 +15,8 @@ than one vertex; the tie test is geometric, so it is invariant under
 coordinate rotations of a quasi-cyclic instance.
 
 The relaxed polytope's rows are compiled once per H, straight from H's
-sparse odd-set rows (polytope.relaxed_rows) with no dense system, into an
-ExactSimplex at its slack basis.  The lower box rows -x_i <= 0 are left
-out, since the simplex keeps x >= 0 itself.  Its sparse integer rows
+sparse box and odd-set rows (polytope.relaxed_rows) with no dense system,
+into an ExactSimplex at its slack basis.  Its sparse integer rows
 and column index are held in a cache bounded by the total number of rows
 it stores; repeated decodes on one matrix (a Monte Carlo run, a shift
 orbit) share them and only bring their own objective row.
@@ -172,10 +171,8 @@ def _compiled_lp(H: BinaryMatrix) -> tuple[ExactSimplex, _TieMemo]:
     from the simplex with with_objective, which shares its sparse integer
     rows and column index and copies its slack basis.
 
-    The rows are relaxed_rows(H) without its lower box rows -x_i <= 0 (its
-    only one-entry rows with a negative entry), which the simplex's own
-    x >= 0 implies, in its order: Bland's rule follows it, so it fixes the
-    pivot path and the vertex returned in a tie.
+    The rows are relaxed_rows(H) in its order: Bland's rule follows it, so
+    it fixes the pivot path and the vertex returned in a tie.
     Systems are cached least recently used first out, until the rows of the
     rest fit in COMPILED_ROWS_CAP; a system's memo goes with it.
     """
@@ -183,17 +180,12 @@ def _compiled_lp(H: BinaryMatrix) -> tuple[ExactSimplex, _TieMemo]:
     if entry is not None:
         _compiled.move_to_end(H)
         return entry
-    A, b = zip(*[row for row in relaxed_rows(H) if len(row[0]) > 1 or row[0][0][1] > 0])
+    A, b = zip(*relaxed_rows(H))
     entry = _compiled[H] = ExactSimplex(H.cols, A, b, [0] * H.cols), _TieMemo()
     rows = sum(sx.m for sx, _ in _compiled.values())
     while rows > COMPILED_ROWS_CAP and len(_compiled) > 1:
         rows -= _compiled.popitem(last=False)[1][0].m
     return entry
-
-
-def _compiled_system(H: BinaryMatrix) -> ExactSimplex:
-    """The compiled simplex of _compiled_lp(H), without its memo."""
-    return _compiled_lp(H)[0]
 
 
 def lp_decode(H: BinaryMatrix, gamma: LlrVector) -> DecodeResult:

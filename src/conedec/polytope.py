@@ -6,19 +6,21 @@ subset S of Supp(h),
 
     sum_{i in S} x_i  -  sum_{i in Supp(h) \\ S} x_i  <=  |S| - 1,
 
-intersected with the box [0,1]^n.  relaxed_rows generates these rows
-from H in sparse form; the decode LP is compiled from them directly, and
-build_relaxed_polytope makes them dense only for double description and
-membership.  Vertices are enumerated exactly by running double
-description on the homogenization (x, t), t >= 0, and scaling the
-resulting rays to t = 1.
+intersected with the box [0,1]^n.  relaxed_rows generates the rows
+x_i <= 1 and the odd-set rows from H in sparse form; the decode LP is
+compiled from them directly, since the simplex keeps x >= 0 itself.  A
+PolytopeSystem is a record of H: its dense rows, the lower box rows
+-x_i <= 0 and then relaxed_rows(H), are made from H when the system is,
+for double description and membership, and no constructor takes rows.
+Vertices are enumerated exactly by running double description on the
+homogenization (x, t), t >= 0, and scaling the resulting rays to t = 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 from typing import Sequence
 
@@ -32,19 +34,34 @@ ROW_WEIGHT_CAP = 20  # each row of weight w expands to 2^(w-1) inequalities
 
 @dataclass(frozen=True)
 class PolytopeSystem:
-    """Bounded system {x : a . x <= b}, rows stored as primitive integer
-    (coeffs, bound) pairs; box rows 0 <= x_i <= 1 are part of the system.
-    The constructor checks only the dimension and the row lengths."""
+    """The relaxed polytope of H, {x : a . x <= b for all rows (a, b)}.
 
-    dim: int
-    inequalities: tuple[tuple[tuple[int, ...], int], ...]
+    The rows are made from H with the system, as primitive integer
+    (coeffs, bound) pairs: the lower box rows -x_i <= 0, which double
+    description takes as its seed, then relaxed_rows(H) made dense.
+    Equality and hash follow H.  contains(x) tests every row in exact
+    Fraction arithmetic.
+    """
+
+    H: BinaryMatrix
+    inequalities: tuple[tuple[tuple[int, ...], int], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-        for a, _ in self.inequalities:
-            if len(a) != self.dim:
-                raise ValueError("inequality row has wrong length")
+        n = self.H.cols
+        rows = []
+        lower_box = ((((i, -1),), 0) for i in range(n))
+        for pairs, bound in chain(lower_box, relaxed_rows(self.H)):
+            a = [0] * n
+            for i, x in pairs:
+                a[i] = x
+            rows.append((tuple(a), bound))
+        object.__setattr__(self, "inequalities", tuple(rows))
+
+    @property
+    def dim(self) -> int:
+        return self.H.cols
 
     def contains(self, x: Sequence) -> bool:
         xx = as_fraction_vector(x)
@@ -72,14 +89,16 @@ class VertexSet:
 
 
 def relaxed_rows(H: BinaryMatrix):
-    """The rows of the relaxed polytope, sparse: (pairs, bound) with pairs
-    the (i, a_i) of the nonzero a_i, in column order.
+    """The rows of the relaxed polytope that the decode LP compiles, sparse:
+    (pairs, bound) with pairs the (i, a_i) of the nonzero a_i, in column
+    order.
 
-    The box rows -x_i <= 0 and x_i <= 1 come first, then each check's odd
-    sets by size, in combinations order; Bland's rule follows this order.
-    Every row is primitive (entries -1 and 1 on its support) and none
-    repeats.  A check above ROW_WEIGHT_CAP raises BoundExceeded before the
-    first row.
+    The box rows x_i <= 1 come first, then each check's odd sets by size,
+    in combinations order; Bland's rule follows this order.  The lower box
+    rows -x_i <= 0 are left to the simplex, which keeps x >= 0 itself, and
+    to PolytopeSystem.  Every row is primitive (entries -1 and 1 on its
+    support) and none repeats.  A check above ROW_WEIGHT_CAP raises
+    BoundExceeded before the first row.
     """
     for j, bits in enumerate(H.row_bits):
         if bits.bit_count() > ROW_WEIGHT_CAP:
@@ -89,7 +108,6 @@ def relaxed_rows(H: BinaryMatrix):
     minus = [(i, -1) for i in range(H.cols)]
     plus = [(i, 1) for i in range(H.cols)]
     for i in range(H.cols):
-        yield (minus[i],), 0
         yield (plus[i],), 1
     # A row's pairs cover its check's support, so the rows of distinct
     # supports differ and a repeated check's rows are exactly the duplicates.
@@ -105,15 +123,7 @@ def relaxed_rows(H: BinaryMatrix):
 
 
 def build_relaxed_polytope(H: BinaryMatrix) -> PolytopeSystem:
-    """relaxed_rows made dense, for double description and membership."""
-    n = H.cols
-    rows = []
-    for pairs, bound in relaxed_rows(H):
-        a = [0] * n
-        for i, x in pairs:
-            a[i] = x
-        rows.append((tuple(a), bound))
-    return PolytopeSystem(n, tuple(rows))
+    return PolytopeSystem(H)
 
 
 def _check_vertex_dim(n: int) -> None:
@@ -127,11 +137,10 @@ def enumerate_vertices(P: PolytopeSystem) -> VertexSet:
     _check_vertex_dim(n)
     # Homogenize: a . x <= b becomes b t - a . x >= 0 on (x, t) with t >= 0.
     # The lower box rows -x_i <= 0 turn into the unit rows the double
-    # description seed needs; extreme_rays_int raises ValueError without them.
+    # description seed needs, and the upper box rows bound the polytope,
+    # so every ray has t > 0.
     hrows = [(0,) * n + (1,)] + [tuple(-x for x in a) + (b,) for a, b in P.inequalities]
     rays = dd.extreme_rays_int(n + 1, hrows)
-    if any(r[-1] == 0 for r in rays):
-        raise ValueError("system is unbounded; the polytope contract requires box rows")
     # The rays are distinct and primitive, so their points x / t are
     # distinct; scaling every point by L = lcm of the t sorts them exactly
     # in integers.

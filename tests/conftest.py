@@ -5,7 +5,7 @@ import pytest
 from conedec import BinaryMatrix, BinaryVector, build_relaxed_polytope
 from conedec.constructions import hamming_matrix
 from conedec.errors import BoundExceeded
-from conedec.lpdecode import _compiled_system
+from conedec.lpdecode import _compiled_lp
 from conedec.qcimprove import add_qc_shifts
 from reference_simplex import dense_simplex
 
@@ -58,8 +58,8 @@ def assert_compiled_matches_dense(H: BinaryMatrix) -> None:
         A, b = decode_rows(H)
     except BoundExceeded as exc:
         with pytest.raises(BoundExceeded) as got:
-            _compiled_system(H)
+            _compiled_lp(H)
         assert str(got.value) == str(exc)
         return
-    compiled, dense = _compiled_system(H), dense_simplex(A, b, [0] * H.cols)
+    compiled, dense = _compiled_lp(H)[0], dense_simplex(A, b, [0] * H.cols)
     assert (compiled._rows, compiled._b, compiled._cols) == (dense._rows, dense._b, dense._cols)

@@ -1,8 +1,9 @@
 """Earlier forms of cone.py code, kept as test oracles.
 
-reference_cone_contains is ConeSystem.contains as it was before it
-integerized v: every entry becomes a Fraction and every row a Fraction dot
-product.
+reference_cone_contains is the dense ConeSystem.contains as it was before
+it integerized v, and before ConeSystem.contains became in_cone: every
+entry becomes a Fraction and every row a Fraction dot product.  It reads
+any system with dim and inequalities, a ConeSystem among them.
 
 The three lift rules are as they were before they shared one premise
 check, one re-check and, for the column rule, one appended block;
@@ -17,31 +18,67 @@ composed cones are built from the composed matrix: intersect_cones of
 K(H1), K(H2) has the rows of K(H1 stacked on H2), and product_cone has the
 rows of K(direct_sum).  cone_from_rows and polytope_from_rows are the
 former ConeSystem.from_rows and PolytopeSystem.from_rows, which clear
-denominators, divide by the gcd and drop repeated rows.
+denominators, divide by the gcd and drop repeated rows.  ConeSystem and
+PolytopeSystem are now records of a matrix and take no rows, so these
+oracles return the test-local records RowCone and RowPolytope: dim,
+inequalities and the Fraction membership oracle as contains.  rows_of
+gives the (dim, inequalities) that a record and a system are compared by.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from conedec import dd
-from conedec.cone import ConeSystem, in_cone
+from conedec.cone import in_cone
 from conedec.gf2 import BinaryMatrix, BinaryVector, as_fraction_vector, block_matrix
-from conedec.polytope import PolytopeSystem
 
 
-def cone_from_rows(dim: int, rows: Sequence[Sequence]) -> ConeSystem:
+@dataclass(frozen=True)
+class RowCone:
+    """A homogeneous system {v : a . v >= 0} made from loose rows."""
+
+    dim: int
+    inequalities: tuple[tuple[int, ...], ...]
+
+    def contains(self, v: Sequence) -> bool:
+        return reference_cone_contains(self, v)
+
+
+@dataclass(frozen=True)
+class RowPolytope:
+    """A system {x : a . x <= b} made from loose (coeffs, bound) rows."""
+
+    dim: int
+    inequalities: tuple[tuple[tuple[int, ...], int], ...]
+
+    def contains(self, x: Sequence) -> bool:
+        xx = as_fraction_vector(x)
+        if len(xx) != self.dim:
+            raise ValueError(f"length {len(xx)} != dim {self.dim}")
+        return all(
+            sum(a_i * x_i for a_i, x_i in zip(a, xx)) <= b
+            for a, b in self.inequalities
+        )
+
+
+def rows_of(system) -> tuple:
+    return system.dim, system.inequalities
+
+
+def cone_from_rows(dim: int, rows: Sequence[Sequence]) -> RowCone:
     """Normalize rows (clear denominators, divide by gcd) and dedup."""
     seen = {}
     for a in rows:
         na = dd.integerize(a)
         if any(na):
             seen.setdefault(na, None)
-    return ConeSystem(dim, tuple(seen))
+    return RowCone(dim, tuple(seen))
 
 
-def polytope_from_rows(dim: int, rows: Sequence[tuple[Sequence, object]]) -> PolytopeSystem:
+def polytope_from_rows(dim: int, rows: Sequence[tuple[Sequence, object]]) -> RowPolytope:
     seen = {}
     for a, b in rows:
         if len(a) != dim:
@@ -52,10 +89,10 @@ def polytope_from_rows(dim: int, rows: Sequence[tuple[Sequence, object]]) -> Pol
             seen.setdefault((na, nb), None)
         elif nb < 0:
             raise ValueError("row 0 . x <= negative bound is infeasible")
-    return PolytopeSystem(dim, tuple(seen))
+    return RowPolytope(dim, tuple(seen))
 
 
-def intersect_cones(cones: Sequence[ConeSystem]) -> ConeSystem:
+def intersect_cones(cones: Sequence) -> RowCone:
     """Cone of the row-stacked matrix: concatenate systems, dedup rows."""
     if not cones:
         raise ValueError("need at least one cone")
@@ -66,7 +103,7 @@ def intersect_cones(cones: Sequence[ConeSystem]) -> ConeSystem:
     return cone_from_rows(dim, rows)
 
 
-def product_cone(cones: Sequence[ConeSystem]) -> ConeSystem:
+def product_cone(cones: Sequence) -> RowCone:
     """Block-diagonal system: (v_1, ..., v_t) is a member iff each v_k is."""
     dim = sum(K.dim for K in cones)
     if dim == 0:
@@ -80,7 +117,7 @@ def product_cone(cones: Sequence[ConeSystem]) -> ConeSystem:
     return cone_from_rows(dim, rows)
 
 
-def reference_cone_contains(K: ConeSystem, v: Sequence) -> bool:
+def reference_cone_contains(K, v: Sequence) -> bool:
     vv = as_fraction_vector(v)
     if len(vv) != K.dim:
         raise ValueError(f"length {len(vv)} != dim {K.dim}")

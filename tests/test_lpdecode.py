@@ -34,7 +34,7 @@ from conedec.constructions import (
     steane_matrix,
 )
 from conedec.errors import BoundExceeded
-from conedec.lpdecode import _compiled_system, bsc_errors, rationalize_llr
+from conedec.lpdecode import _compiled_lp, bsc_errors, rationalize_llr
 from conftest import assert_compiled_matches_dense, decode_rows
 from reference_simplex import (
     CondensedSimplex,
@@ -352,7 +352,7 @@ def reference_ml_decode(H, gamma):
 def reference_lp_decode(H, gamma):
     """lp_decode without the hard-decision certificate: every decode solves
     the compiled LP."""
-    res = _compiled_system(H).with_objective(rationalize_llr(gamma)).solve()
+    res = _compiled_lp(H)[0].with_objective(rationalize_llr(gamma)).solve()
     integral = all(v.denominator == 1 for v in res.x)
     status = "tie" if not res.unique else "codeword" if integral else "fractional"
     return DecodeResult(optimum=res.x, objective=res.objective, integral=integral, status=status)
@@ -424,7 +424,7 @@ class TestCompiledSystem:
                 # The compiled LP is solved directly: lp_decode skips it on a
                 # certified hard decision.
                 with both_pivot_logs() as (core, condensed, full):
-                    res = _compiled_system(H).with_objective(gr).solve()
+                    res = _compiled_lp(H)[0].with_objective(gr).solve()
                     ref = CondensedSimplex(A, b, gr).solve()
                     want = FullTableauSimplex(A, b, gr).solve()
                 got = lp_decode(H, gamma)
@@ -464,7 +464,7 @@ class TestCompiledSystem:
         statuses = set()
         for H, gamma in cases:
             gr = rationalize_llr(gamma)
-            sx = _compiled_system(H).with_objective(gr)
+            sx = _compiled_lp(H)[0].with_objective(gr)
             res = sx.solve()
             ref = CondensedSimplex(*decode_rows(H), gr)
             ref.solve()
@@ -535,17 +535,17 @@ class TestCompiledSystem:
         lpdecode._compiled.clear()
         # The cap holds 3x7 and 7x7 (31 + 63 rows), and 3x7 and Steane (62).
         monkeypatch.setattr(lpdecode, "COMPILED_ROWS_CAP", rows[hamming7] + rows[hamming7_full])
-        a, b = _compiled_system(hamming7), _compiled_system(hamming7_full)
-        assert _compiled_system(hamming7) is a  # 7x7 is now least recently used
-        c = _compiled_system(steane)  # over the cap: 7x7 goes, 3x7 stays
-        assert _compiled_system(hamming7) is a
-        assert _compiled_system(steane) is c
-        assert _compiled_system(hamming7_full) is not b
+        a, b = _compiled_lp(hamming7)[0], _compiled_lp(hamming7_full)[0]
+        assert _compiled_lp(hamming7)[0] is a  # 7x7 is now least recently used
+        c = _compiled_lp(steane)[0]  # over the cap: 7x7 goes, 3x7 stays
+        assert _compiled_lp(hamming7)[0] is a
+        assert _compiled_lp(steane)[0] is c
+        assert _compiled_lp(hamming7_full)[0] is not b
         assert list(lpdecode._compiled) == [hamming7_full]
         # A system above the cap on its own is still kept while it is newest.
         monkeypatch.setattr(lpdecode, "COMPILED_ROWS_CAP", 1)
-        d = _compiled_system(hamming7)
-        assert _compiled_system(hamming7) is d
+        d = _compiled_lp(hamming7)[0]
+        assert _compiled_lp(hamming7)[0] is d
         assert list(lpdecode._compiled) == [hamming7]
 
 

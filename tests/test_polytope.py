@@ -6,7 +6,6 @@ import pytest
 
 from conedec import (
     BinaryMatrix,
-    PolytopeSystem,
     build_fundamental_cone,
     build_relaxed_polytope,
     codeword_polytope,
@@ -15,7 +14,7 @@ from conedec import (
     enumerate_vertices,
     lp_pseudocodewords,
 )
-from conedec import polytope
+from conedec import dd, polytope
 from conedec.constructions import hamming_matrix
 from conedec.errors import BoundExceeded
 
@@ -74,31 +73,6 @@ class TestBuildRelaxedPolytope:
             next(polytope.relaxed_rows(H))
         with pytest.raises(BoundExceeded, match=message):
             build_relaxed_polytope(H)
-
-
-SQUARE = (((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1))  # the box [0, 1]^2
-
-
-@pytest.mark.parametrize(
-    "dim, rows",
-    [
-        (0, ()),
-        (-1, ()),
-        (2, SQUARE + (((1, 1, 1), 1),)),
-        (2, SQUARE + (((1,), 1),)),
-        (2, (((), 0),) + SQUARE),
-    ],
-    ids=["dim-zero", "dim-negative", "long-row", "short-row", "empty-row"],
-)
-def test_malformed_rows_rejected(dim, rows):
-    with pytest.raises(ValueError):
-        PolytopeSystem(dim, rows)
-
-
-def test_square_is_well_formed():
-    P = PolytopeSystem(2, SQUARE)
-    assert len(enumerate_vertices(P)) == 4
-    assert P.contains((1, 0)) and not P.contains((2, 0))
 
 
 class TestEnumerateVertices:
@@ -163,16 +137,12 @@ class TestEnumerateVertices:
         assert str(got.value) == "dimension 31 exceeds vertex enumeration cap 16"
 
     def test_missing_lower_box_row(self):
-        # x_0 >= 0 is absent, so double description has no seed ray for x_0.
-        P = PolytopeSystem(2, (((1, 0), 1), ((0, 1), 1), ((0, -1), 0)))
-        with pytest.raises(ValueError):
-            enumerate_vertices(P)
-
-    def test_unbounded_system(self):
-        # Only the lower box rows: the rays e_i have t = 0.
-        P = PolytopeSystem(2, (((-1, 0), 0), ((0, -1), 0)))
-        with pytest.raises(ValueError, match="unbounded"):
-            enumerate_vertices(P)
+        # The homogenized rows of the box [0, 1]^2 without x_0 >= 0, so
+        # double description has no seed ray for x_0.  Every PolytopeSystem
+        # has its lower box rows; extreme_rays_int checks its own input.
+        rows = [(0, 0, 1), (-1, 0, 1), (0, -1, 1), (0, 1, 0)]
+        with pytest.raises(ValueError, match=r"coordinates \[0\]"):
+            dd.extreme_rays_int(3, rows)
 
     def test_vertices_strictly_increasing(self, hamming7):
         # Sorting the rays by x * (L / t) must give the Fraction order of

@@ -13,7 +13,6 @@ from conedec.constructions import hagiwara_css_label_matrix, hamming_matrix, ste
 from conedec.errors import NumericalFailure
 from conedec.lpdecode import (
     _compiled_lp,
-    _compiled_system,
     bsc_errors,
     llr_bsc,
     lp_decode,
@@ -453,7 +452,7 @@ def test_ratio_test_matches_reference_on_decode_lps(code, seed, gaussian):
     # certified hard decision.
     H = decode_code(code)
     gr = rationalize_llr(seeded_llrs(H, seed, gaussian))
-    assert_solve_matches_reference(_compiled_system(H).with_objective(gr))
+    assert_solve_matches_reference(_compiled_lp(H)[0].with_objective(gr))
 
 
 def decode_lp(code, seed, gaussian):
@@ -461,7 +460,7 @@ def decode_lp(code, seed, gaussian):
     It is solved directly: lp_decode skips it on a certified hard
     decision."""
     H = decode_code(code)
-    return _compiled_system(H).with_objective(rationalize_llr(seeded_llrs(H, seed, gaussian)))
+    return _compiled_lp(H)[0].with_objective(rationalize_llr(seeded_llrs(H, seed, gaussian)))
 
 
 def assert_tie_check_matches_oracles(sx):
@@ -526,7 +525,7 @@ def test_ratio_test_covers_every_shortcut():
         H = decode_code(code)
         for seed in range(12):
             gr = rationalize_llr(seeded_llrs(H, seed, seed % 2))
-            kinds |= assert_solve_matches_reference(_compiled_system(H).with_objective(gr))
+            kinds |= assert_solve_matches_reference(_compiled_lp(H)[0].with_objective(gr))
     assert kinds == {"slack basis", "structural at ratio 0", "structurals at zero",
                      "structural off zero"}
 
@@ -538,7 +537,7 @@ def test_zero_word_decode_makes_no_rhs_pass(monkeypatch):
     # ratio tests nor the tie check need an m-row rhs pass.  The tie
     # check's auxiliary LP skips __init__'s row checks.
     H = hamming_matrix(4)
-    _compiled_system(H)
+    _compiled_lp(H)
     calls = {"rhs": 0, "init": 0, "ratio": 0}
     slack_rhs, init, leaving = ExactSimplex._slack_rhs, ExactSimplex.__init__, ExactSimplex._leaving
 
@@ -631,7 +630,7 @@ def test_column_index_shares_row_entries(hamming7):
     # Row k's columns hold one (k, a) object per distinct coefficient a,
     # in a dense system with mixed coefficients and in the compiled 3x7 LP.
     dense = dense_simplex([[1, 2, 1, -1, 2], [3, 0, 3, 3, 0]], [1, 1], [0] * 5)
-    for sx in (dense, _compiled_system(hamming7)):
+    for sx in (dense, _compiled_lp(hamming7)[0]):
         for k, pairs in enumerate(sx._rows):
             entries = [e for col in sx._cols for e in col if e[0] == k]
             assert len(entries) == len(pairs)
@@ -756,7 +755,7 @@ def test_tie_memo_serves_distinct_objectives():
     # second is answered from the memo, on every code.
     for code in ("3x7", "steane", "15_11", "hagiwara"):
         H = decode_code(code)
-        system = _compiled_system(H)
+        system = _compiled_lp(H)[0]
         served = 0
         for seed in range(12):
             ties = {}
@@ -789,7 +788,7 @@ def test_tie_memo_bound(monkeypatch):
         for e in bsc_errors(H.cols, p, 60, seed=4):
             gamma = llr_bsc(e, p)
             got = lp_decode(H, gamma)
-            free = _compiled_system(H).with_objective(rationalize_llr(gamma)).solve()
+            free = _compiled_lp(H)[0].with_objective(rationalize_llr(gamma)).solve()
             assert (got.status == "tie") == (not free.unique)
             sizes.append(sum(len(ties) for _, ties in lpdecode._compiled.values()))
     assert max(sizes) == 5
@@ -799,7 +798,7 @@ def test_tie_memo_bound(monkeypatch):
 def test_evicted_system_drops_its_memo(monkeypatch):
     H3, steane = decode_code("3x7"), decode_code("steane")
     lpdecode._compiled.clear()
-    monkeypatch.setattr(lpdecode, "COMPILED_ROWS_CAP", _compiled_system(H3).m)
+    monkeypatch.setattr(lpdecode, "COMPILED_ROWS_CAP", _compiled_lp(H3)[0].m)
     for e in bsc_errors(7, 0.2, 30, seed=2):
         lp_decode(H3, llr_bsc(e, 0.2))
     old = _compiled_lp(H3)[1]

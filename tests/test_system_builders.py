@@ -1,8 +1,8 @@
 """build_fundamental_cone and build_relaxed_polytope emit their primitive
 integer rows directly.  The reference builders below are the plain loops
 normalized through the from_rows oracles of reference_cone (Fraction round
-trip, gcd, dedup); the two must agree row for row, in order, because
-Bland's rule follows the order.
+trip, gcd, dedup); the two must agree in dim and row for row, in order,
+because Bland's rule follows the order.
 """
 
 import random
@@ -27,10 +27,10 @@ from conedec.errors import BoundExceeded
 from conedec.polytope import ROW_WEIGHT_CAP
 
 from conftest import assert_compiled_matches_dense, random_matrix
-from reference_cone import cone_from_rows, polytope_from_rows
+from reference_cone import RowCone, RowPolytope, cone_from_rows, polytope_from_rows, rows_of
 
 
-def reference_cone(H: BinaryMatrix) -> ConeSystem:
+def reference_cone(H: BinaryMatrix) -> RowCone:
     n = H.cols
     rows = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     for j in range(H.rows):
@@ -40,12 +40,10 @@ def reference_cone(H: BinaryMatrix) -> ConeSystem:
     return cone_from_rows(n, rows)
 
 
-def reference_polytope(H: BinaryMatrix, cap: int = ROW_WEIGHT_CAP) -> PolytopeSystem:
+def reference_polytope(H: BinaryMatrix, cap: int = ROW_WEIGHT_CAP) -> RowPolytope:
     n = H.cols
-    rows = []
-    for i in range(n):
-        rows.append((tuple(-1 if t == i else 0 for t in range(n)), 0))
-        rows.append((tuple(1 if t == i else 0 for t in range(n)), 1))
+    rows = [(tuple(-1 if t == i else 0 for t in range(n)), 0) for i in range(n)]
+    rows += [(tuple(1 if t == i else 0 for t in range(n)), 1) for i in range(n)]
     for j in range(H.rows):
         sup = H.row_support(j)
         if len(sup) > cap:
@@ -92,9 +90,9 @@ def matrices(draw):
 @example(BinaryMatrix(3, 5, [0b10110, 0b00100, 0b10110]))
 def test_builders_match_reference(H):
     K = build_fundamental_cone(H)
-    assert K == reference_cone(H)
+    assert rows_of(K) == rows_of(reference_cone(H))
     P = build_relaxed_polytope(H)
-    assert P == reference_polytope(H)
+    assert rows_of(P) == rows_of(reference_polytope(H))
     assert all_int(K) and all_int(P)
     assert_compiled_matches_dense(H)
 
@@ -105,8 +103,22 @@ def test_builders_match_reference(H):
     ids=["hagiwara", "steane", "hamming15"],
 )
 def test_builders_match_reference_on_named_matrices(H):
-    assert build_fundamental_cone(H) == reference_cone(H)
-    assert build_relaxed_polytope(H) == reference_polytope(H)
+    assert rows_of(build_fundamental_cone(H)) == rows_of(reference_cone(H))
+    assert rows_of(build_relaxed_polytope(H)) == rows_of(reference_polytope(H))
+
+
+@pytest.mark.parametrize("system", [ConeSystem, PolytopeSystem])
+def test_systems_are_records_of_their_matrix(system, hamming7):
+    # A repeated check adds no row, so the two matrices give the same rows;
+    # the systems still differ, because they compare by H.  No constructor
+    # takes rows.
+    doubled = BinaryMatrix(4, 7, hamming7.row_bits + hamming7.row_bits[:1])
+    S, T = system(hamming7), system(doubled)
+    assert S == system(BinaryMatrix.from_rows(hamming7.to_lists()))
+    assert hash(S) == hash(system(hamming7)) and S.H is hamming7
+    assert rows_of(S) == rows_of(T) and S != T
+    with pytest.raises(TypeError):
+        system(S.dim, S.inequalities)
 
 
 def test_builders_skip_the_normalizer(monkeypatch, hamming7):
@@ -136,6 +148,6 @@ def test_row_weight_cap_unchanged(monkeypatch):
                 build_relaxed_polytope(H)
             assert str(got.value) == str(exc)
         else:
-            assert build_relaxed_polytope(H) == expected
+            assert rows_of(build_relaxed_polytope(H)) == rows_of(expected)
         assert_compiled_matches_dense(H)
     assert 50 < raised < 250
