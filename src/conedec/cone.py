@@ -6,9 +6,9 @@ with Row_j(H) . v >= 2 h_ji v_i for every row j and coordinate i.  Only
 the support positions of each row contribute inequalities (h_ji = 0 makes
 the condition a consequence of nonnegativity), so the system is
   { Row_j(H) - 2 e_i : j in [r], i in Supp(Row_j) }  ∪  { e_i : i in [n] }.
-A ConeSystem is a record of H: its dense rows are made from H when the
-system is, for double description and serialization, and no constructor
-takes rows.  Membership has one rule, in_cone, read from H itself.
+A ConeSystem is a record of H: its dense rows are made from H when first
+read, for double description and serialization, and no constructor takes
+rows.  Membership has one rule, in_cone, read from H itself.
 The three lift rules (block rows, repeated blocks, an appended block) share
 one premise check, each given vector in its own cone, and one certificate,
 the lifted vector re-checked with in_cone against the composed matrix.
@@ -19,7 +19,8 @@ All arithmetic here is exact; there is no floating-point path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,17 +35,17 @@ RAY_DIM_CAP = 20  # dimension bound for extreme-ray enumeration
 class ConeSystem:
     """The fundamental cone of H, {v : a . v >= 0 for all rows a}.
 
-    The rows are made from H with the system: the nonnegativity rows e_i
-    first, then Row_j(H) - 2 e_i for each row j and i in its support, in
-    row order, repeated rows dropped.  Every row has entries in {-1, 0, 1}
+    The rows are made from H the first time they are read: the
+    nonnegativity rows e_i first, then Row_j(H) - 2 e_i for each row j and
+    i in its support, in row order, repeated rows dropped.  Every row has entries in {-1, 0, 1}
     and one of them nonzero, so it is already primitive.  Equality and
     hash follow H.
     """
 
     H: BinaryMatrix
-    inequalities: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    @functools.cached_property
+    def inequalities(self) -> tuple[tuple[int, ...], ...]:
         H, n = self.H, self.H.cols
         rows = [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
         for j in range(H.rows):
@@ -56,7 +57,7 @@ class ConeSystem:
                 h[i] = -1
                 rows.append(tuple(h))
                 h[i] = 1
-        object.__setattr__(self, "inequalities", tuple(dict.fromkeys(rows)))
+        return tuple(dict.fromkeys(rows))
 
     @property
     def dim(self) -> int:

@@ -21,12 +21,16 @@ and column index are held in a cache bounded by the total number of rows
 it stores; repeated decodes on one matrix (a Monte Carlo run, a shift
 orbit) share them and only bring their own objective row.
 
-Next to each compiled system sits a memo of its tie-check answers, keyed
-by the optimal basis and the zero-reduced-cost variables (see simplex): on
-the BSC, where every LLR has one magnitude, decodes meet few distinct
-keys.  Over 2000 trials, [15,11] at p = 0.05 met 181 keys and Hagiwara at
-p = 0.01 met 499.  The memo is evicted with its system, and the memos of
-all systems together hold at most TIE_MEMO_CAP entries.
+Next to each compiled system sits a memo of the answers that the basis
+alone fixes (see simplex): the leaving variable of each ratio test, keyed
+by the basis and the entering variable, and the tie check's answer, keyed
+by the optimal basis and the zero-reduced-cost variables.  The LP is very
+degenerate, and on the BSC every LLR has one magnitude, so decodes meet
+few distinct keys: over 2000 trials, [15,11] at p = 0.05 met 962
+ratio-test keys and 181 tie keys, and Hagiwara at p = 0.01 met 953 and
+499.  A decode whose keys are all known replays its pivots without
+building an entering column.  The memo is evicted with its system, and
+the memos of all systems together hold at most MEMO_CAP entries.
 
 Hard-decision certificate (Feldman, Wainwright & Karger, IEEE T-IT 2005):
 when no rationalized LLR is 0 and the hard decision y (y_i = 1 iff
@@ -70,12 +74,14 @@ LLR_DENOMINATOR_CAP = 10**6
 # 9 MB; 3x7, 7x7, Steane, [15,11] and Hagiwara together take 2111 rows.
 COMPILED_ROWS_CAP = 1 << 14
 
-# Tie-check answers kept across the memos of all compiled systems.  An entry
-# is a key tuple of k ints that the basis lists already hold, 40 + 8k bytes,
-# plus a dict slot of about 36 bytes (sys.getsizeof, CPython 3.11).  The mean
-# k was 16.4 on [15,11] and 17.9 on Hagiwara, about 210 bytes per entry and
-# some 0.9 MB at the cap; the longest Hagiwara key seen, k = 94, takes 830.
-TIE_MEMO_CAP = 4096
+# Memo entries, ratio-test and tie-check answers together, kept across the
+# memos of all compiled systems.  An entry holds a 2-tuple key, its basis
+# bits (an int of one bit per variable) and a dict slot.  tracemalloc
+# (CPython 3.11) put the memory a full memo gives back when cleared at about
+# 200 bytes per entry on [15,11] (542 variables) and 336 on Hagiwara (1512),
+# so 3.3 to 5.5 MB at the cap.  [15,11] at p = 0.1 filled 4029 entries in
+# 3000 trials: 3518 ratio tests and 511 tie checks.
+MEMO_CAP = 1 << 14
 
 logger = logging.getLogger(__name__)
 
@@ -148,28 +154,28 @@ class DecodeResult:
         return BinaryVector.from_bits(int(x) for x in self.optimum)
 
 
-class _TieMemo(dict):
-    """The tie-check answers of one compiled system, keyed as
+class _Memo(dict):
+    """The ratio-test and tie-check answers of one compiled system, keyed as
     ExactSimplex.solve keys them.  The memos of all compiled systems hold at
-    most TIE_MEMO_CAP entries together: an insert that finds them full
-    empties every one first."""
+    most MEMO_CAP entries together: an insert that finds them full empties
+    every one first."""
 
-    def __setitem__(self, key: tuple, unique: bool) -> None:
-        memos = [ties for _, ties in _compiled.values()]
-        if sum(map(len, memos)) >= TIE_MEMO_CAP:
-            for ties in memos:
-                ties.clear()
-        super().__setitem__(key, unique)
-
-
-_compiled: OrderedDict[BinaryMatrix, tuple[ExactSimplex, _TieMemo]] = OrderedDict()
+    def __setitem__(self, key: tuple, answer: int | bool) -> None:
+        memos = [memo for _, memo in _compiled.values()]
+        if sum(map(len, memos)) >= MEMO_CAP:
+            for memo in memos:
+                memo.clear()
+        super().__setitem__(key, answer)
 
 
-def _compiled_lp(H: BinaryMatrix) -> tuple[ExactSimplex, _TieMemo]:
+_compiled: OrderedDict[BinaryMatrix, tuple[ExactSimplex, _Memo]] = OrderedDict()
+
+
+def _compiled_lp(H: BinaryMatrix) -> tuple[ExactSimplex, _Memo]:
     """The relaxed polytope of H as a simplex at its slack basis with a zero
-    objective, and the memo of its tie-check answers.  Each decode starts
-    from the simplex with with_objective, which shares its sparse integer
-    rows and column index and copies its slack basis.
+    objective, and the memo of its ratio-test and tie-check answers.  Each
+    decode starts from the simplex with with_objective, which shares its
+    sparse integer rows and column index and copies its slack basis.
 
     The rows are relaxed_rows(H) in its order: Bland's rule follows it, so
     it fixes the pivot path and the vertex returned in a tie.
@@ -181,7 +187,7 @@ def _compiled_lp(H: BinaryMatrix) -> tuple[ExactSimplex, _TieMemo]:
         _compiled.move_to_end(H)
         return entry
     A, b = zip(*relaxed_rows(H))
-    entry = _compiled[H] = ExactSimplex(H.cols, A, b, [0] * H.cols), _TieMemo()
+    entry = _compiled[H] = ExactSimplex(H.cols, A, b, [0] * H.cols), _Memo()
     rows = sum(sx.m for sx, _ in _compiled.values())
     while rows > COMPILED_ROWS_CAP and len(_compiled) > 1:
         rows -= _compiled.popitem(last=False)[1][0].m
@@ -200,7 +206,7 @@ def lp_decode(H: BinaryMatrix, gamma: LlrVector) -> DecodeResult:
     if len(gamma) != H.cols:
         raise ValueError(f"LLR length {len(gamma)} != cols {H.cols}")
     gr = rationalize_llr(gamma)
-    system, ties = _compiled_lp(H)  # raises over the cap, certified or not
+    system, memo = _compiled_lp(H)  # raises over the cap, certified or not
     hard = _certified_codeword(H, gr)
     if hard is not None:
         logger.debug("lp_decode: hard decision of weight %d is a codeword, no LP", hard.bit_count())
@@ -211,7 +217,7 @@ def lp_decode(H: BinaryMatrix, gamma: LlrVector) -> DecodeResult:
             integral=True,
             status="codeword",
         )
-    res = system.with_objective(gr).solve(ties)
+    res = system.with_objective(gr).solve(memo)
     y = res.x
     integral = all(v.denominator == 1 for v in y)
     if not res.unique:

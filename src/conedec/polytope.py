@@ -10,15 +10,16 @@ intersected with the box [0,1]^n.  relaxed_rows generates the rows
 x_i <= 1 and the odd-set rows from H in sparse form; the decode LP is
 compiled from them directly, since the simplex keeps x >= 0 itself.  A
 PolytopeSystem is a record of H: its dense rows, the lower box rows
--x_i <= 0 and then relaxed_rows(H), are made from H when the system is,
-for double description and membership, and no constructor takes rows.
+-x_i <= 0 and then relaxed_rows(H), are made from H when first read, for
+double description and membership, and no constructor takes rows.
 Vertices are enumerated exactly by running double description on the
 homogenization (x, t), t >= 0, and scaling the resulting rays to t = 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
@@ -36,19 +37,21 @@ ROW_WEIGHT_CAP = 20  # each row of weight w expands to 2^(w-1) inequalities
 class PolytopeSystem:
     """The relaxed polytope of H, {x : a . x <= b for all rows (a, b)}.
 
-    The rows are made from H with the system, as primitive integer
-    (coeffs, bound) pairs: the lower box rows -x_i <= 0, which double
-    description takes as its seed, then relaxed_rows(H) made dense.
-    Equality and hash follow H.  contains(x) tests every row in exact
+    The rows are made from H the first time they are read, as primitive
+    integer (coeffs, bound) pairs: the lower box rows -x_i <= 0, which
+    double description takes as its seed, then relaxed_rows(H) made dense.
+    A check above ROW_WEIGHT_CAP raises BoundExceeded when the system is
+    made.  Equality and hash follow H.  contains(x) tests every row in exact
     Fraction arithmetic.
     """
 
     H: BinaryMatrix
-    inequalities: tuple[tuple[tuple[int, ...], int], ...] = field(
-        init=False, compare=False, repr=False
-    )
 
     def __post_init__(self):
+        _check_row_weights(self.H)
+
+    @functools.cached_property
+    def inequalities(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         n = self.H.cols
         rows = []
         lower_box = ((((i, -1),), 0) for i in range(n))
@@ -57,7 +60,7 @@ class PolytopeSystem:
             for i, x in pairs:
                 a[i] = x
             rows.append((tuple(a), bound))
-        object.__setattr__(self, "inequalities", tuple(rows))
+        return tuple(rows)
 
     @property
     def dim(self) -> int:
@@ -100,11 +103,7 @@ def relaxed_rows(H: BinaryMatrix):
     support) and none repeats.  A check above ROW_WEIGHT_CAP raises
     BoundExceeded before the first row.
     """
-    for j, bits in enumerate(H.row_bits):
-        if bits.bit_count() > ROW_WEIGHT_CAP:
-            raise BoundExceeded(
-                f"row {j} has weight {bits.bit_count()}, above the expansion cap {ROW_WEIGHT_CAP}"
-            )
+    _check_row_weights(H)
     minus = [(i, -1) for i in range(H.cols)]
     plus = [(i, 1) for i in range(H.cols)]
     for i in range(H.cols):
@@ -120,6 +119,14 @@ def relaxed_rows(H: BinaryMatrix):
                 for t in S:
                     pairs[t] = plus[sup[t]]
                 yield tuple(pairs), size - 1
+
+
+def _check_row_weights(H: BinaryMatrix) -> None:
+    for j, bits in enumerate(H.row_bits):
+        if bits.bit_count() > ROW_WEIGHT_CAP:
+            raise BoundExceeded(
+                f"row {j} has weight {bits.bit_count()}, above the expansion cap {ROW_WEIGHT_CAP}"
+            )
 
 
 def build_relaxed_polytope(H: BinaryMatrix) -> PolytopeSystem:
@@ -166,7 +173,7 @@ class PseudocodewordCensus:
 
 
 def lp_pseudocodewords(H: BinaryMatrix) -> PseudocodewordCensus:
-    _check_vertex_dim(H.cols)  # before the rows are built
+    _check_vertex_dim(H.cols)  # before the row weights are checked
     vs = enumerate_vertices(build_relaxed_polytope(H))
     cw, non = [], []
     for v, integral in zip(vs.vertices, vs.integral):

@@ -79,29 +79,44 @@ are summed through the restricted column index, over the rows those
 columns touch.  Away from it one rhs pass finds the degenerate rows, and
 their entries are derived row by row.
 
-The tie check's answer is fixed by two sets: the optimal basis, and the
-nonbasic variables of zero reduced cost (the columns u).  It does not
-depend on c or on the pivot path.  The condensed tableau is fixed by the
-basis up to the order of its columns and the scale d > 0 (above).  Which
-rows are degenerate is fixed by the basis and b.  Neither a row order, a
-column order nor a positive scale changes whether the cone
-{u >= 0 : W_D u <= 0} is {0}.  So solve takes an optional mapping, ties,
-that memoises the answer under _tie_key(): the basic structurals and the
-nonbasic slacks (which fix the basis), then the zero-reduced-cost
-variables, in one flat tuple of the ints the basis lists hold.  A key met
-before answers without _optimum_is_unique.  The mapping must serve one
-constraint system (rows and b) only; lpdecode keeps one per compiled
-system.  Without it, every solve runs the check.
+Two answers are fixed by the basis alone, whatever c and the pivot path.
+The condensed tableau is fixed by the basis up to the order of its
+columns and the scale d > 0 (above).  Bland's ratio test on the column of
+entering variable e compares rhs_k / T_k[e] over the rows with a positive
+entry and breaks ties by the smallest basic variable; neither a column
+order nor a positive scale changes those ratios or that variable.  So the
+leaving variable is fixed by the basis and e (its position in basis is
+not: positions follow the exchange order).  The tie check's answer is
+fixed by the optimal basis and the nonbasic variables of zero reduced
+cost (the columns u): which rows are degenerate is fixed by the basis and
+b, and neither a row order, a column order nor a positive scale changes
+whether the cone {u >= 0 : W_D u <= 0} is {0}.
+
+So solve takes an optional mapping, memo, that holds both answers.  The
+basis is an int, _basis_bits, with bit v set iff variable v is basic: the
+slack basis's is part of the shared start, and _pivot XORs in the two
+variables it exchanges.  Before each ratio test _run looks up
+(_basis_bits, e); a key met before gives the leaving variable (-1 for an
+unbounded column), whose position _where holds, with no _leaving.  At the
+optimum solve looks up _tie_key(), (_basis_bits, ~zero) with zero the
+bits of the zero-reduced-cost variables; a key met before answers without
+_optimum_is_unique.  A ratio key ends in a variable index >= 0 and a tie
+key in ~zero < 0, so the two kinds never share a key.  _pivot runs either
+way, with its checks.  The mapping must serve one constraint system (rows
+and b) only; lpdecode keeps one per compiled system.  Without it, every
+solve runs every ratio test and the tie check.  The tie check's
+auxiliary LP, a system of its own, never uses it.
 
 Each instance pivots its own basis, nonbasic and _where lists.
 with_objective copies them from tuples built once per constraint system:
 for [15,11]'s 542 variables a copy takes about 3 us where building them
 again took 17 us (CPython 3.11).
 
-solve logs one DEBUG line: rows, solve pivots, tie-check pivots, the
-binding rows the tie check took, basic structurals at the optimum, and
-whether the tie answer came from the memo.  A memo hit takes no tie-check
-pivot and no binding row.
+solve logs one DEBUG line: rows, solve pivots, the ratio tests whose
+leaving variable came from the memo, tie-check pivots, the binding rows
+the tie check took, basic structurals at the optimum, and whether the tie
+answer came from the memo.  A tie memo hit takes no tie-check pivot and
+no binding row.
 """
 
 from __future__ import annotations
@@ -179,14 +194,15 @@ class ExactSimplex:
         sx.d = 1
         if start is None:
             # _where: position in basis of a basic variable, ~column of a
-            # nonbasic one.
+            # nonbasic one.  The int has bit v set iff variable v is basic.
             start = (tuple(range(n, n + m)), tuple(range(n)),
-                     tuple([~j for j in range(n)] + list(range(m))))
+                     tuple([~j for j in range(n)] + list(range(m))), ((1 << m) - 1) << n)
         sx._start = start
-        sx.basis, sx.nonbasic, sx._where = map(list, start)
+        sx.basis, sx.nonbasic, sx._where = map(list, start[:3])
+        sx._basis_bits = start[3]
         sx.core = {}
         sx.pivots = 0
-        sx._tie_rows = sx._tie_pivots = 0
+        sx._memo_ratio_tests = sx._tie_rows = sx._tie_pivots = 0
         return sx
 
     def with_objective(self, c: Sequence) -> "ExactSimplex":
@@ -259,6 +275,7 @@ class ExactSimplex:
         self.d = piv
         self.basis[r], self.nonbasic[s] = entering, leaving
         self._where[entering], self._where[leaving] = r, ~s
+        self._basis_bits ^= 1 << entering | 1 << leaving
         self.pivots += 1
 
     def _leaving(self, s: int) -> int:
@@ -324,17 +341,20 @@ class ExactSimplex:
                     col[k] = get(k, 0) - a * t
         return col
 
-    def _run(self, max_pivots: int) -> bool:
+    def _run(self, max_pivots: int, memo: "MutableMapping[tuple, int | bool] | None" = None) -> bool:
         """Bland's-rule pivots until no reduced cost is negative.
 
         The entering variable is the one of smallest variable index with a
         negative reduced cost; the nonbasic columns are in exchange order,
-        so that need not be the first such column.
+        so that need not be the first such column.  memo, if given, holds
+        the leaving variable of each ratio test (-1 for no positive entry)
+        under (_basis_bits, entering variable): a key met before skips
+        _leaving, and the position is read off _where.
 
         Returns True at an optimal basis and False on an unbounded improving
         ray.
         """
-        n, nonbasic = self.n, self.nonbasic
+        n, nonbasic, where = self.n, self.nonbasic, self._where
         for _ in range(max_pivots):
             obj = self.obj
             s = -1
@@ -343,31 +363,43 @@ class ExactSimplex:
                     s = j
             if s < 0:
                 return True
-            r = self._leaving(s)
+            if memo is None:
+                r = self._leaving(s)
+            else:
+                key = (self._basis_bits, nonbasic[s])
+                v = memo.get(key)
+                if v is None:
+                    r = self._leaving(s)
+                    memo[key] = self.basis[r] if r >= 0 else -1
+                else:
+                    r = where[v] if v >= 0 else -1
+                    self._memo_ratio_tests += 1
             if r < 0:
                 return False
             self._pivot(r, s)
         raise NumericalFailure("pivot limit hit")
 
-    def solve(self, ties: "MutableMapping[tuple, bool] | None" = None) -> SimplexResult:
+    def solve(self, memo: "MutableMapping[tuple, int | bool] | None" = None) -> SimplexResult:
         """Pivot to an optimal basis and run the tie check there.
 
-        ties, if given, memoises the tie check's answer by _tie_key(): a
-        key met before answers without _optimum_is_unique, and a new key
-        stores its answer.  Its keys are those of one constraint system
-        (rows and b), so one mapping must serve only the instances that
-        with_objective makes of one system.  Without it, every solve runs
-        the tie check."""
-        if not self._run(MAX_PIVOTS):
+        memo, if given, memoises two kinds of answer, both fixed by the
+        basis: the leaving variable of each ratio test (see _run), and the
+        tie check's answer under _tie_key().  A key met before answers
+        without _leaving or _optimum_is_unique, and a new key stores its
+        answer.  Its keys are those of one constraint system (rows and b),
+        so one mapping must serve only the instances that with_objective
+        makes of one system.  Without it, every solve runs every ratio test
+        and the tie check."""
+        if not self._run(MAX_PIVOTS, memo):
             raise NumericalFailure("LP is unbounded; expected a boxed region")
         x = self._solution()
-        key = None if ties is None else self._tie_key()
-        unique = None if key is None else ties.get(key)
+        key = None if memo is None else self._tie_key()
+        unique = None if key is None else memo.get(key)
         hit = unique is not None
         if not hit:
             unique = self._optimum_is_unique()
             if key is not None:
-                ties[key] = unique
+                memo[key] = unique
         res = SimplexResult(
             # Only basic structurals can be nonzero.
             objective=sum((Fraction(self.c[j]) * x[j] for j in self.core), Fraction(0)),
@@ -375,10 +407,10 @@ class ExactSimplex:
             unique=unique,
         )
         logger.debug(
-            "solve: %d rows, %d solve pivots, %d tie-check pivots, "
-            "%d binding rows, %d basic structurals, tie answer %s",
-            self.m, self.pivots, self._tie_pivots, self._tie_rows, len(self.core),
-            "from the memo" if hit else "checked",
+            "solve: %d rows, %d solve pivots, %d ratio tests from the memo, "
+            "%d tie-check pivots, %d binding rows, %d basic structurals, tie answer %s",
+            self.m, self.pivots, self._memo_ratio_tests, self._tie_pivots, self._tie_rows,
+            len(self.core), "from the memo" if hit else "checked",
         )
         return res
 
@@ -386,18 +418,16 @@ class ExactSimplex:
         """The tie check's memo key at this optimal basis, or None when no
         reduced cost is zero (the optimum is then unique, with no check).
 
-        One flat tuple: the basic structurals and the nonbasic slacks in
-        increasing order (structurals < n <= slacks, and these two sets fix
-        the basis), then -1, then the nonbasic variables of zero reduced
-        cost in increasing order.  Every entry is an int the basis lists
-        already hold, so the key allocates only its tuple."""
-        n, obj, nonbasic = self.n, self.obj, self.nonbasic
-        zero = [nonbasic[l] for l in range(n) if obj[l] == 0]
-        if not zero:
-            return None
-        zero.sort()
-        basis = sorted(chain(self.core, [v for v in nonbasic if v >= n]))
-        return (*basis, -1, *zero)
+        (_basis_bits, ~zero), where zero has bit v set iff v is a nonbasic
+        variable of zero reduced cost.  zero is nonzero, so ~zero < 0,
+        while a ratio test's key (see _run) ends in a variable index >= 0:
+        the two kinds never share a key."""
+        obj, nonbasic = self.obj, self.nonbasic
+        zero = 0
+        for l in range(self.n):
+            if obj[l] == 0:
+                zero |= 1 << nonbasic[l]
+        return (self._basis_bits, ~zero) if zero else None
 
     def _solution(self) -> tuple[Fraction, ...]:
         vals = [Fraction(0)] * self.n

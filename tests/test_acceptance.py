@@ -38,6 +38,7 @@ from conedec import (
     shift_equivariance_experiment,
 )
 from conedec.cone import augment_column_lift
+from conedec.gf2 import block_matrix
 from conedec.constructions import (
     HAGIWARA_BLOCK_SIZE,
     HAGIWARA_EXPONENTS_C,
@@ -380,13 +381,13 @@ def test_hagiwara_qc_css_build():
         col_rays = []
         for exps in (HAGIWARA_EXPONENTS_C, HAGIWARA_EXPONENTS_D):
             for col in range(6):
-                K_col = intersect_cones(
-                    [
-                        build_fundamental_cone(circulant_permutation(t, exps[row][col]))
-                        for row in range(3)
-                    ]
-                )
-                col_rays.append(extreme_rays(K_col).rays)
+                blocks = [circulant_permutation(t, exps[row][col]) for row in range(3)]
+                K_col = build_fundamental_cone(block_matrix([[P] for P in blocks]))
+                rays = extreme_rays(K_col).rays
+                assert rays == extreme_rays(
+                    intersect_cones([build_fundamental_cone(P) for P in blocks])
+                ).rays
+                col_rays.append(rays)
         rng = random.Random(404)
         for _ in range(100):
             w = []
@@ -404,10 +405,11 @@ def test_sc_ldpc_containment():
     with criterion("spatially-coupled containment (both modes)", 10):
         H0 = BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
         H1 = BinaryMatrix.from_rows([[1, 0, 1], [1, 1, 0]])
-        K_int = intersect_cones(
-            [build_fundamental_cone(H0), build_fundamental_cone(H1)]
-        )
+        K_int = build_fundamental_cone(block_matrix([[H0], [H1]]))
         rays = extreme_rays(K_int).rays
+        assert rays == extreme_rays(
+            intersect_cones([build_fundamental_cone(H0), build_fundamental_cone(H1)])
+        ).rays
         assert rays, "toy blocks must give a nontrivial intersection cone"
         rng = random.Random(808)
         for mode in ("terminated", "tailbiting"):

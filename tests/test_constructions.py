@@ -355,13 +355,12 @@ class TestQcCssContainment:
             parts = []
             for exps in (HAGIWARA_EXPONENTS_C, HAGIWARA_EXPONENTS_D):
                 for col in range(6):
-                    K_col = intersect_cones(
-                        [
-                            build_fundamental_cone(circulant_permutation(t, exps[row][col]))
-                            for row in range(3)
-                        ]
-                    )
+                    blocks = [circulant_permutation(t, exps[row][col]) for row in range(3)]
+                    K_col = build_fundamental_cone(block_matrix([[P] for P in blocks]))
                     rays = extreme_rays(K_col).rays
+                    assert rays == extreme_rays(
+                        intersect_cones([build_fundamental_cone(P) for P in blocks])
+                    ).rays
                     v = [Fraction(0)] * t
                     for r in rays:
                         c = Fraction(rng.randint(0, 3), rng.randint(1, 2))
@@ -374,10 +373,11 @@ class TestScContainment:
     def test_concatenations_lie_in_coupled_cone(self):
         H0 = BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
         H1 = BinaryMatrix.from_rows([[1, 0, 1], [1, 1, 0]])
-        K_int = intersect_cones(
-            [build_fundamental_cone(H0), build_fundamental_cone(H1)]
-        )
+        K_int = build_fundamental_cone(block_matrix([[H0], [H1]]))
         rays = extreme_rays(K_int).rays
+        assert rays == extreme_rays(
+            intersect_cones([build_fundamental_cone(H0), build_fundamental_cone(H1)])
+        ).rays
         rng = random.Random(71)
         for mode in ("terminated", "tailbiting"):
             H = sc_ldpc([H0, H1], L=3, mode=mode)

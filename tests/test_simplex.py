@@ -29,6 +29,7 @@ from reference_simplex import (
     condensed_tableau,
     degenerate_rows_optimum_is_unique,
     dense_simplex,
+    pivot_log,
     reference_leaving,
     reference_tie_rows,
     solve_pivots,
@@ -535,8 +536,11 @@ def test_zero_word_decode_makes_no_rhs_pass(monkeypatch):
     # its optimum (in a tie, as BSC LLRs often give): every pivot is
     # degenerate and every basic structural stays at zero, so neither the
     # ratio tests nor the tie check need an m-row rhs pass.  The tie
-    # check's auxiliary LP skips __init__'s row checks.
+    # check's auxiliary LP skips __init__'s row checks.  The system is
+    # compiled afresh, so its memo is empty: a memo warmed by an earlier
+    # test would serve these ratio tests without a call to _leaving.
     H = hamming_matrix(4)
+    lpdecode._compiled.clear()
     _compiled_lp(H)
     calls = {"rhs": 0, "init": 0, "ratio": 0}
     slack_rhs, init, leaving = ExactSimplex._slack_rhs, ExactSimplex.__init__, ExactSimplex._leaving
@@ -659,11 +663,12 @@ def test_debug_line_counts_match_pivot_log(lp, caplog):
             sx.solve()
     (rec,) = caplog.records
     assert rec.levelno == logging.DEBUG and rec.name == "conedec.simplex"
-    rows, solve, tie, binding, basic = (
+    rows, solve, memo, tie, binding, basic = (
         int(w) for w in rec.getMessage().split() if w.isdigit()
     )
     assert rows == len(lp[0])
     assert solve == len(solve_pivots(core))
+    assert memo == 0  # no memo given, so every ratio test ran
     assert tie == len(core) - solve
     assert basic == len(sx.core) == sum(v < sx.n for v in sx.basis)
     # The oracle's tableau at the same basis: the binding rows the tie
@@ -677,20 +682,21 @@ def test_debug_line_counts_match_pivot_log(lp, caplog):
 
 
 @contextmanager
-def tie_checks_run():
-    """The instances whose _optimum_is_unique runs inside the block."""
+def calls_of(name):
+    """The instances on which the ExactSimplex method name runs inside the
+    block, one entry per call."""
     ran = []
-    tie_check = ExactSimplex._optimum_is_unique
+    method = getattr(ExactSimplex, name)
 
-    def counted(self):
+    def counted(self, *args):
         ran.append(self)
-        return tie_check(self)
+        return method(self, *args)
 
-    ExactSimplex._optimum_is_unique = counted
+    setattr(ExactSimplex, name, counted)
     try:
         yield ran
     finally:
-        ExactSimplex._optimum_is_unique = tie_check
+        setattr(ExactSimplex, name, method)
 
 
 def raised_cost(sx, gr):
@@ -711,7 +717,7 @@ def assert_memo_answers(system, ties, c, free, ref):
     memo-free instance, and so at its key."""
     known = set(ties)
     sx = system.with_objective(c)
-    with tie_checks_run() as ran:
+    with calls_of("_optimum_is_unique") as ran:
         res = sx.solve(ties)
     assert (res.x, res.unique) == (free.x, free.unique)
     key = sx._tie_key()
@@ -771,18 +777,162 @@ def test_tie_memo_serves_distinct_objectives():
 
 def test_solve_without_memo_runs_every_tie_check():
     sx = decode_lp("15_11", 3, False)
-    with tie_checks_run() as ran:
-        for _ in range(3):
-            sx.with_objective(sx.c).solve()
+    solved = [sx.with_objective(sx.c) for _ in range(3)]
+    with calls_of("_optimum_is_unique") as ran, calls_of("_leaving") as ratio_tests:
+        for one in solved:
+            one.solve()
     assert len(ran) == 3
+    # Every ratio test runs too: one _leaving call per pivot.
+    assert solved[0].pivots > 0
+    assert [ratio_tests.count(one) for one in solved] == [solved[0].pivots] * 3
+    assert all(one._memo_ratio_tests == 0 for one in solved)
 
 
-def test_tie_memo_bound(monkeypatch):
-    # The memos of all compiled systems together hold at most
-    # TIE_MEMO_CAP entries, and the answers stay right when they empty.
-    monkeypatch.setattr(lpdecode, "TIE_MEMO_CAP", 5)
+def logged_solve(sx, memo=None):
+    """sx.solve(memo) and the pivot_log of the solve, tie check included."""
+    with pivot_log(ExactSimplex, lambda sx, s: sx.nonbasic[s]) as log:
+        res = sx.solve(memo)
+    return res, log
+
+
+MEMO_CODES = ["3x7", "7x7", "steane", "15_11", "hagiwara"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(varied_lps().flatmap(lambda lp: st.tuples(
+           st.just(lp), st.lists(st.integers(-3, 3), min_size=len(lp[2]), max_size=len(lp[2]))))
+       | st.tuples(st.sampled_from(MEMO_CODES), st.integers(0, 2**32), st.booleans()))
+def test_memo_replays_the_memo_free_pivot_log(case):
+    # Each objective is solved twice with one memo, then a second objective
+    # with the same memo: every solve takes exactly the pivots of a
+    # memo-free solve of its objective and returns the same result, and
+    # the repeated solve takes every leaving variable from the memo.  The
+    # generic LPs have entries other than +-1, so d differs from the pivot
+    # element.
+    if isinstance(case[0], str):
+        code, seed, gaussian = case
+        H = decode_code(code)
+        system = _compiled_lp(H)[0]
+        objectives = [rationalize_llr(seeded_llrs(H, s, gaussian)) for s in (seed, seed + 1)]
+    else:
+        (A, b, c), c2 = case
+        system = dense_simplex(A, b, [0] * len(c))
+        objectives = [c, c2]
+    memo = {}
+    for c, again in ((objectives[0], False), (objectives[0], True), (objectives[1], False)):
+        want, want_log = logged_solve(system.with_objective(c))
+        sx, known = system.with_objective(c), set(memo)
+        with calls_of("_leaving") as ran:
+            got, log = logged_solve(sx, memo)
+        assert got == want and solve_pivots(log) == solve_pivots(want_log)
+        # The tie check pivots as the memo-free one does, unless its answer
+        # came from the memo.
+        assert log == (solve_pivots(want_log) if sx._tie_key() in known else want_log)
+        assert sx._memo_ratio_tests + ran.count(sx) == len(solve_pivots(log))
+        if again:
+            assert ran == [] and sx._memo_ratio_tests == len(solve_pivots(log))
+
+
+def basis_bits(sx):
+    return sum(1 << v for v in sx.basis)
+
+
+@settings(max_examples=300, deadline=None)
+@given(varied_lps() | degenerate_lps(), st.lists(st.integers(0, 3), max_size=20))
+def test_basis_bits_follow_every_pivot(lp, choices):
+    # Along a walk off Bland's path (as in the ratio-test walk above) the
+    # basis bits are the set of basic variables after every pivot; an
+    # instance that with_objective starts from a pivoted one is at the slack
+    # basis, and starting it leaves the pivoted one's bits alone.
+    sx = dense_simplex(*lp)
+    slack = basis_bits(sx)
+    assert sx._basis_bits == slack == ((1 << sx.m) - 1) << sx.n
+    for choice in choices:
+        s = choice % sx.n
+        r = sx._leaving(s)
+        if r >= 0:
+            sx._pivot(r, s)
+        assert sx._basis_bits == basis_bits(sx)
+        fresh = sx.with_objective([1] * sx.n)
+        assert fresh._basis_bits == basis_bits(fresh) == slack
+        assert sx._basis_bits == basis_bits(sx)
+        assert fresh.solve()
+        assert fresh._basis_bits == basis_bits(fresh)
+
+
+class KeyRecordingMemo(dict):
+    """A memo that records every key stored, with its kind (memo_kind)."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, answer):
+        self.stored.append((key, memo_kind(key, answer)))
+        super().__setitem__(key, answer)
+
+
+def test_ratio_keys_never_equal_tie_keys(monkeypatch):
+    # Every key a decode could store for a ratio test, at each basis along
+    # its path and for each nonbasic column, differs from every tie key
+    # stored; each key is stored once, with an answer of its own kind.
+    pivot = ExactSimplex._pivot
+    for code in MEMO_CODES:
+        H = decode_code(code)
+        system, memo = _compiled_lp(H)[0], KeyRecordingMemo()
+        ratio_keys = set()
+
+        def record(sx):
+            if sx._rows is system._rows:  # not the tie check's auxiliary LP
+                ratio_keys.update((sx._basis_bits, v) for v in sx.nonbasic)
+
+        def recording(sx, r, s):
+            record(sx)
+            pivot(sx, r, s)
+            record(sx)
+
+        monkeypatch.setattr(ExactSimplex, "_pivot", recording)
+        for seed in range(8):
+            for gaussian in (False, True):
+                sx = system.with_objective(rationalize_llr(seeded_llrs(H, seed, gaussian)))
+                record(sx)
+                sx.solve(memo)
+        keys = [key for key, _ in memo.stored]
+        assert len(keys) == len(set(keys)) == len(memo)
+        tie_keys = {key for key, kind in memo.stored if kind == "tie check"}
+        assert tie_keys and not tie_keys & ratio_keys, code
+        assert {key for key, kind in memo.stored if kind == "ratio test"} <= ratio_keys
+
+
+def test_memo_decodes_match_memo_free_solves():
+    # On a seeded corpus of the five decode codes, BSC errors at two
+    # crossovers and Gaussian LLRs, every lp_decode through the compiled
+    # system's memo gives the status, optimum and objective of a memo-free
+    # solve, and the memo served ratio tests on every code.
     lpdecode._compiled.clear()
-    sizes = []
+    for code in MEMO_CODES:
+        H = decode_code(code)
+        rng = random.Random(code)
+        gammas = [llr_bsc(e, p) for p in (0.05, 0.1) for e in bsc_errors(H.cols, p, 25, seed=7)]
+        gammas += [[rng.gauss(1.0, 1.2) for _ in range(H.cols)] for _ in range(10)]
+        with calls_of("solve") as solved:
+            for gamma in gammas:
+                got = lp_decode(H, gamma)
+                free = _compiled_lp(H)[0].with_objective(rationalize_llr(gamma)).solve()
+                assert (got.optimum, got.objective) == (free.x, free.objective)
+                integral = all(v.denominator == 1 for v in free.x)
+                assert got.status == ("tie" if not free.unique
+                                      else "codeword" if integral else "fractional")
+        assert sum(sx._memo_ratio_tests for sx in solved) > 0, code
+
+
+def test_memo_bound(monkeypatch):
+    # The memos of all compiled systems together hold at most MEMO_CAP
+    # entries, ratio-test and tie-check answers alike, and the answers stay
+    # right when they empty.
+    monkeypatch.setattr(lpdecode, "MEMO_CAP", 5)
+    lpdecode._compiled.clear()
+    sizes, kinds = [], set()
     for code, p in (("3x7", 0.1), ("steane", 0.1), ("15_11", 0.05)):
         H = decode_code(code)
         for e in bsc_errors(H.cols, p, 60, seed=4):
@@ -790,9 +940,25 @@ def test_tie_memo_bound(monkeypatch):
             got = lp_decode(H, gamma)
             free = _compiled_lp(H)[0].with_objective(rationalize_llr(gamma)).solve()
             assert (got.status == "tie") == (not free.unique)
-            sizes.append(sum(len(ties) for _, ties in lpdecode._compiled.values()))
+            assert got.optimum == free.x
+            memos = [memo for _, memo in lpdecode._compiled.values()]
+            sizes.append(sum(map(len, memos)))
+            kinds |= {memo_kind(key, answer) for memo in memos for key, answer in memo.items()}
     assert max(sizes) == 5
     assert any(b < a for a, b in zip(sizes, sizes[1:]))
+    assert kinds == {"ratio test", "tie check"}
+
+
+def memo_kind(key, answer):
+    """Which answer a memo entry holds: a ratio test's leaving variable
+    (-1 for none) under (basis bits, entering variable), or a tie check's
+    answer under (basis bits, ~zero-reduced-cost bits)."""
+    bits, tail = key
+    if tail >= 0:
+        assert type(answer) is int and answer >= -1
+        return "ratio test"
+    assert type(answer) is bool
+    return "tie check"
 
 
 def test_evicted_system_drops_its_memo(monkeypatch):
@@ -829,6 +995,10 @@ def test_debug_line_says_memo_hit(lp, caplog):
         assert not res.unique
     checked, hit = lines
     counts = [int(w) for w in checked.split() if w.isdigit()]
-    assert checked.endswith(", tie answer checked") and counts[3] > 0
+    assert checked.endswith(", tie answer checked") and counts[4] > 0
+    # The first solve meets every ratio-test key for the first time, and
+    # the second takes the leaving variable of each one from the memo.
+    assert counts[2] == 0
     assert hit.endswith(", tie answer from the memo")
-    assert [int(w) for w in hit.split() if w.isdigit()] == [*counts[:2], 0, 0, counts[4]]
+    assert [int(w) for w in hit.split() if w.isdigit()] == [
+        counts[0], counts[1], counts[1], 0, 0, counts[5]]

@@ -121,6 +121,26 @@ def test_systems_are_records_of_their_matrix(system, hamming7):
         system(S.dim, S.inequalities)
 
 
+@pytest.mark.parametrize(
+    "H",
+    [hagiwara_css_label_matrix(), steane_matrix(3), hamming_matrix(4)],
+    ids=["hagiwara", "steane", "hamming15"],
+)
+def test_rows_are_made_when_first_read(H):
+    # Making a system and testing cone membership build no dense row; the
+    # rows, once read, are the reference builders' rows in their order, and
+    # a second read returns the same tuple.
+    K, P = build_fundamental_cone(H), build_relaxed_polytope(H)
+    assert K.contains((0,) * H.cols) and not K.contains((1,) + (0,) * (H.cols - 1))
+    assert "inequalities" not in vars(K) and "inequalities" not in vars(P)
+    assert rows_of(K) == rows_of(reference_cone(H))
+    assert rows_of(P) == rows_of(reference_polytope(H))
+    assert vars(K)["inequalities"] is K.inequalities
+    assert vars(P)["inequalities"] is P.inequalities
+    assert K == ConeSystem(H) and P == PolytopeSystem(H)
+    assert hash(K) == hash(ConeSystem(H)) and hash(P) == hash(PolytopeSystem(H))
+
+
 def test_builders_skip_the_normalizer(monkeypatch, hamming7):
     def refuse(*args, **kwargs):
         raise AssertionError("builder rows must not need normalizing")
