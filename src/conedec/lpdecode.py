@@ -1,6 +1,6 @@
 """LP decoding over the relaxed polytope, ML decoding on the syndrome
-trellis of H, BSC simulation, and the shift-equivariance experiment for
-quasi-cyclic representations.
+trellis of H, both its ends read from gf2_row_echelon, BSC simulation, and
+the shift-equivariance experiment for quasi-cyclic representations.
 
 Every seeded Monte Carlo run, with or without shift orbits, draws its
 errors from one stream, bsc_errors(n, p, trials, seed).
@@ -241,17 +241,18 @@ def ml_decode(H: BinaryMatrix, gamma: LlrVector) -> BinaryVector:
     are reachable from 0 and can still reach 0 are kept: that is the
     minimal BCJR trellis (McEliece, IEEE T-IT 1996), with at most
     min(2^k, 2^(n-k)) states per level.  Its widths are known before the
-    walk, and one above 2^ENUMERATION_CAP raises BoundExceeded.  Each state
-    keeps its least (cost, prefix) pair, the prefix an int with c_0 as its
-    top bit, so that int order is tuple order on prefixes of one length.
-    A certified hard decision (see the module docstring) is returned
-    without the walk.
+    walk from where dual words start and end, both read from
+    gf2_row_echelon, and one above 2^ENUMERATION_CAP raises BoundExceeded.
+    Each state keeps its least (cost, prefix) pair, the prefix an int with
+    c_0 as its top bit, so that int order is tuple order on prefixes of one
+    length.  A certified hard decision (see the module docstring) is
+    returned without the walk.
     """
     n = H.cols
     if len(gamma) != n:
         raise ValueError(f"LLR length {len(gamma)} != cols {n}")
     gr = rationalize_llr(gamma)
-    last = _last_coordinate_rows(H.row_bits)
+    last = _last_coordinate_rows(H)
     first = set(gf2_row_echelon(H.row_bits)[1])
     # Some dual word starts at i iff i is an echelon pivot (in first), and
     # some dual word ends at i iff i is in last.  The state count doubles
@@ -284,21 +285,14 @@ def ml_decode(H: BinaryMatrix, gamma: LlrVector) -> BinaryVector:
     return BinaryVector(n, _reverse(states[0][1], n))
 
 
-def _last_coordinate_rows(row_bits: Sequence[int]) -> dict[int, int]:
-    """{i: m} for each coordinate i that the columns after it do not span,
-    with m a set of rows (bit j = row j) whose sum has i as its last
-    coordinate."""
-    basis: dict[int, tuple[int, int]] = {}
-    for j, word in enumerate(row_bits):
-        rows = 1 << j
-        while word:
-            top = word.bit_length() - 1
-            if top not in basis:
-                basis[top] = (word, rows)
-                break
-            word ^= basis[top][0]
-            rows ^= basis[top][1]
-    return {top: rows for top, (_, rows) in basis.items()}
+def _last_coordinate_rows(H: BinaryMatrix) -> dict[int, int]:
+    """{i: m} for each coordinate i where some dual word ends, m a set of
+    rows (bit j = row j) that sums to one.  Row j is reversed, so that its
+    last coordinate is its lowest bit, and tagged with bit n + j: an echelon
+    row with pivot p < n ends at n - 1 - p, and its tags are its rows."""
+    n = H.cols
+    tagged = [_reverse(r, n) | 1 << (n + j) for j, r in enumerate(H.row_bits)]
+    return {n - 1 - p: r >> n for r, p in zip(*gf2_row_echelon(tagged)) if p < n}
 
 
 def _reverse(bits: int, n: int) -> int:

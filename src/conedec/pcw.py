@@ -57,11 +57,14 @@ def enumerate_pseudocodewords(H: BinaryMatrix, bound: int) -> list[Pseudocodewor
     most sum + bound * left and its final max at least the current max, so
     a pruned branch has no completion that meets the cone inequality
     sum >= 2 * max; and a leaf is reached exactly when every row meets that
-    inequality with an even sum.
+    inequality with an even sum.  At bound 0 the box holds only the zero
+    vector, a pseudocodeword, returned without the n-deep recursive walk.
     """
     n = H.cols
     if bound < 0:
         raise ValueError("bound must be >= 0")
+    if not bound:
+        return [Pseudocodeword((0,) * n)]
     if (bound + 1) ** n > BOX_BUDGET:
         raise BoundExceeded(
             f"box sweep of ({bound + 1})^{n} points exceeds budget {BOX_BUDGET}"

@@ -1,4 +1,4 @@
-"""The GF(2) routines that faster ones replaced in gf2, kept as their test
+"""The GF(2) routines that gf2 and lpdecode replaced, kept as their test
 oracles.
 
 gf2_row_echelon is the per-column row reduction that row insertion
@@ -6,6 +6,13 @@ replaced.  For each column in turn it looks for an unused row with that
 bit set, swaps it up, and clears the bit from every other row.  Its (rows,
 pivots) are the reduced row echelon form that gf2.gf2_row_echelon must
 reproduce exactly.
+
+last_coordinate_rows is the top-bit elimination that lpdecode's
+_last_coordinate_rows replaced with gf2.gf2_row_echelon on reversed,
+tagged rows.  Each row, tagged with its index, is reduced by the basis
+rows whose top bit it holds until its top bit is new.  Its keys, the
+coordinates where some dual word ends, are the keys that map must
+have; its row sets may differ.
 
 mat_vec_mod2 is the per-entry parity check that the odd-entry bitmask
 replaced: each row sums the entries of v on its support over the integers
@@ -41,6 +48,23 @@ def gf2_row_echelon(row_bits: Sequence[int], cols: int) -> tuple[list[int], list
         if r == len(rows):
             break
     return rows[: len(pivots)], pivots
+
+
+def last_coordinate_rows(row_bits: Sequence[int]) -> dict[int, int]:
+    """{i: m} for each coordinate i that the columns after it do not span,
+    with m a set of rows (bit j = row j) whose sum has i as its last
+    coordinate."""
+    basis: dict[int, tuple[int, int]] = {}
+    for j, word in enumerate(row_bits):
+        rows = 1 << j
+        while word:
+            top = word.bit_length() - 1
+            if top not in basis:
+                basis[top] = (word, rows)
+                break
+            word ^= basis[top][0]
+            rows ^= basis[top][1]
+    return {top: rows for top, (_, rows) in basis.items()}
 
 
 def mat_vec_mod2(H: BinaryMatrix, v: Sequence[int]) -> BinaryVector:

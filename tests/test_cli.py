@@ -436,6 +436,13 @@ class TestGenfun:
         obj = json.loads(out)
         assert len(obj["terms"]) == 1
 
+    def test_bound_zero_wide_matrix(self, tmp_path, capsys):
+        p = tmp_path / "wide.txt"
+        p.write_text(format_dense(BinaryMatrix(1, 1200, [(1 << 1200) - 1])))
+        code, out = run(capsys, "genfun", str(p), "--box-B", "0")
+        assert code == 0
+        assert json.loads(out)["terms"] == [{"exp": [0] * 1200, "coef": 1}]
+
     def test_negative_bound(self, hamming_path, capsys):
         code = main(["genfun", hamming_path, "--box-B", "-1"])
         captured = capsys.readouterr()

@@ -130,7 +130,10 @@ class TestEnumerateCodewords:
 @st.composite
 def echelon_inputs(draw):
     """(rows, cols): 0-12 rows on 1-70 columns, each row fresh, sparse,
-    zero, a copy of an earlier row or the sum of earlier rows."""
+    zero, a copy of an earlier row or the sum of earlier rows.  Half the
+    time row j is then tagged with bit cols + j, as ml_decode tags H's
+    reversed rows, so the rows span cols + len(rows) columns and can pivot
+    on a tag."""
     cols = draw(st.integers(1, 70))
     rows: list[int] = []
     for _ in range(draw(st.integers(0, 12))):
@@ -149,6 +152,9 @@ def echelon_inputs(draw):
             for r in draw(st.lists(st.sampled_from(rows), min_size=2, max_size=4)):
                 row ^= r
         rows.append(row)
+    if draw(st.booleans()):
+        rows = [r | 1 << (cols + j) for j, r in enumerate(rows)]
+        cols += len(rows)
     return rows, cols
 
 
@@ -157,6 +163,8 @@ def echelon_inputs(draw):
 @example(([], 1))
 @example(([0, 0], 3))
 @example(([0b011, 0b110, 0b101], 3))
+@example(([0b01000, 0b10000], 5))
+@example(([0b0001_011, 0b0010_110, 0b0100_101, 0b1000_000], 7))
 def test_row_echelon_matches_per_column_reference(case):
     rows, cols = case
     assert gf2_row_echelon(rows) == reference_gf2.gf2_row_echelon(rows, cols)

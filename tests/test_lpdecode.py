@@ -35,6 +35,7 @@ from conedec.constructions import (
 )
 from conedec.errors import BoundExceeded
 from conedec.lpdecode import _compiled_lp, bsc_errors, rationalize_llr
+import reference_gf2
 from conftest import assert_compiled_matches_dense, decode_rows
 from reference_simplex import (
     CondensedSimplex,
@@ -235,6 +236,48 @@ class TestMlDecode:
             res = lp_decode(H, gamma)
             if res.status == "codeword":
                 assert res.as_binary() == ml_decode(H, gamma)
+
+
+@st.composite
+def trellis_matrices(draw):
+    """H with n <= 12 and up to 8 rows, each zero, of weight 1, fresh, a
+    copy of an earlier row or the sum of earlier rows."""
+    n = draw(st.integers(1, 12))
+    rows: list[int] = []
+    for _ in range(draw(st.integers(1, 8))):
+        kinds = ["zero", "weight-1", "fresh"] + (["copy", "sum"] if rows else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            row = 0
+        elif kind == "weight-1":
+            row = 1 << draw(st.integers(0, n - 1))
+        elif kind == "fresh":
+            row = draw(st.integers(0, (1 << n) - 1))
+        elif kind == "copy":
+            row = draw(st.sampled_from(rows))
+        else:
+            row = 0
+            for r in draw(st.lists(st.sampled_from(rows), min_size=2, max_size=4)):
+                row ^= r
+        rows.append(row)
+    return BinaryMatrix(len(rows), n, rows)
+
+
+@settings(max_examples=500, deadline=None)
+@given(trellis_matrices())
+def test_last_coordinate_rows_match_top_bit_reference(H):
+    # The ends read from gf2_row_echelon are the coordinates where the
+    # top-bit elimination finds a dual word ending, and each row set sums
+    # to a dual word whose last coordinate is its key.
+    last = lpdecode._last_coordinate_rows(H)
+    assert last.keys() == reference_gf2.last_coordinate_rows(H.row_bits).keys()
+    for i, m in last.items():
+        assert 0 < m < 1 << H.rows
+        word = 0
+        for j, r in enumerate(H.row_bits):
+            if m >> j & 1:
+                word ^= r
+        assert word.bit_length() - 1 == i
 
 
 @st.composite

@@ -108,6 +108,12 @@ class TestEnumeratePseudocodewords:
     def test_bound_zero(self, hamming7):
         assert [p.coords for p in enumerate_pseudocodewords(hamming7, 0)] == [(0,) * 7]
 
+    def test_bound_zero_any_width(self):
+        # The walk recurses once per column; at bound 0 the box is the zero
+        # vector alone, answered without it at any width.
+        H = BinaryMatrix(1, 1200, [(1 << 1200) - 1])
+        assert enumerate_pseudocodewords(H, 0) == [Pseudocodeword((0,) * 1200)]
+
     def test_hamming_bound_one_is_codewords(self, hamming7):
         got = {p.coords for p in enumerate_pseudocodewords(hamming7, 1)}
         assert got == {c.to_tuple() for c in enumerate_codewords(hamming7)}
