@@ -6,10 +6,16 @@ Every seeded Monte Carlo run, with or without shift orbits, draws its
 errors from one stream, bsc_errors(n, p, trials, seed).
 
 LLRs are computed in double precision and rationalized (continued-fraction
-approximation, denominator cap 10^6) before entering the exact simplex, so
-the optimizer itself never sees a float.  Each distinct value is
-approximated once per process (a bounded cache), since BSC LLRs repeat.  A
-decode reports status "codeword" / "fractional" when the optimum is the
+approximation, denominator cap 10^6) into one primitive integer vector c
+and a positive Fraction unit, with unit * c_i the approximation of gamma_i,
+so the optimizer itself never sees a float.  A bounded cache keyed by the
+set of distinct values holds each value's c_i and the unit: a BSC vector
+has at most two values, so its rationalization is a lookup.  Both decoders
+run on c (scaling by unit > 0 keeps every comparison), and lp_decode builds
+Fractions only for its result: the optimum, read off the simplex, and the
+objective, c . x scaled by unit once.
+
+A decode reports status "codeword" / "fractional" when the optimum is the
 unique vertex of the optimal face, and "tie" when that face contains more
 than one vertex; the tie test is geometric, so it is invariant under
 coordinate rotations of a quasi-cyclic instance.
@@ -52,7 +58,6 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Sequence
 
-from . import dd
 from .errors import BoundExceeded
 from .gf2 import (
     ENUMERATION_CAP,
@@ -61,10 +66,9 @@ from .gf2 import (
     cyclic_shift,
     gf2_row_echelon,
     is_quasi_cyclic,
-    mat_vec_mod2,
 )
 from .polytope import relaxed_rows
-from .simplex import ExactSimplex
+from .simplex import _ONE, _ZERO, ExactSimplex
 
 LLR_DENOMINATOR_CAP = 10**6
 
@@ -104,27 +108,38 @@ def llr_bsc(w: BinaryVector, p: float) -> list[float]:
     return [-g if b else g for b in w]
 
 
-def rationalize_llr(gamma: LlrVector) -> tuple[Fraction, ...]:
-    return tuple(map(_rational, gamma))
+def rationalize_llr(gamma: LlrVector) -> tuple[tuple[int, ...], Fraction]:
+    """(c, unit): the rationalized LLRs as one primitive integer vector c
+    and a Fraction unit > 0, so that unit * c_i is
+    Fraction(gamma_i).limit_denominator(LLR_DENOMINATOR_CAP).  unit is 1
+    when every rationalized LLR is 0."""
+    scaled, unit = _scaled_values(frozenset(gamma))
+    return tuple(map(scaled.__getitem__, gamma)), unit
 
 
-@functools.lru_cache(maxsize=4096)
-def _rational(x) -> Fraction:
-    # Equal numbers of any type (1, 1.0, Fraction(1)) share a key and have
-    # the same approximation; NaN and inf raise and are not cached.
-    return Fraction(x).limit_denominator(LLR_DENOMINATOR_CAP)
+# A BSC run at one p meets three value sets (all +L, all -L, both).  An
+# entry of Gaussian Hagiwara LLRs (84 values) holds about 27 KB
+# (tracemalloc, CPython 3.11), so a full cache some 1.7 MB.
+@functools.lru_cache(maxsize=64)
+def _scaled_values(values: frozenset) -> tuple[dict, Fraction]:
+    """({x: c_x}, unit) for the distinct values of an LLR vector.  Equal
+    numbers of any type (1, 1.0, Fraction(1)) are one value and have the
+    same approximation; NaN and inf raise and are not cached."""
+    pq = [(x, Fraction(x).limit_denominator(LLR_DENOMINATOR_CAP)) for x in values]
+    q = math.lcm(*[r.denominator for _, r in pq])
+    p = {x: r.numerator * (q // r.denominator) for x, r in pq}
+    g = math.gcd(*p.values())
+    if not g:
+        return p, _ONE
+    return {x: a // g for x, a in p.items()}, Fraction(g, q)
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-def _certified_codeword(H: BinaryMatrix, gr: Sequence[Fraction]) -> int | None:
-    """The hard decision y of gr (bit i = 1 iff gr_i < 0) when no gr_i is 0
-    and y is a codeword; y is then the unique minimizer of gr . x over
+def _certified_codeword(H: BinaryMatrix, c: Sequence[int]) -> int | None:
+    """The hard decision y of c (bit i = 1 iff c_i < 0) when no c_i is 0
+    and y is a codeword; y is then the unique minimizer of c . x over
     [0, 1]^n and so over the relaxed polytope and the code.  Else None."""
     y = 0
-    for i, g in enumerate(gr):
-        a = g.numerator  # the sign without a Fraction comparison
+    for i, a in enumerate(c):
         if a < 0:
             y |= 1 << i
         elif not a:
@@ -205,31 +220,36 @@ def lp_decode(H: BinaryMatrix, gamma: LlrVector) -> DecodeResult:
     """
     if len(gamma) != H.cols:
         raise ValueError(f"LLR length {len(gamma)} != cols {H.cols}")
-    gr = rationalize_llr(gamma)
+    c, unit = rationalize_llr(gamma)
     system, memo = _compiled_lp(H)  # raises over the cap, certified or not
-    hard = _certified_codeword(H, gr)
+    hard = _certified_codeword(H, c)
     if hard is not None:
         logger.debug("lp_decode: hard decision of weight %d is a codeword, no LP", hard.bit_count())
-        bits = range(H.cols)
+        # y_i = 1 iff c_i < 0, so c . y sums the negative c_i; the zero
+        # word, the usual one, costs 0.
+        cost = sum([a for a in c if a < 0])
         return DecodeResult(
-            optimum=tuple([_ONE if hard >> i & 1 else _ZERO for i in bits]),
-            objective=sum([gr[i] for i in bits if hard >> i & 1], _ZERO),
+            optimum=tuple([_ONE if a < 0 else _ZERO for a in c]),
+            objective=unit * cost if cost else _ZERO,
             integral=True,
             status="codeword",
         )
-    res = system.with_objective(gr).solve(memo)
-    y = res.x
-    integral = all(v.denominator == 1 for v in y)
+    sx = system.with_objective(c)
+    res = sx.solve(memo)
+    # Only basic structurals can be nonzero, x_j = core[j][-1] / d in [0, 1].
+    d = sx.d
+    integral = all(row[-1] in (0, d) for row in sx.core.values())
     if not res.unique:
         status = "tie"
     elif integral:
-        # The integral optimum lies in [0, 1]^n: its numerators are its bits.
-        if any(mat_vec_mod2(H, [v.numerator for v in y])):
+        y = sum([1 << j for j, row in sx.core.items() if row[-1]])
+        if any((r & y).bit_count() & 1 for r in H.row_bits):
             raise AssertionError("integral optimum violates parity")
         status = "codeword"
     else:
         status = "fractional"
-    return DecodeResult(optimum=y, objective=res.objective, integral=integral, status=status)
+    return DecodeResult(optimum=res.x, objective=unit * res.objective, integral=integral,
+                        status=status)
 
 
 def ml_decode(H: BinaryMatrix, gamma: LlrVector) -> BinaryVector:
@@ -242,37 +262,29 @@ def ml_decode(H: BinaryMatrix, gamma: LlrVector) -> BinaryVector:
     minimal BCJR trellis (McEliece, IEEE T-IT 1996), with at most
     min(2^k, 2^(n-k)) states per level.  Its widths are known before the
     walk from where dual words start and end, both read from
-    gf2_row_echelon, and one above 2^ENUMERATION_CAP raises BoundExceeded.
-    Each state keeps its least (cost, prefix) pair, the prefix an int with
-    c_0 as its top bit, so that int order is tuple order on prefixes of one
-    length.  A certified hard decision (see the module docstring) is
-    returned without the walk.
+    gf2_row_echelon once per H (_trellis_plan), and one above
+    2^ENUMERATION_CAP raises BoundExceeded.  Each state keeps its least
+    (cost, prefix) pair, the prefix an int with c_0 as its top bit, so that
+    int order is tuple order on prefixes of one length.  A certified hard
+    decision (see the module docstring) is returned without the walk.
     """
     n = H.cols
     if len(gamma) != n:
         raise ValueError(f"LLR length {len(gamma)} != cols {n}")
-    gr = rationalize_llr(gamma)
-    last = _last_coordinate_rows(H)
-    first = set(gf2_row_echelon(H.row_bits)[1])
-    # Some dual word starts at i iff i is an echelon pivot (in first), and
-    # some dual word ends at i iff i is in last.  The state count doubles
-    # where none ends, as the later columns span column i (both bits stay
-    # live), and halves where none starts, as the earlier ones do (states
-    # merge).
-    width = max(accumulate((i not in last) - (i not in first) for i in range(n)))
+    # unit > 0 scales every cost alike, so it keeps their order.
+    w, _ = rationalize_llr(gamma)
+    steps, width = _trellis_plan(H)
     if width > ENUMERATION_CAP:
         raise BoundExceeded(
             f"ML trellis needs 2^{width} states, above the 2^{ENUMERATION_CAP} cap"
         )
     # After the width check, so the cap holds for certified words too.
-    hard = _certified_codeword(H, gr)
+    hard = _certified_codeword(H, w)
     if hard is not None:
         logger.debug("ml_decode: hard decision of weight %d is a codeword, no trellis", hard.bit_count())
         return BinaryVector(n, hard)
-    # Scaling every LLR by one positive factor keeps the order of costs.
-    w = dd.integerize(gr)
     states = {0: (0, 0)}  # syndrome -> (cost, prefix)
-    for h, wi, m in zip(H.transpose().row_bits, w, map(last.get, range(n))):
+    for (h, m), wi in zip(steps, w):
         nxt = {}
         for s, (cost, path) in states.items():
             # The rows in m sum to a dual word whose last coordinate is i, so
@@ -283,6 +295,24 @@ def ml_decode(H: BinaryMatrix, gamma: LlrVector) -> BinaryVector:
                     nxt[t] = key
         states = nxt
     return BinaryVector(n, _reverse(states[0][1], n))
+
+
+@functools.lru_cache(maxsize=256)
+def _trellis_plan(H: BinaryMatrix) -> tuple[tuple[tuple[int, int | None], ...], int]:
+    """The syndrome trellis of H, computed once per H: (steps, width).
+    steps[i] is (h, m), with h column i of H as a syndrome and m the rows
+    that sum to a dual word ending at i (_last_coordinate_rows), None when
+    none ends there; width is log2 of the largest state count."""
+    n = H.cols
+    last = _last_coordinate_rows(H)
+    first = set(gf2_row_echelon(H.row_bits)[1])
+    # Some dual word starts at i iff i is an echelon pivot (in first), and
+    # some dual word ends at i iff i is in last.  The state count doubles
+    # where none ends, as the later columns span column i (both bits stay
+    # live), and halves where none starts, as the earlier ones do (states
+    # merge).
+    width = max(accumulate((i not in last) - (i not in first) for i in range(n)))
+    return tuple(zip(H.transpose().row_bits, map(last.get, range(n)))), width
 
 
 def _last_coordinate_rows(H: BinaryMatrix) -> dict[int, int]:

@@ -6,7 +6,12 @@ Bland's rule picks both the entering and the leaving variable by variable
 index, which rules out cycling.  The starting basis is the slack basis, so
 b >= 0 is required; every system produced in this package satisfies it
 (the origin is feasible).  The constructor takes one input format: the
-constraint rows sparse and integer, as the decode LP compiles them from H.
+constraint rows sparse and integer, as the decode LP compiles them from H,
+and an integer objective c, as lpdecode scales the rationalized LLRs to
+one; a rational objective is scaled to integers by its caller.  No Fraction
+is made before the result: its objective c . x is one
+Fraction(sum_j c_j * core[j][-1], d), and its x holds the module's one
+Fraction object for each 0 and each 1 entry.
 
 The tableau is the condensed one: T = d * R over the nonbasic columns and
 the rhs, where R is the usual rational tableau and d > 0 is the previous
@@ -127,26 +132,29 @@ from fractions import Fraction
 from itertools import chain
 from typing import MutableMapping, Sequence
 
-from . import dd
 from .errors import NumericalFailure
 
 logger = logging.getLogger(__name__)
 
 MAX_PIVOTS = 100000
 
+# Every x of every result holds these two objects for its 0 and 1 entries.
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 @dataclass(frozen=True)
 class SimplexResult:
-    objective: Fraction
+    objective: Fraction  # c . x
     x: tuple[Fraction, ...]
     unique: bool  # True iff the optimal face is the single vertex x
 
 
 class ExactSimplex:
-    def __init__(self, n: int, rows: Sequence, b: Sequence[int], c: Sequence):
+    def __init__(self, n: int, rows: Sequence, b: Sequence[int], c: Sequence[int]):
         """min c . x over n structurals and the sparse integer rows: rows[k]
         is a tuple of (j, a_kj) pairs, with distinct int j in range(n) and
-        int a_kj != 0, and one int rhs b[k] >= 0 per row.
+        int a_kj != 0, and one int rhs b[k] >= 0 per row.  The objective c
+        is n ints.
 
         Builds the column index from the rows: row k's columns share one
         (k, a) entry per distinct coefficient a, so an odd-set row has just
@@ -172,25 +180,27 @@ class ExactSimplex:
         self._at_slack_basis(tuple(rows), tuple(b), tuple(map(tuple, cols)), zero_cols, c, self)
 
     @staticmethod
-    def _at_slack_basis(rows: tuple, b: tuple, cols: tuple, zero_cols: tuple, c: Sequence,
+    def _at_slack_basis(rows: tuple, b: tuple, cols: tuple, zero_cols: tuple, c: Sequence[int],
                         sx: "ExactSimplex | None" = None,
                         start: "tuple[tuple, tuple, tuple] | None" = None) -> "ExactSimplex":
         """sx, or else a new instance that skips __init__'s checks, at the
-        slack basis with objective c, over the sparse rows with their rhs
-        b, their column index cols (one column per structural) and that
-        index restricted to the rows of b_k = 0.  These four are kept, not
-        copied: no pivot writes into them.  start is the slack basis's
-        (basis, nonbasic, _where) as tuples, built here when not given; each
-        instance pivots its own list copies."""
+        slack basis with the integer objective c, over the sparse rows with
+        their rhs b, their column index cols (one column per structural)
+        and that index restricted to the rows of b_k = 0.  These four are
+        kept, not copied: no pivot writes into them.  start is the slack
+        basis's (basis, nonbasic, _where) as tuples, built here when not
+        given; each instance pivots its own list copies."""
         n, m = len(cols), len(rows)
         if len(c) != n:
             raise ValueError("objective has wrong length")
+        if set(map(type, c)) - {int}:
+            raise ValueError("objective entries must be ints")
         if sx is None:
             sx = object.__new__(ExactSimplex)
         sx.n, sx.m = n, m
         sx._rows, sx._b, sx._cols, sx._zero_cols = rows, b, cols, zero_cols
-        sx.obj = [*dd.integerize(c), 0]
-        sx.c = tuple(c)
+        sx.c = c = tuple(c)
+        sx.obj = [*c, 0]
         sx.d = 1
         if start is None:
             # _where: position in basis of a basic variable, ~column of a
@@ -205,11 +215,11 @@ class ExactSimplex:
         sx._memo_ratio_tests = sx._tie_rows = sx._tie_pivots = 0
         return sx
 
-    def with_objective(self, c: Sequence) -> "ExactSimplex":
+    def with_objective(self, c: Sequence[int]) -> "ExactSimplex":
         """A fresh simplex at the slack basis on this one's constraint rows
-        with objective c.  The sparse rows and the column indexes are
-        shared, not copied, and the slack basis is copied from this one's
-        (O(n + m) list copies, no rebuild)."""
+        with the integer objective c.  The sparse rows and the column
+        indexes are shared, not copied, and the slack basis is copied from
+        this one's (O(n + m) list copies, no rebuild)."""
         return self._at_slack_basis(self._rows, self._b, self._cols, self._zero_cols, c,
                                     start=self._start)
 
@@ -400,12 +410,10 @@ class ExactSimplex:
             unique = self._optimum_is_unique()
             if key is not None:
                 memo[key] = unique
-        res = SimplexResult(
-            # Only basic structurals can be nonzero.
-            objective=sum((Fraction(self.c[j]) * x[j] for j in self.core), Fraction(0)),
-            x=x,
-            unique=unique,
-        )
+        # Only basic structurals can be nonzero, x_j = core[j][-1] / d.
+        c = self.c
+        dot = sum([c[j] * row[-1] for j, row in self.core.items()])
+        res = SimplexResult(objective=Fraction(dot, self.d), x=x, unique=unique)
         logger.debug(
             "solve: %d rows, %d solve pivots, %d ratio tests from the memo, "
             "%d tie-check pivots, %d binding rows, %d basic structurals, tie answer %s",
@@ -430,10 +438,12 @@ class ExactSimplex:
         return (self._basis_bits, ~zero) if zero else None
 
     def _solution(self) -> tuple[Fraction, ...]:
-        vals = [Fraction(0)] * self.n
+        d, x = self.d, [_ZERO] * self.n
         for j, row in self.core.items():
-            vals[j] = Fraction(row[-1], self.d)
-        return tuple(vals)
+            v = row[-1]
+            if v:
+                x[j] = _ONE if v == d else Fraction(v, d)
+        return tuple(x)
 
     def _optimum_is_unique(self) -> bool:
         """Whether the optimal face is a single point.

@@ -1,6 +1,12 @@
 """Reference simplexes kept as test oracles, a recorder of the pivots a
 simplex makes, and dense_simplex, which feeds ExactSimplex dense rational
-rows (the package itself builds only sparse integer rows).
+rows and a rational objective (the package itself builds only sparse
+integer rows and integer objectives).
+
+All three simplexes scale a rational objective c to dd.integerize(c), a
+positive multiple, which changes neither the optimum nor the pivot path,
+and report the objective value against that integer row, as ExactSimplex
+reports c . x for the integer c it is given.
 
 CondensedSimplex is the condensed-tableau simplex that the core-row
 ExactSimplex replaced: it stores every row of the condensed tableau (the
@@ -52,14 +58,15 @@ def _scaled_rows(A: Sequence[Sequence], b: Sequence):
 
 def dense_simplex(A: Sequence[Sequence], b: Sequence, c: Sequence) -> ExactSimplex:
     """ExactSimplex on dense rational rows A: min c . x over A x <= b, x >= 0,
-    each row scaled to integers (_scaled_rows) and stored sparse."""
+    each row scaled to integers (_scaled_rows) and stored sparse, and the
+    objective scaled to dd.integerize(c)."""
     rows, bs = [], []
     for row, rhs in _scaled_rows(A, b):
         if len(row) != len(c):
             raise ValueError("constraint row has wrong length")
         rows.append(tuple([(j, a) for j, a in enumerate(row) if a]))
         bs.append(rhs)
-    return ExactSimplex(len(c), rows, bs, c)
+    return ExactSimplex(len(c), rows, bs, dd.integerize(c))
 
 
 class CondensedSimplex:
@@ -81,11 +88,12 @@ class CondensedSimplex:
         self._start(c)
 
     def _start(self, c: Sequence) -> None:
-        """Objective row c over the unpivoted rows, at the slack basis."""
+        """Objective row dd.integerize(c) over the unpivoted rows, at the
+        slack basis."""
         [(obj, _)] = _scaled_rows([c], [0])
+        self.c = tuple(obj)
         obj.append(0)
         self.T: list[list[int]] = [*self._rows, obj]
-        self.c = tuple(Fraction(x) for x in c)
         self.d = 1
         self.basis = list(range(self.n, self.n + self.m))
         self.nonbasic = list(range(self.n))
@@ -235,7 +243,7 @@ class FullTableauSimplex:
             self.T.append(row)
         [(obj, _)] = _scaled_rows([c], [0])
         self.T.append(obj + [0] * (m + 1))
-        self.c = tuple(Fraction(x) for x in c)
+        self.c = tuple(obj)
         self.d = 1
         self.basis = [n + i for i in range(m)]
 

@@ -52,10 +52,10 @@ from conedec.constructions import (
     sc_ldpc,
     steane_matrix,
 )
-from conedec.lpdecode import rationalize_llr
 
 from conftest import MEMBER, NONMEMBER, random_matrix
 from reference_cone import intersect_cones, product_cone
+from reference_lpdecode import rationalize
 
 
 @contextmanager
@@ -305,7 +305,7 @@ def test_lp_ml_consistency():
             e = bsc_sample(zero, 0.1, 90000 + t)
             gamma = llr_bsc(e, 0.1)
             res = lp_decode(H, gamma)
-            gr = rationalize_llr(gamma)
+            gr = rationalize(gamma)
             ml = ml_decode(H, gamma)
             ml_cost = sum(g for g, b in zip(gr, ml) if b)
             assert res.objective <= ml_cost
@@ -346,7 +346,7 @@ def test_hagiwara_lp_at_most_ml():
     ]
     with criterion("Hagiwara LP objective <= ML cost", 10):
         pairs = [
-            (lp_decode(G, gamma), ml_decode(G, gamma), rationalize_llr(gamma))
+            (lp_decode(G, gamma), ml_decode(G, gamma), rationalize(gamma))
             for gamma in (llr_bsc(e, 0.03) for e in errors)
         ]
     for res, ml, gr in pairs:

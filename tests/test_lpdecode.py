@@ -23,7 +23,7 @@ from conedec import (
     ml_decode,
     shift_equivariance_experiment,
 )
-from conedec import lpdecode, polytope
+from conedec import dd, lpdecode, polytope
 from conedec.constructions import (
     HAGIWARA_EXPONENTS_C,
     ExponentMatrix,
@@ -37,6 +37,7 @@ from conedec.errors import BoundExceeded
 from conedec.lpdecode import _compiled_lp, bsc_errors, rationalize_llr
 import reference_gf2
 from conftest import assert_compiled_matches_dense, decode_rows
+from reference_lpdecode import dot, fraction_lp_decode, rationalize
 from reference_simplex import (
     CondensedSimplex,
     FullTableauSimplex,
@@ -48,7 +49,7 @@ from reference_simplex import (
 
 
 def vertex_costs(H, gamma):
-    gr = rationalize_llr(gamma)
+    gr = rationalize(gamma)
     vs = enumerate_vertices(build_relaxed_polytope(H))
     return gr, [(sum(g * x for g, x in zip(gr, v)), v) for v in vs.vertices]
 
@@ -94,16 +95,25 @@ class TestRationalizeLlr:
         st.fractions(), st.sampled_from((0.0, -0.0, 1, 1.0, Fraction(1), 1e-7, -1e-7)),
     ), max_size=12))
     def test_matches_per_call_dict(self, gamma):
-        got = rationalize_llr(gamma)
+        # unit * c_i is each LLR's approximation, c is a primitive int
+        # vector and unit > 0, and unit is 1 when every LLR rationalizes to 0.
+        c, unit = rationalize_llr(gamma)
+        got = tuple(unit * a for a in c)
         assert got == reference_rationalize_llr(gamma)
         assert all(type(g) is Fraction for g in got)
+        assert all(type(a) is int for a in c) and len(c) == len(gamma)
+        assert type(unit) is Fraction and unit > 0
+        assert math.gcd(*c) == (1 if any(c) else 0)
+        assert any(c) or unit == 1
 
     def test_nan_and_inf_raise_every_time(self):
         for bad, exc in ((math.nan, ValueError), (math.inf, OverflowError),
                          (-math.inf, OverflowError)):
             for _ in range(2):
+                cached = lpdecode._scaled_values.cache_info().currsize
                 with pytest.raises(exc):
                     rationalize_llr([1.0, bad])
+                assert lpdecode._scaled_values.cache_info().currsize == cached
 
 
 class TestLpDecode:
@@ -140,7 +150,7 @@ class TestLpDecode:
             gamma = llr_bsc(e, 0.15)
             res = lp_decode(hamming7, gamma)
             assert res.optimum in vs
-            gr = rationalize_llr(gamma)
+            gr = rationalize(gamma)
             for c in enumerate_codewords(hamming7):
                 assert res.objective <= sum(g * b for g, b in zip(gr, c))
 
@@ -174,7 +184,7 @@ class TestMlDecode:
         words = enumerate_codewords(hamming7)
         for _ in range(30):
             gamma = [rng.uniform(-2, 2) for _ in range(7)]
-            gr = rationalize_llr(gamma)
+            gr = rationalize(gamma)
             best = min(
                 (sum(g * b for g, b in zip(gr, c)), c.to_tuple()) for c in words
             )
@@ -218,6 +228,32 @@ class TestMlDecode:
         with pytest.raises(BoundExceeded):
             ml_decode(H, [1.0] * 50)
         assert time.perf_counter() - start < 1
+
+    def test_trellis_plan_once_per_matrix(self, monkeypatch, hamming7):
+        # Both ends of the trellis and its width are computed once per H: a
+        # repeated ml_decode on one H makes no elimination, and a matrix
+        # over the state cap raises on every call without one.
+        calls = []
+        echelon = lpdecode.gf2_row_echelon
+
+        def counted(rows):
+            calls.append(rows)
+            return echelon(rows)
+
+        monkeypatch.setattr(lpdecode, "gf2_row_echelon", counted)
+        lpdecode._trellis_plan.cache_clear()
+        gamma = llr_bsc(BinaryVector(7, 0b11), 0.1)  # not a codeword: the trellis is walked
+        want = ml_decode(hamming7, gamma)
+        assert want == reference_ml_decode(hamming7, gamma)
+        assert len(calls) == 2
+        for _ in range(3):
+            assert ml_decode(hamming7, gamma) == want
+        assert len(calls) == 2
+        over = BinaryMatrix(25, 50, [1 << j | 1 << (25 + j) for j in range(25)])
+        for _ in range(3):
+            with pytest.raises(BoundExceeded):
+                ml_decode(over, [1.0] * 50)
+        assert len(calls) == 4
 
     def test_integral_lp_agrees(self, hamming7):
         rng = random.Random(10)
@@ -334,7 +370,7 @@ def codes_with_llrs(draw, max_n=10):
 def test_lp_objective_at_most_ml_cost(case):
     H, e, p = case
     gamma = llr_bsc(e, p)
-    gr = rationalize_llr(gamma)
+    gr = rationalize(gamma)
     ml_cost = min(
         sum(g for i, g in enumerate(gr) if x >> i & 1)
         for x in range(1 << H.cols)
@@ -360,7 +396,7 @@ def test_lp_objective_at_most_ml_cost_hamming31():
             nearest = e.bits ^ (1 << columns.index(s) if s else 0)
             gamma = llr_bsc(e, 0.05)
             assert ml_decode(H, gamma) == BinaryVector(31, nearest)
-            ml_cost = sum(g for i, g in enumerate(rationalize_llr(gamma)) if nearest >> i & 1)
+            ml_cost = sum(g for i, g in enumerate(rationalize(gamma)) if nearest >> i & 1)
             statuses.add(assert_lp_at_most_ml(H, gamma, ml_cost))
     finally:
         lpdecode._compiled.clear()  # its 163,902 rows hold about 205 MB
@@ -381,7 +417,7 @@ def assert_lp_at_most_ml(H, gamma, ml_cost):
 
 def reference_ml_decode(H, gamma):
     """ML decoding by the (cost, tuple) key of every codeword."""
-    gr = rationalize_llr(gamma)
+    gr = rationalize(gamma)
     best = None
     best_key = None
     for c in enumerate_codewords(H):
@@ -395,24 +431,22 @@ def reference_ml_decode(H, gamma):
 def reference_lp_decode(H, gamma):
     """lp_decode without the hard-decision certificate: every decode solves
     the compiled LP."""
-    res = _compiled_lp(H)[0].with_objective(rationalize_llr(gamma)).solve()
-    integral = all(v.denominator == 1 for v in res.x)
-    status = "tie" if not res.unique else "codeword" if integral else "fractional"
-    return DecodeResult(optimum=res.x, objective=res.objective, integral=integral, status=status)
+    return fraction_lp_decode(H, gamma, certify=False)
 
 
 def reference_decode(H, gamma):
     """Decode without the compiled system: build the polytope afresh and
     solve it from Fraction rows, as lp_decode did before compilation."""
     P = build_relaxed_polytope(H)
+    gr = rationalize(gamma)
     res = dense_simplex(
         [[Fraction(x) for x in a] for a, _ in P.inequalities],
         [Fraction(b) for _, b in P.inequalities],
-        rationalize_llr(gamma),
+        gr,
     ).solve()
     integral = all(v.denominator == 1 for v in res.x)
     status = "tie" if not res.unique else "codeword" if integral else "fractional"
-    return status, res.x, res.objective
+    return status, res.x, dot(gr, res.x)
 
 
 def decode_triple(H, gamma):
@@ -463,16 +497,16 @@ class TestCompiledSystem:
                     while e.weight() < 2:
                         e = bsc_sample(e, p, rng)
                     gamma = llr_bsc(e, p)
-                gr = rationalize_llr(gamma)
+                gr = rationalize(gamma)
                 # The compiled LP is solved directly: lp_decode skips it on a
                 # certified hard decision.
                 with both_pivot_logs() as (core, condensed, full):
-                    res = _compiled_lp(H)[0].with_objective(gr).solve()
+                    res = _compiled_lp(H)[0].with_objective(dd.integerize(gr)).solve()
                     ref = CondensedSimplex(A, b, gr).solve()
                     want = FullTableauSimplex(A, b, gr).solve()
                 got = lp_decode(H, gamma)
                 assert res == ref == want
-                assert (got.optimum, got.objective) == (want.x, want.objective)
+                assert (got.optimum, got.objective) == (want.x, dot(gr, want.x))
                 assert (got.status == "tie") == (not want.unique)
                 assert core == condensed
                 assert solve_pivots(core) == solve_pivots(full)
@@ -506,8 +540,8 @@ class TestCompiledSystem:
             cases.append((G, llr_bsc(e, 0.03)))
         statuses = set()
         for H, gamma in cases:
-            gr = rationalize_llr(gamma)
-            sx = _compiled_lp(H)[0].with_objective(gr)
+            gr = rationalize(gamma)
+            sx = _compiled_lp(H)[0].with_objective(dd.integerize(gr))
             res = sx.solve()
             ref = CondensedSimplex(*decode_rows(H), gr)
             ref.solve()
@@ -619,6 +653,79 @@ class TestHardDecisionCertificate:
             recs = [r for r in caplog.records if r.name == "conedec.lpdecode"]
             assert [r.getMessage().split(":")[0] for r in recs] == lines
             assert all(r.levelno == logging.DEBUG for r in recs)
+
+
+def assert_matches_fraction_pipeline(H, gamma):
+    """lp_decode equals the Fraction pipeline field by field, with every
+    optimum entry and the objective a Fraction.  Returns the result."""
+    got = lp_decode(H, gamma)
+    assert got == fraction_lp_decode(H, gamma)
+    assert all(type(v) is Fraction for v in got.optimum)
+    assert type(got.objective) is Fraction and type(got.integral) is bool
+    return got
+
+
+@st.composite
+def mixed_llrs(draw, H):
+    """LLRs for H drawn entry by entry from BSC magnitudes, floats, 0.0 and
+    -0.0, ints, Fractions of varied denominators and +-1e-300 and +-1e300,
+    so that the rationalized entries have different denominators; on a
+    coin flip, their magnitudes take the signs of a codeword, so the hard
+    decision is often certified."""
+    bsc = st.tuples(st.sampled_from((0.01, 0.05, 0.1, 0.3)), st.booleans()).map(
+        lambda t: (-1 if t[1] else 1) * math.log((1 - t[0]) / t[0]))
+    entry = st.one_of(
+        bsc,
+        st.floats(-4, 4),
+        st.sampled_from((0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300)),
+        st.integers(-5, 5),
+        st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    )
+    gamma = draw(st.lists(entry, min_size=H.cols, max_size=H.cols))
+    if draw(st.booleans()):
+        word = draw(st.sampled_from(enumerate_codewords(H))).bits
+        gamma = [-abs(g) if word >> i & 1 else abs(g) for i, g in enumerate(gamma)]
+    return gamma
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lp_decode_matches_fraction_pipeline(data):
+    # H with rows of weight 0 and 1 and repeated rows (trellis_matrices).
+    H = data.draw(trellis_matrices().filter(lambda H: H.cols <= 8))
+    assert_matches_fraction_pipeline(H, data.draw(mixed_llrs(H)))
+
+
+def test_fraction_pipeline_on_seeded_corpus(monkeypatch, hamming7, hamming7_full):
+    # The five decode codes with BSC LLRs, Gaussian LLRs and BSC LLRs with
+    # zeros: every status occurs, and both the certified hard decision and
+    # the LP solve are taken.
+    from conedec.simplex import ExactSimplex
+
+    solves = []
+    solve = ExactSimplex.solve
+    monkeypatch.setattr(ExactSimplex, "solve", lambda sx, *a: solves.append(sx) or solve(sx, *a))
+    rng = random.Random(31)
+    codes = [(hamming7, 24), (hamming7_full, 24), (steane_matrix(3), 24), (hamming_matrix(4), 6),
+             (hagiwara_css_label_matrix(), 3)]
+    statuses, certified, decodes = set(), 0, 0
+    for H, count in codes:
+        for t in range(count):
+            if t % 3 == 1:
+                gamma = [rng.gauss(1.0, 1.2) for _ in range(H.cols)]
+            else:
+                p = rng.choice((0.05, 0.1))
+                gamma = llr_bsc(bsc_sample(BinaryVector(H.cols, 0), p, rng), p)
+                if t % 3 == 2:
+                    gamma[rng.randrange(H.cols)] = rng.choice((0.0, -0.0))
+            before = len(solves)
+            statuses.add(assert_matches_fraction_pipeline(H, gamma).status)
+            # lp_decode and the pipeline solve once each, unless certified.
+            assert len(solves) - before in (0, 2)
+            certified += len(solves) == before
+            decodes += 1
+    assert statuses == {"codeword", "fractional", "tie"}
+    assert 0 < certified < decodes
 
 
 class TestBscSample:

@@ -20,6 +20,7 @@ from conedec.lpdecode import (
 )
 from conedec.qcimprove import add_qc_shifts
 from conedec.simplex import MAX_PIVOTS, ExactSimplex
+from reference_lpdecode import dot, rationalize
 from reference_simplex import (
     CondensedSimplex,
     FullTableauSimplex,
@@ -126,6 +127,17 @@ def test_malformed_rows_rejected(rows, b):
     # and each row has one int rhs.
     with pytest.raises(ValueError):
         ExactSimplex(2, rows, b, [0, -1])
+
+
+@pytest.mark.parametrize("c", [[0, Fraction(1, 2)], [0, Fraction(1)], [0, 1.0], [0, True]])
+def test_non_int_objective_rejected(c):
+    # The objective is n ints, as the rows are: a rational one is scaled to
+    # integers (dd.integerize) by the caller.
+    rows, b = [((0, 1),), ((1, 1),)], [1, 1]
+    with pytest.raises(ValueError):
+        ExactSimplex(2, rows, b, c)
+    with pytest.raises(ValueError):
+        ExactSimplex(2, rows, b, [0, 0]).with_objective(c)
 
 
 @st.composite
@@ -452,8 +464,8 @@ def test_ratio_test_matches_reference_on_decode_lps(code, seed, gaussian):
     # The compiled LP is solved directly: lp_decode skips it on a
     # certified hard decision.
     H = decode_code(code)
-    gr = rationalize_llr(seeded_llrs(H, seed, gaussian))
-    assert_solve_matches_reference(_compiled_lp(H)[0].with_objective(gr))
+    c, _ = rationalize_llr(seeded_llrs(H, seed, gaussian))
+    assert_solve_matches_reference(_compiled_lp(H)[0].with_objective(c))
 
 
 def decode_lp(code, seed, gaussian):
@@ -461,7 +473,7 @@ def decode_lp(code, seed, gaussian):
     It is solved directly: lp_decode skips it on a certified hard
     decision."""
     H = decode_code(code)
-    return _compiled_lp(H)[0].with_objective(rationalize_llr(seeded_llrs(H, seed, gaussian)))
+    return _compiled_lp(H)[0].with_objective(rationalize_llr(seeded_llrs(H, seed, gaussian))[0])
 
 
 def assert_tie_check_matches_oracles(sx):
@@ -525,8 +537,8 @@ def test_ratio_test_covers_every_shortcut():
     for code in ("3x7", "7x7", "steane", "15_11"):
         H = decode_code(code)
         for seed in range(12):
-            gr = rationalize_llr(seeded_llrs(H, seed, seed % 2))
-            kinds |= assert_solve_matches_reference(_compiled_lp(H)[0].with_objective(gr))
+            c, _ = rationalize_llr(seeded_llrs(H, seed, seed % 2))
+            kinds |= assert_solve_matches_reference(_compiled_lp(H)[0].with_objective(c))
     assert kinds == {"slack basis", "structural at ratio 0", "structurals at zero",
                      "structural off zero"}
 
@@ -601,14 +613,15 @@ def test_with_objective_never_changes_the_shared_rows(lp, c2):
     # Every instance that with_objective starts shares the template's
     # sparse rows and column index, a pivoted instance's too; no pivot may
     # change them.  Entries other than 0 and 1 make a pivot's d differ from
-    # the pivot element.
+    # the pivot element.  dense_simplex integerizes its objective, so the
+    # objectives handed to with_objective are integerized too.
     A, b, c = lp
     c2 = c2[: len(c)]
     template = dense_simplex(A, b, [0] * len(c))
-    first = template.with_objective(c)
+    first = template.with_objective(dd.integerize(c))
     assert first.solve() == dense_simplex(A, b, c).solve()
-    assert first.with_objective(c2).solve() == dense_simplex(A, b, c2).solve()
-    assert template.with_objective(c2).solve() == dense_simplex(A, b, c2).solve()
+    assert first.with_objective(dd.integerize(c2)).solve() == dense_simplex(A, b, c2).solve()
+    assert template.with_objective(dd.integerize(c2)).solve() == dense_simplex(A, b, c2).solve()
     assert all(x is y for x, y in zip(stored_rows(first), stored_rows(template)))
     assert stored_rows(template) == stored_rows(dense_simplex(A, b, [0] * len(c)))
     with pytest.raises(ValueError):
@@ -736,23 +749,26 @@ def test_tie_memo_matches_memo_free_check(code, seed, gaussian, scale):
     # memo-free instance and as the all-rows check at the same basis.  The
     # objective is solved twice, so the second solve finds its key, then
     # scaled: integerize divides the scale out, so the memo-free answer is
-    # the same and so is the path.  Where some reduced cost is zero, raised
-    # costs are solved too; they may end at another basis.
+    # the same and so is the path, and so does the integer objective scaled
+    # by the same factor.  Where some reduced cost is zero, raised costs are
+    # solved too; they may end at another basis.  The simplex takes
+    # integer objectives, so each rational one is integerized.
     H = decode_code(code)
     system, ties = _compiled_lp(H)
-    gr = rationalize_llr(seeded_llrs(H, seed, gaussian))
-    ref = system.with_objective(gr)
+    gr = rationalize(seeded_llrs(H, seed, gaussian))
+    ref = system.with_objective(dd.integerize(gr))
     want = ref.solve()
     assert want.unique == ref._optimum_is_unique()
     assert want.unique == all_rows_optimum_is_unique(condensed_tableau(ref))
     scaled = tuple(scale * g for g in gr)
     assert dd.integerize(scaled) == dd.integerize(gr)
     for c in (gr, gr, scaled):
-        assert assert_memo_answers(system, ties, c, want, ref)
+        assert assert_memo_answers(system, ties, dd.integerize(c), want, ref)
+    assert assert_memo_answers(system, ties, tuple(scale * a for a in ref.c), want, ref)
     key = ref._tie_key()
     if key is not None:
         assert ties[key] is want.unique
-        raised = raised_cost(ref, gr)
+        raised = dd.integerize(raised_cost(ref, gr))
         assert_memo_answers(system, ties, raised, system.with_objective(raised).solve(), ref)
 
 
@@ -765,11 +781,12 @@ def test_tie_memo_serves_distinct_objectives():
         served = 0
         for seed in range(12):
             ties = {}
-            gr = rationalize_llr(seeded_llrs(H, seed, False))
-            ref = system.with_objective(gr)
+            gr = rationalize(seeded_llrs(H, seed, False))
+            ref = system.with_objective(dd.integerize(gr))
             want = ref.solve(ties)
             raised = raised_cost(ref, gr)
             if ref._tie_key() is not None and raised != gr:
+                raised = dd.integerize(raised)
                 free = system.with_objective(raised).solve()
                 served += assert_memo_answers(system, ties, raised, free, ref)
         assert served > 0, code
@@ -813,7 +830,7 @@ def test_memo_replays_the_memo_free_pivot_log(case):
         code, seed, gaussian = case
         H = decode_code(code)
         system = _compiled_lp(H)[0]
-        objectives = [rationalize_llr(seeded_llrs(H, s, gaussian)) for s in (seed, seed + 1)]
+        objectives = [rationalize_llr(seeded_llrs(H, s, gaussian))[0] for s in (seed, seed + 1)]
     else:
         (A, b, c), c2 = case
         system = dense_simplex(A, b, [0] * len(c))
@@ -894,7 +911,7 @@ def test_ratio_keys_never_equal_tie_keys(monkeypatch):
         monkeypatch.setattr(ExactSimplex, "_pivot", recording)
         for seed in range(8):
             for gaussian in (False, True):
-                sx = system.with_objective(rationalize_llr(seeded_llrs(H, seed, gaussian)))
+                sx = system.with_objective(rationalize_llr(seeded_llrs(H, seed, gaussian))[0])
                 record(sx)
                 sx.solve(memo)
         keys = [key for key, _ in memo.stored]
@@ -918,8 +935,9 @@ def test_memo_decodes_match_memo_free_solves():
         with calls_of("solve") as solved:
             for gamma in gammas:
                 got = lp_decode(H, gamma)
-                free = _compiled_lp(H)[0].with_objective(rationalize_llr(gamma)).solve()
-                assert (got.optimum, got.objective) == (free.x, free.objective)
+                gr = rationalize(gamma)
+                free = _compiled_lp(H)[0].with_objective(dd.integerize(gr)).solve()
+                assert (got.optimum, got.objective) == (free.x, dot(gr, free.x))
                 integral = all(v.denominator == 1 for v in free.x)
                 assert got.status == ("tie" if not free.unique
                                       else "codeword" if integral else "fractional")
@@ -938,7 +956,7 @@ def test_memo_bound(monkeypatch):
         for e in bsc_errors(H.cols, p, 60, seed=4):
             gamma = llr_bsc(e, p)
             got = lp_decode(H, gamma)
-            free = _compiled_lp(H)[0].with_objective(rationalize_llr(gamma)).solve()
+            free = _compiled_lp(H)[0].with_objective(rationalize_llr(gamma)[0]).solve()
             assert (got.status == "tie") == (not free.unique)
             assert got.optimum == free.x
             memos = [memo for _, memo in lpdecode._compiled.values()]
