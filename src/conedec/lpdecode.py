@@ -20,23 +20,17 @@ unique vertex of the optimal face, and "tie" when that face contains more
 than one vertex; the tie test is geometric, so it is invariant under
 coordinate rotations of a quasi-cyclic instance.
 
-The relaxed polytope's rows are compiled once per H, straight from H's
-sparse box and odd-set rows (polytope.relaxed_rows) with no dense system,
-into an ExactSimplex at its slack basis.  Its sparse integer rows
-and column index are held in a cache bounded by the total number of rows
-it stores; repeated decodes on one matrix (a Monte Carlo run, a shift
-orbit) share them and only bring their own objective row.
-
-Next to each compiled system sits a memo of the answers that the basis
-alone fixes (see simplex): the leaving variable of each ratio test, keyed
-by the basis and the entering variable, and the tie check's answer, keyed
-by the optimal basis and the zero-reduced-cost variables.  The LP is very
-degenerate, and on the BSC every LLR has one magnitude, so decodes meet
-few distinct keys: over 2000 trials, [15,11] at p = 0.05 met 962
-ratio-test keys and 181 tie keys, and Hagiwara at p = 0.01 met 953 and
-499.  A decode whose keys are all known replays its pivots without
-building an entering column.  The memo is evicted with its system, and
-the memos of all systems together hold at most MEMO_CAP entries.
+One record per H holds what the decoders derive from H, each part built
+when first read: lp, the relaxed polytope compiled from H's sparse rows
+(polytope.relaxed_rows) into an ExactSimplex at its slack basis, whose rows
+every decode on H shares; memo, the answers its basis alone fixes (see
+simplex); and trellis, ml_decode's plan.  The LP is very degenerate, and on
+the BSC every LLR has one magnitude, so decodes meet few memo keys: over
+2000 trials, [15,11] at p = 0.05 met 962 ratio-test and 181 tie keys,
+Hagiwara at p = 0.01 met 953 and 499, and a decode whose keys are all known
+replays its pivots.  Records are cached least recently used first out until
+their rows, memo entries and trellis steps fit in CACHE_CAP; the record in
+use stays, its memo emptied if it alone is over.
 
 Hard-decision certificate (Feldman, Wainwright & Karger, IEEE T-IT 2005):
 when no rationalized LLR is 0 and the hard decision y (y_i = 1 iff
@@ -72,20 +66,11 @@ from .simplex import _ONE, _ZERO, ExactSimplex
 
 LLR_DENOMINATOR_CAP = 10**6
 
-# Constraint rows kept across the cached compiled systems; the newest one is
-# kept whatever its size.  The 163,871 rows of [31,26] (weight 16) hold
-# about 87 MB (tracemalloc, CPython 3.11), so 2^14 such rows hold some
-# 9 MB; 3x7, 7x7, Steane, [15,11] and Hagiwara together take 2111 rows.
-COMPILED_ROWS_CAP = 1 << 14
-
-# Memo entries, ratio-test and tie-check answers together, kept across the
-# memos of all compiled systems.  An entry holds a 2-tuple key, its basis
-# bits (an int of one bit per variable) and a dict slot.  tracemalloc
-# (CPython 3.11) put the memory a full memo gives back when cleared at about
-# 200 bytes per entry on [15,11] (542 variables) and 336 on Hagiwara (1512),
-# so 3.3 to 5.5 MB at the cap.  [15,11] at p = 0.1 filled 4029 entries in
-# 3000 trials: 3518 ratio tests and 511 tie checks.
-MEMO_CAP = 1 << 14
+# Compiled rows, memo entries and trellis steps of all records together.
+# Rows weigh most: the 163,871 rows of [31,26] hold 85.7 MB (tracemalloc,
+# CPython 3.11), some 523 bytes each, so a full cache holds at most 8.6 MB;
+# a memo entry takes 200 (on [15,11]) to 336 bytes (Hagiwara), a step 88.
+CACHE_CAP = 1 << 14
 
 logger = logging.getLogger(__name__)
 
@@ -169,44 +154,75 @@ class DecodeResult:
         return BinaryVector.from_bits(int(x) for x in self.optimum)
 
 
-class _Memo(dict):
-    """The ratio-test and tie-check answers of one compiled system, keyed as
-    ExactSimplex.solve keys them.  The memos of all compiled systems hold at
-    most MEMO_CAP entries together: an insert that finds them full empties
-    every one first."""
+class _Record:
+    """What lp_decode and ml_decode derive from one H."""
 
-    def __setitem__(self, key: tuple, answer: int | bool) -> None:
-        memos = [memo for _, memo in _compiled.values()]
-        if sum(map(len, memos)) >= MEMO_CAP:
-            for memo in memos:
-                memo.clear()
-        super().__setitem__(key, answer)
+    def __init__(self, H: BinaryMatrix):
+        self.H = H
+
+    @functools.cached_property
+    def lp(self) -> ExactSimplex:
+        """The relaxed polytope of H at its slack basis, zero objective; the
+        order of relaxed_rows(H) fixes Bland's path and so a tie's vertex."""
+        A, b = zip(*relaxed_rows(self.H))
+        lp = ExactSimplex(self.H.cols, A, b, [0] * self.H.cols)
+        _fit(self, lp.m)
+        return lp
+
+    # The ratio-test and tie-check answers of lp, keyed as solve keys them.
+    memo = functools.cached_property(lambda self: {})
+
+    @functools.cached_property
+    def trellis(self) -> tuple[tuple[tuple[int, int | None], ...], int]:
+        """The syndrome trellis of H: (steps, width).  steps[i] is (h, m),
+        with h column i of H as a syndrome and m the rows that sum to a
+        dual word ending at i (_last_coordinate_rows), None when none ends
+        there; width is log2 of the largest state count."""
+        last = _last_coordinate_rows(self.H)
+        first = set(gf2_row_echelon(self.H.row_bits)[1])
+        # Some dual word starts at i iff i is an echelon pivot (in first), and
+        # some ends at i iff i is in last.  The state count doubles where none
+        # ends, as the later columns span column i (both bits stay live), and
+        # halves where none starts, as the earlier ones do (states merge).
+        width = max(accumulate((i not in last) - (i not in first) for i in range(self.H.cols)))
+        steps = tuple(zip(self.H.transpose().row_bits, map(last.get, range(self.H.cols))))
+        _fit(self, len(steps))
+        return steps, width
+
+    def sizes(self) -> tuple[int, int, int]:
+        """(compiled rows, memo entries, trellis steps) of the parts built."""
+        d = vars(self)
+        return (d["lp"].m if "lp" in d else 0, len(d.get("memo", ())),
+                len(d["trellis"][0]) if "trellis" in d else 0)
 
 
-_compiled: OrderedDict[BinaryMatrix, tuple[ExactSimplex, _Memo]] = OrderedDict()
+_records: OrderedDict[BinaryMatrix, _Record] = OrderedDict()
 
 
-def _compiled_lp(H: BinaryMatrix) -> tuple[ExactSimplex, _Memo]:
-    """The relaxed polytope of H as a simplex at its slack basis with a zero
-    objective, and the memo of its ratio-test and tie-check answers.  Each
-    decode starts from the simplex with with_objective, which shares its
-    sparse integer rows and column index and copies its slack basis.
+def _record(H: BinaryMatrix) -> _Record:
+    """H's record, now the newest; a new one is cached with its first part."""
+    rec = _records.get(H)
+    if rec is None:
+        return _Record(H)
+    _records.move_to_end(H)
+    return rec
 
-    The rows are relaxed_rows(H) in its order: Bland's rule follows it, so
-    it fixes the pivot path and the vertex returned in a tie.
-    Systems are cached least recently used first out, until the rows of the
-    rest fit in COMPILED_ROWS_CAP; a system's memo goes with it.
-    """
-    entry = _compiled.get(H)
-    if entry is not None:
-        _compiled.move_to_end(H)
-        return entry
-    A, b = zip(*relaxed_rows(H))
-    entry = _compiled[H] = ExactSimplex(H.cols, A, b, [0] * H.cols), _Memo()
-    rows = sum(sx.m for sx, _ in _compiled.values())
-    while rows > COMPILED_ROWS_CAP and len(_compiled) > 1:
-        rows -= _compiled.popitem(last=False)[1][0].m
-    return entry
+
+def _fit(rec: _Record, grown: int = 0) -> None:
+    """Keep rec, the record in use, as the newest, with `grown` entries of a
+    part being built on top of its sizes; evict the least recently used
+    others until all fit in CACHE_CAP, then empty rec's memo if not."""
+    _records[rec.H] = rec
+    held = grown + sum(sum(r.sizes()) for r in _records.values())
+    while held > CACHE_CAP and len(_records) > 1:
+        old = _records.popitem(last=False)[1]
+        rows, memo, steps = old.sizes()
+        held -= rows + memo + steps
+        logger.debug("record cache: evicted %r, %d rows, %d memo entries", old.H, rows, memo)
+    if held > CACHE_CAP and rec.memo:
+        logger.debug("record cache: emptied the memo of %r, %d rows, %d memo entries",
+                     rec.H, *rec.sizes()[:2])
+        rec.memo.clear()
 
 
 def lp_decode(H: BinaryMatrix, gamma: LlrVector) -> DecodeResult:
@@ -221,21 +237,22 @@ def lp_decode(H: BinaryMatrix, gamma: LlrVector) -> DecodeResult:
     if len(gamma) != H.cols:
         raise ValueError(f"LLR length {len(gamma)} != cols {H.cols}")
     c, unit = rationalize_llr(gamma)
-    system, memo = _compiled_lp(H)  # raises over the cap, certified or not
+    rec = _record(H)
+    system = rec.lp  # raises over the cap, certified or not
     hard = _certified_codeword(H, c)
     if hard is not None:
         logger.debug("lp_decode: hard decision of weight %d is a codeword, no LP", hard.bit_count())
         # y_i = 1 iff c_i < 0, so c . y sums the negative c_i; the zero
         # word, the usual one, costs 0.
         cost = sum([a for a in c if a < 0])
-        return DecodeResult(
-            optimum=tuple([_ONE if a < 0 else _ZERO for a in c]),
-            objective=unit * cost if cost else _ZERO,
-            integral=True,
-            status="codeword",
-        )
-    sx = system.with_objective(c)
+        return DecodeResult(optimum=tuple([_ONE if a < 0 else _ZERO for a in c]),
+                            objective=unit * cost if cost else _ZERO, integral=True,
+                            status="codeword")
+    sx, memo = system.with_objective(c), rec.memo
+    held = len(memo)
     res = sx.solve(memo)
+    if len(memo) > held:
+        _fit(rec)
     # Only basic structurals can be nonzero, x_j = core[j][-1] / d in [0, 1].
     d = sx.d
     integral = all(row[-1] in (0, d) for row in sx.core.values())
@@ -262,7 +279,7 @@ def ml_decode(H: BinaryMatrix, gamma: LlrVector) -> BinaryVector:
     minimal BCJR trellis (McEliece, IEEE T-IT 1996), with at most
     min(2^k, 2^(n-k)) states per level.  Its widths are known before the
     walk from where dual words start and end, both read from
-    gf2_row_echelon once per H (_trellis_plan), and one above
+    gf2_row_echelon once per H (its record's trellis), and one above
     2^ENUMERATION_CAP raises BoundExceeded.  Each state keeps its least
     (cost, prefix) pair, the prefix an int with c_0 as its top bit, so that
     int order is tuple order on prefixes of one length.  A certified hard
@@ -273,7 +290,7 @@ def ml_decode(H: BinaryMatrix, gamma: LlrVector) -> BinaryVector:
         raise ValueError(f"LLR length {len(gamma)} != cols {n}")
     # unit > 0 scales every cost alike, so it keeps their order.
     w, _ = rationalize_llr(gamma)
-    steps, width = _trellis_plan(H)
+    steps, width = _record(H).trellis
     if width > ENUMERATION_CAP:
         raise BoundExceeded(
             f"ML trellis needs 2^{width} states, above the 2^{ENUMERATION_CAP} cap"
@@ -295,24 +312,6 @@ def ml_decode(H: BinaryMatrix, gamma: LlrVector) -> BinaryVector:
                     nxt[t] = key
         states = nxt
     return BinaryVector(n, _reverse(states[0][1], n))
-
-
-@functools.lru_cache(maxsize=256)
-def _trellis_plan(H: BinaryMatrix) -> tuple[tuple[tuple[int, int | None], ...], int]:
-    """The syndrome trellis of H, computed once per H: (steps, width).
-    steps[i] is (h, m), with h column i of H as a syndrome and m the rows
-    that sum to a dual word ending at i (_last_coordinate_rows), None when
-    none ends there; width is log2 of the largest state count."""
-    n = H.cols
-    last = _last_coordinate_rows(H)
-    first = set(gf2_row_echelon(H.row_bits)[1])
-    # Some dual word starts at i iff i is an echelon pivot (in first), and
-    # some dual word ends at i iff i is in last.  The state count doubles
-    # where none ends, as the later columns span column i (both bits stay
-    # live), and halves where none starts, as the earlier ones do (states
-    # merge).
-    width = max(accumulate((i not in last) - (i not in first) for i in range(n)))
-    return tuple(zip(H.transpose().row_bits, map(last.get, range(n)))), width
 
 
 def _last_coordinate_rows(H: BinaryMatrix) -> dict[int, int]:

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from conedec import BinaryMatrix, BinaryVector, build_relaxed_polytope
+from conedec import BinaryMatrix, BinaryVector, build_relaxed_polytope, lpdecode
 from conedec.constructions import hamming_matrix
 from conedec.errors import BoundExceeded
-from conedec.lpdecode import _compiled_lp
+from conedec.lpdecode import _record
 from conedec.qcimprove import add_qc_shifts
 from reference_simplex import dense_simplex
 
@@ -21,6 +21,14 @@ HAMMING7 = (
 # coordinate 4 (dot 3 < 2*2).
 MEMBER = (2, 0, 0, 1, 1, 0, 1)
 NONMEMBER = (2, 0, 0, 2, 1, 0, 1)
+
+
+@pytest.fixture
+def empty_record_cache():
+    """lpdecode's cache of per-H records, emptied before and after the test."""
+    lpdecode._records.clear()
+    yield lpdecode._records
+    lpdecode._records.clear()
 
 
 @pytest.fixture(scope="session")
@@ -58,8 +66,8 @@ def assert_compiled_matches_dense(H: BinaryMatrix) -> None:
         A, b = decode_rows(H)
     except BoundExceeded as exc:
         with pytest.raises(BoundExceeded) as got:
-            _compiled_lp(H)
+            _record(H).lp
         assert str(got.value) == str(exc)
         return
-    compiled, dense = _compiled_lp(H)[0], dense_simplex(A, b, [0] * H.cols)
+    compiled, dense = _record(H).lp, dense_simplex(A, b, [0] * H.cols)
     assert (compiled._rows, compiled._b, compiled._cols) == (dense._rows, dense._b, dense._cols)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from conedec import BinaryMatrix, DecodeResult, dd, mat_vec_mod2
-from conedec.lpdecode import _compiled_lp
+from conedec.lpdecode import _record
 
 LLR_DENOMINATOR_CAP = 10**6
 
@@ -35,7 +35,7 @@ def fraction_lp_decode(H: BinaryMatrix, gamma: Sequence, certify: bool = True) -
     whatever the hard decision."""
     gr = rationalize(gamma)
     n = H.cols
-    system = _compiled_lp(H)[0]
+    system = _record(H).lp
     y = tuple(int(g < 0) for g in gr)
     if certify and all(gr) and not any(mat_vec_mod2(H, y)):
         x = tuple(Fraction(b) for b in y)

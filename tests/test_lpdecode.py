@@ -34,7 +34,7 @@ from conedec.constructions import (
     steane_matrix,
 )
 from conedec.errors import BoundExceeded
-from conedec.lpdecode import _compiled_lp, bsc_errors, rationalize_llr
+from conedec.lpdecode import _record, bsc_errors, rationalize_llr
 import reference_gf2
 from conftest import assert_compiled_matches_dense, decode_rows
 from reference_lpdecode import dot, fraction_lp_decode, rationalize
@@ -229,7 +229,7 @@ class TestMlDecode:
             ml_decode(H, [1.0] * 50)
         assert time.perf_counter() - start < 1
 
-    def test_trellis_plan_once_per_matrix(self, monkeypatch, hamming7):
+    def test_trellis_plan_once_per_matrix(self, monkeypatch, hamming7, empty_record_cache):
         # Both ends of the trellis and its width are computed once per H: a
         # repeated ml_decode on one H makes no elimination, and a matrix
         # over the state cap raises on every call without one.
@@ -241,7 +241,6 @@ class TestMlDecode:
             return echelon(rows)
 
         monkeypatch.setattr(lpdecode, "gf2_row_echelon", counted)
-        lpdecode._trellis_plan.cache_clear()
         gamma = llr_bsc(BinaryVector(7, 0b11), 0.1)  # not a codeword: the trellis is walked
         want = ml_decode(hamming7, gamma)
         assert want == reference_ml_decode(hamming7, gamma)
@@ -249,6 +248,7 @@ class TestMlDecode:
         for _ in range(3):
             assert ml_decode(hamming7, gamma) == want
         assert len(calls) == 2
+        assert set(vars(empty_record_cache[hamming7])) == {"H", "trellis"}
         over = BinaryMatrix(25, 50, [1 << j | 1 << (25 + j) for j in range(25)])
         for _ in range(3):
             with pytest.raises(BoundExceeded):
@@ -379,6 +379,7 @@ def test_lp_objective_at_most_ml_cost(case):
     assert_lp_at_most_ml(H, gamma, ml_cost)
 
 
+@pytest.mark.usefixtures("empty_record_cache")  # its record is the largest
 def test_lp_objective_at_most_ml_cost_hamming31():
     # [31,26] has 2^26 codewords, over the sweep's cap.  The Hamming code is
     # perfect, so for BSC LLRs the ML word is the syndrome decode of the
@@ -387,19 +388,18 @@ def test_lp_objective_at_most_ml_cost_hamming31():
     columns = H.transpose().row_bits
     rng = random.Random(31)
     statuses = set()
-    try:
-        for _ in range(5):
-            e = BinaryVector(31, 0)
-            while e.weight() == 0:
-                e = bsc_sample(e, 0.05, rng)
-            s = mat_vec_mod2(H, e.to_tuple()).bits
-            nearest = e.bits ^ (1 << columns.index(s) if s else 0)
-            gamma = llr_bsc(e, 0.05)
-            assert ml_decode(H, gamma) == BinaryVector(31, nearest)
-            ml_cost = sum(g for i, g in enumerate(rationalize(gamma)) if nearest >> i & 1)
-            statuses.add(assert_lp_at_most_ml(H, gamma, ml_cost))
-    finally:
-        lpdecode._compiled.clear()  # its 163,902 rows hold about 205 MB
+    # The decode LP has 163,871 rows, which hold 85.7 MB (106.8 MB peak;
+    # tracemalloc, CPython 3.11); the fixture drops them after the test.
+    for _ in range(5):
+        e = BinaryVector(31, 0)
+        while e.weight() == 0:
+            e = bsc_sample(e, 0.05, rng)
+        s = mat_vec_mod2(H, e.to_tuple()).bits
+        nearest = e.bits ^ (1 << columns.index(s) if s else 0)
+        gamma = llr_bsc(e, 0.05)
+        assert ml_decode(H, gamma) == BinaryVector(31, nearest)
+        ml_cost = sum(g for i, g in enumerate(rationalize(gamma)) if nearest >> i & 1)
+        statuses.add(assert_lp_at_most_ml(H, gamma, ml_cost))
     assert statuses == {"codeword", "tie"}
 
 
@@ -501,7 +501,7 @@ class TestCompiledSystem:
                 # The compiled LP is solved directly: lp_decode skips it on a
                 # certified hard decision.
                 with both_pivot_logs() as (core, condensed, full):
-                    res = _compiled_lp(H)[0].with_objective(dd.integerize(gr)).solve()
+                    res = _record(H).lp.with_objective(dd.integerize(gr)).solve()
                     ref = CondensedSimplex(A, b, gr).solve()
                     want = FullTableauSimplex(A, b, gr).solve()
                 got = lp_decode(H, gamma)
@@ -541,7 +541,7 @@ class TestCompiledSystem:
         statuses = set()
         for H, gamma in cases:
             gr = rationalize(gamma)
-            sx = _compiled_lp(H)[0].with_objective(dd.integerize(gr))
+            sx = _record(H).lp.with_objective(dd.integerize(gr))
             res = sx.solve()
             ref = CondensedSimplex(*decode_rows(H), gr)
             ref.solve()
@@ -574,7 +574,7 @@ class TestCompiledSystem:
         for cap in (4, 20):
             monkeypatch.setattr(polytope, "ROW_WEIGHT_CAP", cap)
             for H in named:
-                lpdecode._compiled.clear()
+                lpdecode._records.clear()
                 assert_compiled_matches_dense(H)
 
     def test_alternating_matrices_of_one_shape(self):
@@ -597,33 +597,83 @@ class TestCompiledSystem:
         with pytest.raises(BoundExceeded, match="^row 0 has weight 21, above the expansion cap 20$"):
             lp_decode(H, llr_bsc(BinaryVector(21, 0), 0.1))
 
-    def test_one_entry_per_matrix(self, hamming7_full):
-        # Every decode path on one H shares one compiled system.
-        lpdecode._compiled.clear()
+    def test_one_entry_per_matrix(self, hamming7_full, empty_record_cache):
+        # Every decode path on one H shares one record.
         errors = list(bsc_errors(7, 0.2, 3, seed=1))
         lp_decode(hamming7_full, llr_bsc(errors[0], 0.2))
         lp_decode(hamming7_full, llr_bsc(errors[1], 0.2))
         shift_equivariance_experiment(hamming7_full, 1, errors, 0.2)
-        assert list(lpdecode._compiled) == [hamming7_full]
+        ml_decode(hamming7_full, llr_bsc(errors[0], 0.2))
+        assert list(empty_record_cache) == [hamming7_full]
 
-    def test_cache_bounded_by_rows(self, monkeypatch, hamming7, hamming7_full):
-        steane = steane_matrix(3)
+    def test_cache_bounded_by_rows(self, monkeypatch, hamming7, hamming7_full,
+                                   empty_record_cache):
+        records, steane = empty_record_cache, steane_matrix(3)
         rows = {H: len(decode_rows(H)[0]) for H in (hamming7, hamming7_full, steane)}
-        lpdecode._compiled.clear()
-        # The cap holds 3x7 and 7x7 (31 + 63 rows), and 3x7 and Steane (62).
-        monkeypatch.setattr(lpdecode, "COMPILED_ROWS_CAP", rows[hamming7] + rows[hamming7_full])
-        a, b = _compiled_lp(hamming7)[0], _compiled_lp(hamming7_full)[0]
-        assert _compiled_lp(hamming7)[0] is a  # 7x7 is now least recently used
-        c = _compiled_lp(steane)[0]  # over the cap: 7x7 goes, 3x7 stays
-        assert _compiled_lp(hamming7)[0] is a
-        assert _compiled_lp(steane)[0] is c
-        assert _compiled_lp(hamming7_full)[0] is not b
-        assert list(lpdecode._compiled) == [hamming7_full]
-        # A system above the cap on its own is still kept while it is newest.
-        monkeypatch.setattr(lpdecode, "COMPILED_ROWS_CAP", 1)
-        d = _compiled_lp(hamming7)[0]
-        assert _compiled_lp(hamming7)[0] is d
-        assert list(lpdecode._compiled) == [hamming7]
+        # Least recently used first out.  Reading lp builds no other part,
+        # so the cap holds 3x7 and 7x7 (31 + 63 rows), and 3x7 and Steane (62).
+        monkeypatch.setattr(lpdecode, "CACHE_CAP", rows[hamming7] + rows[hamming7_full])
+        a, b = _record(hamming7).lp, _record(hamming7_full).lp
+        assert _record(hamming7).lp is a  # 7x7 is now least recently used
+        c = _record(steane).lp  # over the cap: 7x7 goes, 3x7 stays
+        assert _record(hamming7).lp is a
+        assert _record(steane).lp is c
+        assert _record(hamming7_full).lp is not b
+        assert list(records) == [hamming7_full]
+        # A record above the cap on its own is still kept while it is in use.
+        monkeypatch.setattr(lpdecode, "CACHE_CAP", 1)
+        d = _record(hamming7).lp
+        assert _record(hamming7).lp is d
+        assert list(records) == [hamming7]
+
+    def test_debug_line_per_eviction(self, monkeypatch, caplog, hamming7, empty_record_cache):
+        # One line for the evicted 3x7 record and one for the memo of Steane,
+        # which is over the cap alone once its first solve adds keys.
+        records, steane = empty_record_cache, steane_matrix(3)
+        monkeypatch.setattr(lpdecode, "CACHE_CAP", 40)
+        lp_decode(hamming7, llr_bsc(BinaryVector(7, 0b11), 0.1))
+        memo = len(records[hamming7].memo)
+        assert memo
+        with caplog.at_level(logging.DEBUG, logger="conedec.lpdecode"):
+            lp_decode(steane, llr_bsc(BinaryVector(14, 1), 0.1))
+        evicted, emptied = [r.getMessage() for r in caplog.records if r.name == "conedec.lpdecode"]
+        assert evicted == f"record cache: evicted BinaryMatrix(3x7), 31 rows, {memo} memo entries"
+        head = "record cache: emptied the memo of BinaryMatrix(6x14), 62 rows, "
+        assert emptied.startswith(head) and emptied.endswith(" memo entries")
+        assert int(emptied[len(head):].split()[0]) > 0
+        assert all(r.levelno == logging.DEBUG for r in caplog.records)
+        assert list(records) == [steane] and records[steane].memo == {}
+
+    def test_parts_built_when_first_read(self, empty_record_cache):
+        # A check of weight 21 has no decode LP, yet ml_decode finds its ML
+        # word, and H's record then holds the trellis alone.  lp_decode
+        # raises before and after, and a record whose parts all raised is
+        # not kept.
+        H = BinaryMatrix(1, 21, [(1 << 21) - 1])
+        gamma = llr_bsc(BinaryVector(21, 0b1011), 0.1)  # odd weight: the trellis is walked
+        over = "^row 0 has weight 21, above the expansion cap 20$"
+        with pytest.raises(BoundExceeded, match=over):
+            lp_decode(H, gamma)
+        assert H not in empty_record_cache
+        assert ml_decode(H, gamma) == single_check_ml_decode(21, gamma)
+        assert set(vars(empty_record_cache[H])) == {"H", "trellis"}
+        with pytest.raises(BoundExceeded, match=over):
+            lp_decode(H, gamma)
+        assert set(vars(empty_record_cache[H])) == {"H", "trellis"}
+
+
+def single_check_ml_decode(n, gamma):
+    """reference_ml_decode for H = one check on all n coordinates and BSC
+    LLRs: the least (cost, tuple) key over every even-weight word, with
+    integer costs and bit counts in place of 2^(n-1) BinaryVectors and
+    Fraction sums."""
+    c, _ = rationalize_llr(gamma)
+    assert set(map(abs, c)) == {1}
+    pos, neg = (sum(1 << i for i, a in enumerate(c) if a == s) for s in (1, -1))
+    best = min((x for x in range(1 << n) if not x.bit_count() & 1),
+               key=lambda x: ((x & pos).bit_count() - (x & neg).bit_count(),
+                              format(x, f"0{n}b")[::-1]))
+    return BinaryVector(n, best)
 
 
 class TestHardDecisionCertificate:

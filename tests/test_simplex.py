@@ -12,10 +12,11 @@ from conedec import BinaryVector, dd, lpdecode
 from conedec.constructions import hagiwara_css_label_matrix, hamming_matrix, steane_matrix
 from conedec.errors import NumericalFailure
 from conedec.lpdecode import (
-    _compiled_lp,
+    _record,
     bsc_errors,
     llr_bsc,
     lp_decode,
+    ml_decode,
     rationalize_llr,
 )
 from conedec.qcimprove import add_qc_shifts
@@ -465,7 +466,7 @@ def test_ratio_test_matches_reference_on_decode_lps(code, seed, gaussian):
     # certified hard decision.
     H = decode_code(code)
     c, _ = rationalize_llr(seeded_llrs(H, seed, gaussian))
-    assert_solve_matches_reference(_compiled_lp(H)[0].with_objective(c))
+    assert_solve_matches_reference(_record(H).lp.with_objective(c))
 
 
 def decode_lp(code, seed, gaussian):
@@ -473,7 +474,7 @@ def decode_lp(code, seed, gaussian):
     It is solved directly: lp_decode skips it on a certified hard
     decision."""
     H = decode_code(code)
-    return _compiled_lp(H)[0].with_objective(rationalize_llr(seeded_llrs(H, seed, gaussian))[0])
+    return _record(H).lp.with_objective(rationalize_llr(seeded_llrs(H, seed, gaussian))[0])
 
 
 def assert_tie_check_matches_oracles(sx):
@@ -538,12 +539,12 @@ def test_ratio_test_covers_every_shortcut():
         H = decode_code(code)
         for seed in range(12):
             c, _ = rationalize_llr(seeded_llrs(H, seed, seed % 2))
-            kinds |= assert_solve_matches_reference(_compiled_lp(H)[0].with_objective(c))
+            kinds |= assert_solve_matches_reference(_record(H).lp.with_objective(c))
     assert kinds == {"slack basis", "structural at ratio 0", "structurals at zero",
                      "structural off zero"}
 
 
-def test_zero_word_decode_makes_no_rhs_pass(monkeypatch):
+def test_zero_word_decode_makes_no_rhs_pass(monkeypatch, empty_record_cache):
     # A weight-1 error on [15,11] has the zero word, the start vertex, as
     # its optimum (in a tie, as BSC LLRs often give): every pivot is
     # degenerate and every basic structural stays at zero, so neither the
@@ -552,8 +553,7 @@ def test_zero_word_decode_makes_no_rhs_pass(monkeypatch):
     # compiled afresh, so its memo is empty: a memo warmed by an earlier
     # test would serve these ratio tests without a call to _leaving.
     H = hamming_matrix(4)
-    lpdecode._compiled.clear()
-    _compiled_lp(H)
+    _record(H).lp
     calls = {"rhs": 0, "init": 0, "ratio": 0}
     slack_rhs, init, leaving = ExactSimplex._slack_rhs, ExactSimplex.__init__, ExactSimplex._leaving
 
@@ -647,7 +647,7 @@ def test_column_index_shares_row_entries(hamming7):
     # Row k's columns hold one (k, a) object per distinct coefficient a,
     # in a dense system with mixed coefficients and in the compiled 3x7 LP.
     dense = dense_simplex([[1, 2, 1, -1, 2], [3, 0, 3, 3, 0]], [1, 1], [0] * 5)
-    for sx in (dense, _compiled_lp(hamming7)[0]):
+    for sx in (dense, _record(hamming7).lp):
         for k, pairs in enumerate(sx._rows):
             entries = [e for col in sx._cols for e in col if e[0] == k]
             assert len(entries) == len(pairs)
@@ -754,7 +754,8 @@ def test_tie_memo_matches_memo_free_check(code, seed, gaussian, scale):
     # solved too; they may end at another basis.  The simplex takes
     # integer objectives, so each rational one is integerized.
     H = decode_code(code)
-    system, ties = _compiled_lp(H)
+    rec = _record(H)
+    system, ties = rec.lp, rec.memo
     gr = rationalize(seeded_llrs(H, seed, gaussian))
     ref = system.with_objective(dd.integerize(gr))
     want = ref.solve()
@@ -777,7 +778,7 @@ def test_tie_memo_serves_distinct_objectives():
     # second is answered from the memo, on every code.
     for code in ("3x7", "steane", "15_11", "hagiwara"):
         H = decode_code(code)
-        system = _compiled_lp(H)[0]
+        system = _record(H).lp
         served = 0
         for seed in range(12):
             ties = {}
@@ -829,7 +830,7 @@ def test_memo_replays_the_memo_free_pivot_log(case):
     if isinstance(case[0], str):
         code, seed, gaussian = case
         H = decode_code(code)
-        system = _compiled_lp(H)[0]
+        system = _record(H).lp
         objectives = [rationalize_llr(seeded_llrs(H, s, gaussian))[0] for s in (seed, seed + 1)]
     else:
         (A, b, c), c2 = case
@@ -896,7 +897,7 @@ def test_ratio_keys_never_equal_tie_keys(monkeypatch):
     pivot = ExactSimplex._pivot
     for code in MEMO_CODES:
         H = decode_code(code)
-        system, memo = _compiled_lp(H)[0], KeyRecordingMemo()
+        system, memo = _record(H).lp, KeyRecordingMemo()
         ratio_keys = set()
 
         def record(sx):
@@ -921,12 +922,11 @@ def test_ratio_keys_never_equal_tie_keys(monkeypatch):
         assert {key for key, kind in memo.stored if kind == "ratio test"} <= ratio_keys
 
 
-def test_memo_decodes_match_memo_free_solves():
+def test_memo_decodes_match_memo_free_solves(empty_record_cache):
     # On a seeded corpus of the five decode codes, BSC errors at two
     # crossovers and Gaussian LLRs, every lp_decode through the compiled
     # system's memo gives the status, optimum and objective of a memo-free
     # solve, and the memo served ratio tests on every code.
-    lpdecode._compiled.clear()
     for code in MEMO_CODES:
         H = decode_code(code)
         rng = random.Random(code)
@@ -936,7 +936,7 @@ def test_memo_decodes_match_memo_free_solves():
             for gamma in gammas:
                 got = lp_decode(H, gamma)
                 gr = rationalize(gamma)
-                free = _compiled_lp(H)[0].with_objective(dd.integerize(gr)).solve()
+                free = _record(H).lp.with_objective(dd.integerize(gr)).solve()
                 assert (got.optimum, got.objective) == (free.x, dot(gr, free.x))
                 integral = all(v.denominator == 1 for v in free.x)
                 assert got.status == ("tie" if not free.unique
@@ -944,24 +944,29 @@ def test_memo_decodes_match_memo_free_solves():
         assert sum(sx._memo_ratio_tests for sx in solved) > 0, code
 
 
-def test_memo_bound(monkeypatch):
-    # The memos of all compiled systems together hold at most MEMO_CAP
-    # entries, ratio-test and tie-check answers alike, and the answers stay
-    # right when they empty.
-    monkeypatch.setattr(lpdecode, "MEMO_CAP", 5)
-    lpdecode._compiled.clear()
+def test_memo_bound(monkeypatch, empty_record_cache):
+    # After every decode the records hold at most CACHE_CAP rows, memo
+    # entries and trellis steps, unless the record in use is over it alone,
+    # and then its memo is empty.  The cap leaves 3x7 five memo entries, and
+    # Steane and [15,11] are over it alone.  The memos hold ratio-test and
+    # tie-check answers alike, and the answers stay right when they empty.
+    records = empty_record_cache
+    monkeypatch.setattr(lpdecode, "CACHE_CAP", _record(decode_code("3x7")).lp.m + 5)
+    records.clear()
     sizes, kinds = [], set()
     for code, p in (("3x7", 0.1), ("steane", 0.1), ("15_11", 0.05)):
         H = decode_code(code)
         for e in bsc_errors(H.cols, p, 60, seed=4):
             gamma = llr_bsc(e, p)
             got = lp_decode(H, gamma)
-            free = _compiled_lp(H)[0].with_objective(rationalize_llr(gamma)[0]).solve()
+            free = _record(H).lp.with_objective(rationalize_llr(gamma)[0]).solve()
             assert (got.status == "tie") == (not free.unique)
             assert got.optimum == free.x
-            memos = [memo for _, memo in lpdecode._compiled.values()]
-            sizes.append(sum(map(len, memos)))
-            kinds |= {memo_kind(key, answer) for memo in memos for key, answer in memo.items()}
+            memo = records[H].memo
+            held = sum(sum(rec.sizes()) for rec in records.values())
+            assert held <= lpdecode.CACHE_CAP or (list(records) == [H] and not memo)
+            sizes.append(len(memo))
+            kinds |= {memo_kind(key, answer) for key, answer in memo.items()}
     assert max(sizes) == 5
     assert any(b < a for a, b in zip(sizes, sizes[1:]))
     assert kinds == {"ratio test", "tie check"}
@@ -979,18 +984,27 @@ def memo_kind(key, answer):
     return "tie check"
 
 
-def test_evicted_system_drops_its_memo(monkeypatch):
-    H3, steane = decode_code("3x7"), decode_code("steane")
-    lpdecode._compiled.clear()
-    monkeypatch.setattr(lpdecode, "COMPILED_ROWS_CAP", _compiled_lp(H3)[0].m)
+def test_evicted_system_drops_its_memo(monkeypatch, empty_record_cache):
+    # An evicted record's memo and trellis go with it, and ml_decode
+    # rebuilds the plan with the two eliminations of a first call.
+    records, H3, steane = empty_record_cache, decode_code("3x7"), decode_code("steane")
     for e in bsc_errors(7, 0.2, 30, seed=2):
         lp_decode(H3, llr_bsc(e, 0.2))
-    old = _compiled_lp(H3)[1]
-    assert old
+        ml_decode(H3, llr_bsc(e, 0.2))
+    gamma = llr_bsc(BinaryVector(7, 0b11), 0.1)  # not a codeword: the trellis is walked
+    want = ml_decode(H3, gamma)
+    old = records[H3]
+    assert old.memo and "trellis" in vars(old)
+    monkeypatch.setattr(lpdecode, "CACHE_CAP", sum(old.sizes()))
     lp_decode(steane, llr_bsc(BinaryVector(14, 1), 0.1))  # over the cap: 3x7 goes
-    assert list(lpdecode._compiled) == [steane]
-    assert all(ties is not old for _, ties in lpdecode._compiled.values())
-    assert _compiled_lp(H3)[1] == {}
+    assert list(records) == [steane]
+    assert all(rec.memo is not old.memo for rec in records.values())
+    assert _record(H3).memo == {} and "trellis" not in vars(_record(H3))
+    calls = []
+    echelon = lpdecode.gf2_row_echelon
+    monkeypatch.setattr(lpdecode, "gf2_row_echelon", lambda rows: calls.append(rows) or echelon(rows))
+    assert ml_decode(H3, gamma) == want
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("lp", [

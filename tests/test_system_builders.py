@@ -159,7 +159,7 @@ def test_row_weight_cap_unchanged(monkeypatch):
         H = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 9))
         cap = rng.randint(0, 9)
         monkeypatch.setattr(polytope, "ROW_WEIGHT_CAP", cap)
-        lpdecode._compiled.clear()
+        lpdecode._records.clear()
         try:
             expected = reference_polytope(H, cap)
         except BoundExceeded as exc:
