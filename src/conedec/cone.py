@@ -20,18 +20,18 @@ All arithmetic here is exact; there is no floating-point path.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import dd
 from .errors import BoundExceeded
 from .gf2 import BinaryMatrix, BinaryVector, as_fraction_vector, block_matrix
+from .record import record
 
 RAY_DIM_CAP = 20  # dimension bound for extreme-ray enumeration
 
 
-@dataclass(frozen=True)
+@record
 class ConeSystem:
     """The fundamental cone of H, {v : a . v >= 0 for all rows a}.
 
@@ -67,7 +67,7 @@ class ConeSystem:
         return in_cone(self.H, v)
 
 
-@dataclass(frozen=True)
+@record
 class RayList:
     """Extreme rays, canonicalized to primitive integer vectors."""
 

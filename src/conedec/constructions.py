@@ -4,10 +4,10 @@ spatially-coupled band matrices."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .gf2 import BinaryMatrix, block_matrix
+from .record import record
 
 # Rows of the cyclic 3x7 representation of the [7,4,3] Hamming code:
 # consecutive right-rotations of (1,0,1,1,1,0,0).
@@ -80,7 +80,7 @@ def steane_matrix(r: int) -> BinaryMatrix:
 _PAULI_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 
-@dataclass(frozen=True)
+@record
 class PauliString:
     """A tensor word over {I, X, Y, Z}; phases are not representable here
     and the parser rejects them outright."""
@@ -122,7 +122,7 @@ def circulant_permutation(t: int, shift: int) -> BinaryMatrix:
     return BinaryMatrix(t, t, [1 << ((j + shift) % t) for j in range(t)])
 
 
-@dataclass(frozen=True)
+@record
 class ExponentMatrix:
     """Integer exponent grid; entry e_ij stands for the t x t circulant
     permutation with shift e_ij."""

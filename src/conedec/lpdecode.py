@@ -47,7 +47,6 @@ import logging
 import math
 import random
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Sequence
@@ -62,6 +61,7 @@ from .gf2 import (
     is_quasi_cyclic,
 )
 from .polytope import relaxed_rows
+from .record import record
 from .simplex import _ONE, _ZERO, ExactSimplex
 
 LLR_DENOMINATOR_CAP = 10**6
@@ -134,8 +134,11 @@ def _certified_codeword(H: BinaryMatrix, c: Sequence[int]) -> int | None:
     return y
 
 
-@dataclass(frozen=True)
+@record
 class DecodeResult:
+    """An LP optimum, its objective against the rationalized LLRs, whether it
+    is integral, and its status: "codeword", "fractional" or "tie"."""
+
     optimum: tuple[Fraction, ...]
     objective: Fraction  # against the rationalized LLRs
     integral: bool
@@ -356,8 +359,12 @@ def bsc_errors(n: int, p: float, trials: int, seed: int) -> Iterator[BinaryVecto
         yield bsc_sample(zero, p, rng)
 
 
-@dataclass(frozen=True)
+@record
 class OrbitRecord:
+    """One error's orbit under the shift: its decode statuses by rotation,
+    whether the outputs are rotations of each other (None with a tie), and
+    whether the error itself failed to decode to the zero word."""
+
     error: tuple[int, ...]
     statuses: tuple[str, ...]
     outputs_shift_consistent: bool | None  # None when the orbit contains ties
@@ -368,7 +375,7 @@ class OrbitRecord:
         return len(set(self.statuses)) == 1
 
 
-@dataclass(frozen=True)
+@record
 class ShiftReport:
     """The orbit records of one shift experiment, with the counts derived
     from them: violations are the indices of the orbits whose statuses are

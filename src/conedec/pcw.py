@@ -9,17 +9,18 @@ result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Sequence
 
 from .cone import in_cone
 from .errors import BoundExceeded
 from .gf2 import BinaryMatrix, mat_vec_mod2
+from .record import record
 
 BOX_BUDGET = 1 << 24  # max number of lattice points a box sweep may cover
 
 
-@dataclass(frozen=True)
+@record
 class Pseudocodeword:
     """Integer vector certified against a specific H at construction."""
 
@@ -103,7 +104,7 @@ def enumerate_pseudocodewords(H: BinaryMatrix, bound: int) -> list[Pseudocodewor
     return found
 
 
-@dataclass(frozen=True)
+@record
 class GenFun:
     """Sparse multivariate polynomial sum of x^p over pseudocodewords p,
     truncated to exponents <= bound coordinatewise.

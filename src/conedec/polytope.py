@@ -19,7 +19,6 @@ homogenization (x, t), t >= 0, and scaling the resulting rays to t = 1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
@@ -28,12 +27,13 @@ from typing import Sequence
 from . import dd
 from .errors import BoundExceeded
 from .gf2 import BinaryMatrix, as_fraction_vector, enumerate_codewords, mat_vec_mod2
+from .record import record
 
 VERTEX_DIM_CAP = 16  # dimension bound for vertex enumeration
 ROW_WEIGHT_CAP = 20  # each row of weight w expands to 2^(w-1) inequalities
 
 
-@dataclass(frozen=True)
+@record
 class PolytopeSystem:
     """The relaxed polytope of H, {x : a . x <= b for all rows (a, b)}.
 
@@ -76,7 +76,7 @@ class PolytopeSystem:
         )
 
 
-@dataclass(frozen=True)
+@record
 class VertexSet:
     """Exact vertices, each tagged integral (all coordinates in {0,1})."""
 
@@ -163,7 +163,7 @@ def codeword_polytope(H: BinaryMatrix) -> VertexSet:
     return VertexSet(H.cols, verts)
 
 
-@dataclass(frozen=True)
+@record
 class PseudocodewordCensus:
     """Vertices of the relaxed polytope split by codeword membership."""
 

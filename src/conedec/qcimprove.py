@@ -13,8 +13,6 @@ to Monte Carlo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gf2 import (
     BinaryMatrix,
     BinaryVector,
@@ -24,6 +22,7 @@ from .gf2 import (
 )
 from .lpdecode import bsc_errors, llr_bsc, lp_decode, ml_decode
 from .polytope import lp_pseudocodewords
+from .record import record
 
 
 def shift_orbit(c: BinaryVector, n0: int) -> list[BinaryVector]:
@@ -61,7 +60,7 @@ def add_qc_shifts(H: BinaryMatrix, c: BinaryVector, n0: int) -> BinaryMatrix:
     return BinaryMatrix(len(new_rows), H.cols, new_rows)
 
 
-@dataclass(frozen=True)
+@record
 class PerformanceEstimate:
     """Monte Carlo decoder quality over all-zero transmission.
 
@@ -120,7 +119,7 @@ def evaluate_lp_performance(
     )
 
 
-@dataclass(frozen=True)
+@record
 class ImproveTarget:
     """Either an exact census target (at most this many non-codeword
     vertices) or an FER threshold at a given crossover probability."""
@@ -142,8 +141,12 @@ class ImproveTarget:
             raise ValueError("the crossover probability must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
+@record
 class Iteration:
+    """One step of the improve loop: the dual word whose orbit was added, the
+    number of rows it added, and the new measure (the vertex counts for a
+    census target, the FER for an FER target, None otherwise)."""
+
     added_word: tuple[int, ...]
     orbit_size: int
     vertex_count: int | None
@@ -151,8 +154,11 @@ class Iteration:
     fer_estimate: float | None
 
 
-@dataclass(frozen=True)
+@record
 class ImprovementReport:
+    """The improve loop's steps, the matrix it ends with, whether that matrix
+    meets the target, and the Monte Carlo seed of the FER measures."""
+
     iterations: tuple[Iteration, ...]
     final_matrix: BinaryMatrix
     met_target: bool

@@ -127,12 +127,12 @@ no binding row.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import MutableMapping, Sequence
 
 from .errors import NumericalFailure
+from .record import record
 
 logger = logging.getLogger(__name__)
 
@@ -142,8 +142,11 @@ MAX_PIVOTS = 100000
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-@dataclass(frozen=True)
+@record
 class SimplexResult:
+    """An optimal vertex x, its objective c . x, and whether x is the whole
+    optimal face."""
+
     objective: Fraction  # c . x
     x: tuple[Fraction, ...]
     unique: bool  # True iff the optimal face is the single vertex x

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import random
@@ -168,6 +169,18 @@ class TestLpDecode:
         zstar = min(c for c, _ in costs)
         assert len([v for c, v in costs if c == zstar]) > 1
         assert res.status == "tie"
+
+    def test_replace_changes_only_the_objective(self, hamming7):
+        # perfbench's wrong_objective fault rebuilds a result this way; a
+        # replace that raised would be counted as a caught fault.
+        res = lp_decode(hamming7, llr_bsc(BinaryVector.from_string("1100000"), 0.1))
+        moved = dataclasses.replace(res, objective=res.objective + 1)
+        assert type(moved) is DecodeResult
+        assert moved.objective == res.objective + 1
+        assert (moved.optimum, moved.integral, moved.status) == (res.optimum, res.integral, res.status)
+        assert [f.name for f in dataclasses.fields(DecodeResult)] == [
+            "optimum", "objective", "integral", "status"
+        ]
 
 
 class TestMlDecode:
