@@ -109,7 +109,7 @@ def cmd_build(args) -> int:
 def build_from_recipe(recipe: dict) -> BinaryMatrix:
     if type(recipe) is not dict:
         raise ValueError("a recipe must be a JSON object")
-    kind = recipe.get("kind")
+    kind = _field(recipe, "kind", str)
     if kind == "hamming":
         return cons.hamming_matrix(
             _field(recipe, "r", int), _field(recipe, "cyclic", bool, False)
@@ -117,9 +117,7 @@ def build_from_recipe(recipe: dict) -> BinaryMatrix:
     if kind == "steane":
         return cons.steane_matrix(_field(recipe, "r", int))
     if kind == "css":
-        return cons.css_matrix(
-            _recipe_matrix(recipe["h1"], "h1"), _recipe_matrix(recipe["h2"], "h2")
-        )
+        return cons.css_matrix(*[_recipe_matrix(_field(recipe, k), k) for k in ("h1", "h2")])
     if kind == "label":
         return cons.label_matrix([str(g) for g in _field(recipe, "generators", list)])
     if kind == "circulant":
@@ -128,7 +126,7 @@ def build_from_recipe(recipe: dict) -> BinaryMatrix:
         )
     if kind == "qc-exponent":
         E = cons.ExponentMatrix.from_rows(
-            _int_rows(recipe["exponents"], "exponents"),
+            _int_rows(_field(recipe, "exponents"), "exponents"),
             _field(recipe, "block_size", int),
         )
         return cons.qc_from_exponents(E)
@@ -140,18 +138,21 @@ def build_from_recipe(recipe: dict) -> BinaryMatrix:
         return cons.sc_ldpc(
             [_recipe_matrix(b, "blocks") for b in _field(recipe, "blocks", list)],
             _field(recipe, "L", int),
-            str(recipe["mode"]),
+            _field(recipe, "mode", str),
         )
     if kind == "hagiwara":
         return cons.hagiwara_css_label_matrix()
     raise ValueError(f"unknown recipe kind {kind!r}")
 
 
-def _field(recipe: dict, key: str, kind: type, default=None):
+def _field(recipe: dict, key: str, kind: type | None = None, default=None):
     """recipe[key] (or the default when the key is absent), which must be a
-    JSON value of exactly this type: a bool is not an int, a float not an int."""
-    value = recipe[key] if default is None else recipe.get(key, default)
-    if type(value) is not kind:
+    JSON value of exactly the given type: a bool is not an int, a float not
+    an int.  A key with no default must be present."""
+    if default is None and key not in recipe:
+        raise ValueError(f"recipe field {key!r} is missing")
+    value = recipe.get(key, default)
+    if kind is not None and type(value) is not kind:
         raise ValueError(
             f"recipe field {key!r} must be a JSON {kind.__name__}, not {value!r}"
         )
@@ -404,7 +405,7 @@ def main(argv=None) -> int:
     except (NumericalFailure, AssertionError, ArithmeticError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -22,8 +22,7 @@ bitset of the rays tight on it; a new ray's bits go in once, after the
 insertion that made it, and a dead ray's bits stay and are masked off by
 `live`.  A (+, -) pair whose common tight rows z number at least dim - 2 is
 adjacent iff common = live & AND_{k in z} tight[k] is exactly the pair, so
-the test costs |z| big-integer ANDs (stopping once only the pair is left)
-instead of a scan of every ray.
+the test costs |z| big-integer ANDs instead of a scan of every ray.
 
 Candidate pairs: each insertion walks the smaller of the two sides ray by
 ray.  For a walked ray with tight-row mask mo and t = |mo| - (dim - 2), a
@@ -103,8 +102,7 @@ def near_rays(inner: int, rows: int, t: int, tight: Sequence[int]) -> int:
 
     lv[j] holds the rays that miss at least j + 1 of the rows read so far.
     A row's misses, inner & ~tight[r], move each of its rays one level up,
-    and a ray already in lv[t] stays there.  Once lv[t] holds every ray of
-    `inner` none can pass, and the walk stops."""
+    and a ray already in lv[t] stays there."""
     lv = [0] * (t + 1)
     while rows:
         low = rows & -rows
@@ -114,8 +112,6 @@ def near_rays(inner: int, rows: int, t: int, tight: Sequence[int]) -> int:
             for j in range(t, 0, -1):
                 lv[j] |= lv[j - 1] & miss
             lv[0] |= miss
-            if lv[t] == inner:
-                return 0
     return inner & ~lv[t]
 
 
@@ -220,8 +216,6 @@ def extreme_rays_int(
                     while rest:
                         low = rest & -rest
                         common &= tight[low.bit_length() - 1]
-                        if common == pair:
-                            break
                         rest ^= low
                     if common != pair:
                         extra = common ^ pair

@@ -134,16 +134,9 @@ class BinaryMatrix:
         return [[self.entry(j, i) for i in range(self.cols)] for j in range(self.rows)]
 
     def transpose(self) -> "BinaryMatrix":
-        """Scatters each row's set bits into the columns: O(weight + cols)
-        big-int operations, not rows * cols entry reads."""
-        cols = [0] * self.cols
-        for j, bits in enumerate(self.row_bits):
-            bit = 1 << j
-            while bits:
-                low = bits & -bits
-                cols[low.bit_length() - 1] |= bit
-                bits ^= low
-        return BinaryMatrix(self.cols, self.rows, cols)
+        """Read entry by entry, rows * cols reads; the package builds it
+        once per H, for the ML trellis plan."""
+        return BinaryMatrix.from_rows(list(zip(*self.to_lists())))
 
     def weight(self) -> int:
         return sum(b.bit_count() for b in self.row_bits)

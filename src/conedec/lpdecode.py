@@ -251,18 +251,17 @@ def lp_decode(H: BinaryMatrix, gamma: LlrVector) -> DecodeResult:
         return DecodeResult(optimum=tuple([_ONE if a < 0 else _ZERO for a in c]),
                             objective=unit * cost if cost else _ZERO, integral=True,
                             status="codeword")
-    sx, memo = system.with_objective(c), rec.memo
+    memo = rec.memo
     held = len(memo)
-    res = sx.solve(memo)
+    res = system.with_objective(c).solve(memo)
     if len(memo) > held:
         _fit(rec)
-    # Only basic structurals can be nonzero, x_j = core[j][-1] / d in [0, 1].
-    d = sx.d
-    integral = all(row[-1] in (0, d) for row in sx.core.values())
+    # Every x_j lies in [0, 1], so an integral one is 0 or 1.
+    integral = all(v.denominator == 1 for v in res.x)
     if not res.unique:
         status = "tie"
     elif integral:
-        y = sum([1 << j for j, row in sx.core.items() if row[-1]])
+        y = sum([1 << j for j, v in enumerate(res.x) if v])
         if any((r & y).bit_count() & 1 for r in H.row_bits):
             raise AssertionError("integral optimum violates parity")
         status = "codeword"

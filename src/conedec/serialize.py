@@ -15,7 +15,7 @@ from .cone import ConeSystem, RayList
 from .pcw import GenFun
 from .polytope import VertexSet
 
-SCHEMA = 1
+SCHEMA = 1  # the first key of every JSON output, which cli._analyze writes
 
 
 def frac_str(x) -> str:
@@ -31,7 +31,6 @@ def vec_strs(v: Sequence) -> list[str]:
 
 def cone_to_obj(K: ConeSystem) -> dict:
     return {
-        "schema": SCHEMA,
         "type": "cone",
         "dim": K.dim,
         "inequality_count": len(K.inequalities),
@@ -41,7 +40,6 @@ def cone_to_obj(K: ConeSystem) -> dict:
 
 def rays_to_obj(R: RayList) -> dict:
     return {
-        "schema": SCHEMA,
         "type": "rays",
         "dim": R.dim,
         "ray_count": len(R.rays),
@@ -52,7 +50,6 @@ def rays_to_obj(R: RayList) -> dict:
 def vertices_to_obj(V: VertexSet) -> dict:
     flags = V.integral
     return {
-        "schema": SCHEMA,
         "type": "vertices",
         "dim": V.dim,
         "total": len(V),
@@ -74,7 +71,6 @@ def vertices_to_csv(V: VertexSet) -> str:
 
 def genfun_to_obj(f: GenFun) -> dict:
     obj = {
-        "schema": SCHEMA,
         "type": "genfun",
         "vars": f.num_vars,
         "bound": f.bound,

@@ -231,7 +231,7 @@ class ExactSimplex:
 
         Summed by columns: only basic structurals off zero contribute."""
         d, cols = self.d, self._cols
-        rhs = [d * b for b in self._b] if d != 1 else list(self._b)
+        rhs = [d * b for b in self._b]
         for j, row in self.core.items():
             beta = row[-1]
             if beta:
@@ -336,16 +336,11 @@ class ExactSimplex:
 
     def _column(self, s: int, cols: tuple) -> dict[int, int]:
         """Column s over the slack rows that the column index cols lists
-        (the whole index or its rows of b_k = 0): T_k[s] keyed by k.  Only
-        the entering structural's own column and the columns of basic
-        structurals with a nonzero in column s contribute."""
+        (the whole index or its rows of b_k = 0): T_k[s] keyed by k, d times
+        the entering structural's own column less a_kj * core[j][s] over
+        the basic structurals j with core[j][s] != 0."""
         d, entering = self.d, self.nonbasic[s]
-        if entering >= self.n:
-            col = {}
-        elif d == 1:
-            col = dict(cols[entering])
-        else:
-            col = {k: d * a for k, a in cols[entering]}
+        col = {} if entering >= self.n else {k: d * a for k, a in cols[entering]}
         get = col.get
         for j, row in self.core.items():
             t = row[s]

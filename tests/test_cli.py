@@ -31,6 +31,21 @@ ROW_WEIGHT_REFUSAL = "error: row 0 has weight 21, above the expansion cap 20\n"
 VERTEX_DIM_REFUSAL = "error: dimension {} exceeds vertex enumeration cap 16\n"
 
 
+# One recipe of each kind with every key it reads.
+FULL_RECIPES = {
+    "hamming": {"kind": "hamming", "r": 3, "cyclic": True},
+    "steane": {"kind": "steane", "r": 3},
+    "css": {"kind": "css", "h1": [[1, 1, 0], [0, 1, 1]], "h2": [[1, 1, 1]]},
+    "label": {"kind": "label", "generators": ["XZZXI", "IXZZX"]},
+    "circulant": {"kind": "circulant", "t": 3, "shift": 1},
+    "qc-exponent": {"kind": "qc-exponent", "exponents": [[1, 2, 4]], "block_size": 7},
+    "block-circulant": {"kind": "block-circulant", "blocks": [[[1, 1]], [[0, 1]]]},
+    "sc": {"kind": "sc", "blocks": [[[1, 1, 0]], [[1, 0, 1]]], "L": 3, "mode": "tailbiting"},
+    "hagiwara": {"kind": "hagiwara"},
+}
+OPTIONAL_RECIPE_FIELDS = {"cyclic", "shift"}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -107,6 +122,23 @@ class TestBuild:
         recipe.write_text(json.dumps(obj))
         code, _ = run(capsys, "build", str(recipe))
         assert code == 2
+
+    @pytest.mark.parametrize("kind,key", [
+        (kind, key) for kind, recipe in FULL_RECIPES.items() for key in recipe
+    ])
+    def test_recipe_field_dropped(self, tmp_path, capsys, kind, key):
+        # Each recipe builds whole; without one of its keys it still builds
+        # when the key is optional, and otherwise exits 2 naming the key.
+        path = tmp_path / "recipe.json"
+        path.write_text(json.dumps(FULL_RECIPES[kind]))
+        assert main(["build", str(path)]) == 0
+        path.write_text(json.dumps({k: v for k, v in FULL_RECIPES[kind].items() if k != key}))
+        code = main(["build", str(path)])
+        err = capsys.readouterr().err
+        if key in OPTIONAL_RECIPE_FIELDS:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (2, f"error: recipe field {key!r} is missing\n")
 
 
 class TestCone:
