@@ -256,12 +256,13 @@ def lp_decode(H: BinaryMatrix, gamma: LlrVector) -> DecodeResult:
     res = system.with_objective(c).solve(memo)
     if len(memo) > held:
         _fit(rec)
-    # Every x_j lies in [0, 1], so an integral one is 0 or 1.
-    integral = all(v.denominator == 1 for v in res.x)
+    # Every 0 and every 1 of res.x is simplex's _ZERO or _ONE.
+    support = [j for j, v in enumerate(res.x) if v is not _ZERO]
+    integral = all(res.x[j] is _ONE for j in support)
     if not res.unique:
         status = "tie"
     elif integral:
-        y = sum([1 << j for j, v in enumerate(res.x) if v])
+        y = sum([1 << j for j in support])
         if any((r & y).bit_count() & 1 for r in H.row_bits):
             raise AssertionError("integral optimum violates parity")
         status = "codeword"
