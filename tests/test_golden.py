@@ -20,7 +20,6 @@ import contextlib
 import hashlib
 import io
 import random
-import sys
 
 import pytest
 
@@ -194,8 +193,7 @@ def cli_digest(case: str, tmp_dir) -> str:
         return _digest(_run_cli(["build", str(path)]))
     command, name, *options = CLI[case]
     path = tmp_dir / f"{name}.txt"
-    if not path.exists():
-        path.write_text(format_dense(MATRICES[name]()))
+    path.write_text(format_dense(MATRICES[name]()))
     return _digest(_run_cli([command, str(path), *options]))
 
 
@@ -235,10 +233,8 @@ CLI_CASES = list(CLI) + [f"build {k}" for k in RECIPES]
 
 
 @pytest.mark.parametrize("case", CLI_CASES)
-def test_cli_output_is_golden(tmp_path_factory, case):
-    tmp_dir = tmp_path_factory.getbasetemp() / "golden"
-    tmp_dir.mkdir(exist_ok=True)
-    assert cli_digest(case, tmp_dir) == GOLDEN[f"cli {case}"]
+def test_cli_output_is_golden(tmp_path, case):
+    assert cli_digest(case, tmp_path) == GOLDEN[f"cli {case}"]
 
 
 @pytest.mark.parametrize("case", list(DECODES))
@@ -262,4 +258,3 @@ if __name__ == "__main__":
         print(f'    "decode {case}": "{decode_digest(case)}",')
     for case in CENSUS:
         print(f'    "census {case}": "{census_digest(case)}",')
-    sys.stdout.flush()
