@@ -265,7 +265,8 @@ def _decode_trials(args, H: BinaryMatrix) -> tuple[dict | str, str]:
             f"{est.fer:.12g},{est.fractional},{est.ties}"
         )
         if args.ml:
-            header, row = header + ",ml_mismatches", f"{row},{est.ml_mismatches}"
+            header += ",ml_failures,pseudocodeword_failures"
+            row += f",{est.ml_failures},{est.pseudocodeword_failures}"
         return f"{header}\n{row}\n", summary
     obj = {
         "type": "decode-trials",
@@ -277,7 +278,8 @@ def _decode_trials(args, H: BinaryMatrix) -> tuple[dict | str, str]:
         "tie_count": est.ties,
     }
     if args.ml:
-        obj["ml_mismatches"] = est.ml_mismatches
+        obj["ml_failures"] = est.ml_failures
+        obj["pseudocodeword_failures"] = est.pseudocodeword_failures
     return obj, summary
 
 
@@ -374,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", action="store_true", help="Monte Carlo over the BSC")
     p.add_argument("--crossover", type=float, default=0.1)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--ml", action="store_true", help="cross-check against ML decoding")
+    p.add_argument("--ml", action="store_true",
+                   help="also ML decode: with --word, the ML word; "
+                   "with --random, the LP failures that ML shares")
     p.add_argument("--orbit-n0", type=int, dest="orbit_n0",
                    help="with --random: decode whole shift orbits and report per-orbit")
 

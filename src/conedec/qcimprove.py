@@ -9,6 +9,13 @@ target takes the exact vertex census, and an FER target a Monte Carlo
 frame error rate.  A census target on more than VERTEX_DIM_CAP columns
 raises BoundExceeded (exit 3 on the command line) rather than falling back
 to Monte Carlo.
+
+The Monte Carlo run, evaluate_lp_performance, can also split the LP
+failures into those ML decoding shares and those a pseudocodeword causes.
+LP success implies ML success (a unique integral LP optimum is the unique
+ML word, Feldman, Wainwright & Karger, IEEE T-IT 2005), so ML is asked
+only where LP fails, and both decoders succeed by one rule: a unique
+decode to the zero word.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .gf2 import (
     enumerate_dual_words,
     row_space_contains,
 )
-from .lpdecode import bsc_errors, llr_bsc, lp_decode, ml_decode
+from .lpdecode import bsc_errors, llr_bsc, lp_decode, ml_decode, rationalize_llr
 from .polytope import lp_pseudocodewords
 from .record import record
 
@@ -65,9 +72,10 @@ class PerformanceEstimate:
     """Monte Carlo decoder quality over all-zero transmission.
 
     A trial fails unless DecodeResult.recovers_zero holds (a unique decode
-    to the zero word); ties count as failures.  ml_mismatches counts
-    "codeword" outputs that differ from the ML word, and is None when the
-    run was not cross-checked.
+    to the zero word); ties count as failures.  ml_failures counts the
+    trials where ML decoding fails by the same rule, zero not the unique
+    least-cost codeword, and is None when the run did not ask ML.  Every
+    ML failure is an LP failure.
     """
 
     p: float
@@ -76,7 +84,13 @@ class PerformanceEstimate:
     failures: int
     fractional: int
     ties: int
-    ml_mismatches: int | None = None
+    ml_failures: int | None = None
+
+    @property
+    def pseudocodeword_failures(self) -> int | None:
+        """The LP failures where ML recovers the zero word: those a
+        pseudocodeword causes.  None when the run did not ask ML."""
+        return None if self.ml_failures is None else self.failures - self.ml_failures
 
     @property
     def fer(self) -> float:
@@ -97,26 +111,43 @@ def evaluate_lp_performance(
     """LP-decode `trials` BSC(p) corruptions of the zero word.
 
     The errors are bsc_errors(H.cols, p, trials, seed), the stream every
-    seeded run draws from.  With ml, every "codeword" output is
-    cross-checked against ml_decode.
+    seeded run draws from.  With ml, each LP failure is also ML decoded,
+    and ml_failures counts those where zero is not the unique ML word.  A
+    trellis over the state cap raises BoundExceeded before the first
+    decode, whether or not any trial would fail.
     """
-    failures = fractional = ties = mismatches = 0
+    if ml:
+        # ml_decode checks the trellis width first, and the hard decision
+        # of all-positive LLRs, the zero word, is certified: no walk.
+        ml_decode(H, [1] * H.cols)
+    failures = fractional = ties = ml_failures = 0
     for e in bsc_errors(H.cols, p, trials, seed):
         gamma = llr_bsc(e, p)
         res = lp_decode(H, gamma)
         if not res.recovers_zero:
             failures += 1
+            if ml and not _ml_recovers_zero(H, gamma):
+                ml_failures += 1
         if res.status == "fractional":
             fractional += 1
         elif res.status == "tie":
             ties += 1
-        if ml and res.status == "codeword" and ml_decode(H, gamma) != res.as_binary():
-            mismatches += 1
     return PerformanceEstimate(
         p=p, trials=trials, seed=seed, failures=failures,
         fractional=fractional, ties=ties,
-        ml_mismatches=mismatches if ml else None,
+        ml_failures=ml_failures if ml else None,
     )
+
+
+def _ml_recovers_zero(H: BinaryMatrix, gamma: list[float]) -> bool:
+    """DecodeResult.recovers_zero for ML: the zero word is the unique
+    least-cost codeword under c, the rationalized LLRs.  c is an int
+    vector, so with c'_i = (n + 1) c_i - 1 a nonzero x costs
+    (n + 1)(c . x) - |x|, never 0, and positive iff c . x >= 1.  So zero is
+    c's unique minimum iff it is ml_decode's word under c'."""
+    n = H.cols
+    c, _ = rationalize_llr(gamma)
+    return not ml_decode(H, [(n + 1) * a - 1 for a in c]).bits
 
 
 @record

@@ -9,6 +9,7 @@ from conedec.cli import build_parser, main
 from conedec.gf2 import format_alist, format_dense
 from conedec.serialize import SCHEMA
 from conedec.constructions import hamming_matrix, steane_matrix
+from conedec.qcimprove import evaluate_lp_performance
 
 
 @pytest.fixture()
@@ -268,7 +269,25 @@ class TestDecode:
             "--crossover", "0.1", "--trials", "100", "--seed", "3",
         )
         assert code == 0
-        assert json.loads(out)["ml_mismatches"] == 0
+        obj = json.loads(out)
+        est = evaluate_lp_performance(hamming_matrix(3, cyclic=True), 0.1, 100, 3, ml=True)
+        assert obj["ml_failures"] == est.ml_failures
+        assert 0 < obj["ml_failures"] < obj["failures"]
+        assert obj["pseudocodeword_failures"] == obj["failures"] - obj["ml_failures"]
+
+    def test_ml_trellis_cap_exits_3(self, tmp_path, capsys):
+        # The code {(u, u)} with u of length 25 is over the trellis cap.  No
+        # trial fails at p = 0.001, yet --ml refuses before the first decode.
+        p = tmp_path / "uu.txt"
+        p.write_text(format_dense(BinaryMatrix(25, 50, [1 << j | 1 << (25 + j) for j in range(25)])))
+        argv = ["decode", str(p), "--random", "--crossover", "0.001", "--trials", "5",
+                "--seed", "1"]
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["failures"] == 0
+        code = main([*argv, "--ml"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == "error: ML trellis needs 2^25 states, above the 2^24 cap\n"
 
     def test_word_length_error(self, hamming_path, capsys):
         code, _ = run(capsys, "decode", hamming_path, "--word", "000")
@@ -430,16 +449,20 @@ class TestDecode:
         assert lines[0].startswith("# config:")
         assert lines[1] == "seed,p,trials,failures,fer,fractional_count,tie_count"
 
-    def test_csv_ml_mismatches(self, hamming_path, capsys):
-        # --ml appends the cross-check's count, as the JSON output has it.
+    def test_csv_ml_failures(self, hamming_path, capsys):
+        # --ml appends the ML split of the failures, as the JSON output has it.
         argv = ("decode", hamming_path, "--random", "--ml", "--trials", "20", "--seed", "1")
         code, out = run(capsys, *argv, "--format", "csv")
         assert code == 0
         header, row = out.splitlines()[1:]
-        assert header == "seed,p,trials,failures,fer,fractional_count,tie_count,ml_mismatches"
+        assert header == ("seed,p,trials,failures,fer,fractional_count,tie_count,"
+                          "ml_failures,pseudocodeword_failures")
         code, text = run(capsys, *argv)
         assert code == 0
-        assert row.split(",")[-1] == str(json.loads(text)["ml_mismatches"])
+        obj = json.loads(text)
+        cells = row.split(",")
+        assert cells[3] == str(obj["failures"])
+        assert cells[-2:] == [str(obj["ml_failures"]), str(obj["pseudocodeword_failures"])]
 
 
     @pytest.mark.parametrize("argv", [

@@ -143,8 +143,8 @@ GOLDEN = {
     "cli decode word 15_11 ml": "4035211f4b951b7deaff4527096a6bf140d1ee6787731c2a31705207d2e84ab5",
     "cli decode random steane": "378a397463556a4bcac4cd065071f385b647541e44e01f2037cf9c752a280ece",
     "cli decode random steane csv": "eb3a765eb712849e7f74cae1381ccc52aef42f3639a478bf16560887570bc672",
-    "cli decode random steane ml": "284b159655b63cdf6b00ac52dca4db6bb4fe31f7c2ccaf791648e7f2d9296a87",
-    "cli decode random 15_11 ml": "0b74671496f66f2e74c0c4b8625cf0c7909113c084b91db06a1b392483885444",
+    "cli decode random steane ml": "8ff992f1a63d00c09066c2e6987d8bdc1155e77f9faa18a361e9c7091d3c4dd2",
+    "cli decode random 15_11 ml": "7488a24a4657a3d27a1be75980c0f821752adb9e2c3053a54dd99ab7f07e3d96",
     "cli decode orbits 7x7": "5b3268b0a5b137b4fb6959aeb64e913ce7a98078fe0657b0ba5b05ee6127cf9f",
     "cli improve noncw 3x7": "4ebe3360282cac32b96939f0eaa567fab56ffca3f53f9f25212986aec8a78008",
     "cli improve fer 3x7": "e23fecc3d105fc7e4d25f7e326e513fa92aab3f5d185842794de611f14fe00c5",

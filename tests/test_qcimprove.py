@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conedec import gf2, lpdecode, qcimprove
 from conedec import (
@@ -13,8 +17,31 @@ from conedec import (
     improve_representation,
     is_quasi_cyclic,
 )
-from conedec.constructions import hamming_matrix, steane_matrix
-from conedec.qcimprove import ImproveTarget, shift_orbit
+from conedec.constructions import hagiwara_css_label_matrix, hamming_matrix, steane_matrix
+from conedec.errors import BoundExceeded
+from conedec.lpdecode import bsc_errors, llr_bsc, lp_decode, ml_decode, rationalize_llr
+from conedec.qcimprove import ImproveTarget, _ml_recovers_zero, shift_orbit
+
+
+def _hamming7_closure() -> BinaryMatrix:
+    H = hamming_matrix(3, cyclic=True)
+    return add_qc_shifts(H, H.row(0), 1)
+
+
+def brute_ml_recovers_zero(H: BinaryMatrix, gamma) -> bool:
+    """Every nonzero codeword costs at least 1 under rationalize_llr's c,
+    by a sweep over the codewords."""
+    c, _ = rationalize_llr(gamma)
+    return all(
+        sum(a for a, b in zip(c, w) if b) >= 1 for w in enumerate_codewords(H) if w.bits
+    )
+
+
+def brute_ml_failures(H: BinaryMatrix, p: float, trials: int, seed: int) -> int:
+    """The seeded run's trials whose zero word is not the unique ML word."""
+    return sum(
+        not brute_ml_recovers_zero(H, llr_bsc(e, p)) for e in bsc_errors(H.cols, p, trials, seed)
+    )
 
 
 class TestAddQcShifts:
@@ -86,9 +113,14 @@ class TestEvaluateLpPerformance:
         assert not runs[0] & runs[1]
 
     def test_ml_cross_check(self, hamming7):
+        # ML is asked only where LP fails, yet its count is that of every
+        # trial: an LP success is an ML success.
         est = evaluate_lp_performance(hamming7, 0.1, 100, seed=3, ml=True)
-        assert est.ml_mismatches == 0
-        assert evaluate_lp_performance(hamming7, 0.1, 10, seed=3).ml_mismatches is None
+        assert est.ml_failures == brute_ml_failures(hamming7, 0.1, 100, 3)
+        assert 0 < est.ml_failures < est.failures
+        assert est.pseudocodeword_failures == est.failures - est.ml_failures
+        plain = evaluate_lp_performance(hamming7, 0.1, 10, seed=3)
+        assert plain.ml_failures is None and plain.pseudocodeword_failures is None
 
     def test_ml_enumerates_no_codewords(self, hamming7, monkeypatch):
         # ML decoding walks the syndrome trellis of H; the codeword sweep is
@@ -102,9 +134,102 @@ class TestEvaluateLpPerformance:
         for mod in (gf2, qcimprove, lpdecode):
             monkeypatch.setattr(mod, "enumerate_codewords", counting, raising=False)
         est = evaluate_lp_performance(hamming7, 0.1, 30, seed=3, ml=True)
-        assert est.trials - est.failures > 1  # several "codeword" trials
-        assert est.ml_mismatches == 0
+        assert est.failures > 1  # several ML decisions
+        assert est.ml_failures == brute_ml_failures(hamming7, 0.1, 30, 3)
         assert calls == []
+
+
+class TestMlOnlyWhereLpFails:
+    def test_ml_decides_each_failure_once(self, monkeypatch):
+        # Past the one width check (a certified word, so no walk), ml_decode
+        # runs once per LP failure and on no success.
+        decisions, walks = [], []
+        decide, walk = qcimprove._ml_recovers_zero, qcimprove.ml_decode
+        monkeypatch.setattr(qcimprove, "_ml_recovers_zero",
+                            lambda H, gamma: decisions.append(gamma) or decide(H, gamma))
+        monkeypatch.setattr(qcimprove, "ml_decode",
+                            lambda H, gamma: walks.append(gamma) or walk(H, gamma))
+        H = steane_matrix(3)
+        est = evaluate_lp_performance(H, 0.08, 150, seed=7, ml=True)
+        failed = [llr_bsc(e, 0.08) for e in bsc_errors(H.cols, 0.08, 150, 7)]
+        failed = [g for g in failed if not lp_decode(H, g).recovers_zero]
+        assert decisions == failed and len(failed) == est.failures == 75
+        assert len(walks) == est.failures + 1
+        assert (est.ml_failures, est.pseudocodeword_failures) == (35, 40)
+
+    @pytest.mark.parametrize("p, seed", [(0.05, 1), (0.15, 3), (0.25, 5)])
+    def test_closure_has_no_pseudocodeword_failures(self, hamming7_full, p, seed):
+        # All 16 relaxed-polytope vertices of the 7x7 closure are codewords,
+        # so LP decoding is ML decoding there.
+        est = evaluate_lp_performance(hamming7_full, p, 500, seed, ml=True)
+        assert est.failures > 0
+        assert est.pseudocodeword_failures == 0
+        assert est.ml_failures == est.failures
+
+    @pytest.mark.parametrize("matrix, p, trials", [
+        pytest.param(lambda: hamming_matrix(3, cyclic=True), 0.1, 300, id="3x7"),
+        pytest.param(_hamming7_closure, 0.15, 300, id="7x7"),
+        pytest.param(lambda: steane_matrix(3), 0.08, 300, id="steane"),
+        pytest.param(lambda: hamming_matrix(4), 0.08, 300, id="15_11"),
+        pytest.param(hagiwara_css_label_matrix, 0.03, 20, id="hagiwara"),
+    ])
+    def test_lp_codeword_is_ml_word(self, matrix, p, trials):
+        # The ML certificate of Feldman, Wainwright & Karger (2005): a
+        # unique integral LP optimum is the unique ML word.  A success is
+        # checked by the tie rule alone, whose answer makes zero the word
+        # ml_decode returns; one trellis walk a trial keeps Hagiwara cheap.
+        H = matrix()
+        codewords = 0
+        for e in bsc_errors(H.cols, p, trials, seed=1):
+            gamma = llr_bsc(e, p)
+            res = lp_decode(H, gamma)
+            if res.recovers_zero:
+                assert _ml_recovers_zero(H, gamma)
+            elif res.status == "codeword":
+                assert ml_decode(H, gamma) == res.as_binary()
+            codewords += res.status == "codeword"
+        assert codewords > trials // 2
+
+    def test_trellis_cap_before_any_decode(self, monkeypatch):
+        # At p = 0.001 no trial fails, so ML would never be asked; the width
+        # check still comes before the first LP decode.
+        decodes = []
+        monkeypatch.setattr(qcimprove, "lp_decode", lambda H, gamma: decodes.append(gamma))
+        # The code {(u, u)} with u of length 25 has 2^25 trellis states
+        # after coordinate 24, over the 2^24 cap.
+        H = BinaryMatrix(25, 50, [1 << j | 1 << (25 + j) for j in range(25)])
+        with pytest.raises(BoundExceeded, match="2\\^25 states"):
+            evaluate_lp_performance(H, 0.001, 5, seed=1, ml=True)
+        assert decodes == []
+
+
+# LLRs that force ties: small ints and their floats, both zeros, and
+# Gaussian draws around the BPSK mean.
+TIE_LLRS = (-2, -1, 0, 1, 2, -2.0, -1.0, 0.0, -0.0, 1.0, 2.0)
+
+
+@st.composite
+def tie_cases(draw):
+    n = draw(st.integers(1, 10))
+    row = st.one_of(
+        st.just(0), st.integers(0, n - 1).map(lambda i: 1 << i), st.integers(0, (1 << n) - 1)
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    gauss = st.integers(0, 2**32).map(lambda s: random.Random(s).gauss(1, 1.2))
+    llr = st.one_of(st.sampled_from(TIE_LLRS), gauss)
+    return BinaryMatrix(len(rows), n, rows), draw(st.lists(llr, min_size=n, max_size=n))
+
+
+@settings(max_examples=500, deadline=None)
+@given(tie_cases())
+@example((BinaryMatrix(1, 2, [0b11]), [1, -1]))  # 11 ties with zero
+@example((BinaryMatrix(1, 3, [0]), [0.0, -0.0, 0]))  # every word costs 0
+@example((BinaryMatrix(1, 1, [1]), [0]))  # zero is the only codeword
+@example((BinaryMatrix(2, 3, [0b011, 0b011]), [-1, 2, 1]))  # 011 costs 1
+def test_ml_tie_rule_matches_codeword_sweep(case):
+    H, gamma = case
+    assert _ml_recovers_zero(H, gamma) == brute_ml_recovers_zero(H, gamma)
 
 
 class TestImproveRepresentation:

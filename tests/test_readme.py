@@ -1,7 +1,7 @@
 """README's examples run as documented: the Python library sketch executes,
-each recipe the command-line section quotes builds with exit 0, the size
-caps it states are the constants, and every name its module map quotes
-exists."""
+each recipe the command-line section quotes builds with exit 0, its
+synopsis names every option, the size caps it states are the constants,
+and every name its module map quotes exists."""
 
 import argparse
 import builtins
@@ -61,6 +61,18 @@ def test_size_guards_match_constants():
     for number, name in stated:
         base, _, exp = number.partition("^")
         assert (int(base) ** int(exp) if exp else int(base)) == value[name], name
+
+
+def test_synopsis_names_every_option():
+    # The command-line synopsis quotes exactly the options the parser
+    # registers, help aside.
+    (synopsis,) = re.findall(r"^## Command line\n\n```\n(.*?)```", README, re.S | re.M)
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    registered = {
+        flag for p in commands.choices.values() for a in p._actions
+        if not isinstance(a, argparse._HelpAction) for flag in a.option_strings
+    }
+    assert set(re.findall(r"--[\w-]+", synopsis)) == registered
 
 
 def _resolves(module, name: str) -> bool:
